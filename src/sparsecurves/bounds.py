@@ -4,8 +4,7 @@ Values like 2**sqrt(g) outgrow any machine float long before g gets
 interesting, so every bound carries a rigorous base-10 log enclosure, plus an
 exact big rational whenever the formula happens to evaluate to one (the
 2-power exponent g**((1+alpha)/2) is an integer, say).  Comparisons are
-certified: exact when both sides are exact, otherwise by interval separation
-with doubling precision.
+certified: exact when both sides are exact, otherwise by `logspace.certify`.
 
 The three formulas:
 
@@ -39,10 +38,12 @@ from .intersections import total_crossings_analytic, total_crossings_explicit
 from .logspace import (
     DEFAULT_DIGITS,
     MAX_DIGITS,
+    certify,
     endpoints,
     interval_context,
     iv_fraction,
     log10_int,
+    midpoint,
     power_ln,
 )
 from .surfaces import plan_composite
@@ -57,9 +58,7 @@ class BoundValue:
     """A bound's value: always a log10 enclosure, exact rational when it exists."""
 
     formula: str
-    log10: mpmath.mpf  # midpoint of [lo, hi]
-    lo: mpmath.mpf
-    hi: mpmath.mpf
+    log10: mpmath.mpf  # midpoint of the enclosure at `digits`
     exact: Optional[Fraction]
     digits: int
     evaluate: Callable[[int], object]  # digits -> interval enclosing log10(value)
@@ -74,14 +73,9 @@ def _make_bound(
     digits: int,
     exact: Optional[Fraction] = None,
 ) -> BoundValue:
-    lo, hi = endpoints(evaluator(digits))
-    with mp.workdps(digits + 10):
-        mid = (lo + hi) / 2
     return BoundValue(
         formula=formula,
-        log10=mid,
-        lo=lo,
-        hi=hi,
+        log10=midpoint(evaluator(digits), digits),
         exact=exact,
         digits=digits,
         evaluate=evaluator,
@@ -95,18 +89,10 @@ def certified_le(
     if a.exact is not None and b.exact is not None:
         return a.exact <= b.exact
     digits = max(a.digits, b.digits)
-    while True:
-        a_lo, a_hi = a.enclosure(digits)
-        b_lo, b_hi = b.enclosure(digits)
-        if a_hi <= b_lo:
-            return True
-        if b_hi < a_lo:
-            return False
-        if digits >= max_digits:
-            raise PrecisionError(
-                f"{a.formula} vs {b.formula} undecidable at {digits} digits"
-            )
-        digits = min(2 * digits, max_digits)
+    try:
+        return certify(a.evaluate, b.evaluate, digits=digits, max_digits=max_digits)[0]
+    except PrecisionError as exc:
+        raise PrecisionError(f"{a.formula} vs {b.formula}: {exc}") from exc
 
 
 def _check_domain(g: int, alpha: Fraction) -> Fraction:
@@ -140,12 +126,11 @@ def lower_bound(
 
     def evaluate(d: int):
         ctx = interval_context(d)
-        ln10 = ctx.log(ctx.mpf(10))
         power = power_ln(ctx, g, exponent)
         return (
             log10_int(ctx, prefactor)
             - log10_int(ctx, 16)
-            + power * ctx.log(ctx.mpf(2)) / ln10
+            + power * ctx.log(ctx.mpf(2)) / ctx.ln10
         )
 
     return _make_bound("count_lower_bound", evaluate, digits, exact)
@@ -207,18 +192,16 @@ def upper_bound(
 
     def eval_tight(d: int):
         ctx = interval_context(d)
-        ln10 = ctx.log(ctx.mpf(10))
         return (
             log10_int(ctx, 2 * g - 1)
-            + (ctx.sqrt(scaled_f(ctx, 64 * (2 * g - 2))) + 6) / ln10
+            + (ctx.sqrt(scaled_f(ctx, 64 * (2 * g - 2))) + 6) / ctx.ln10
         )
 
     def eval_rounded(d: int):
         ctx = interval_context(d)
-        ln10 = ctx.log(ctx.mpf(10))
         return (
             log10_int(ctx, 2 * g)
-            + (ctx.sqrt(scaled_f(ctx, 128 * g)) + 6) / ln10
+            + (ctx.sqrt(scaled_f(ctx, 128 * g)) + 6) / ctx.ln10
         )
 
     return SizeUpperBound(
@@ -259,8 +242,8 @@ def crossing_inequality_check(
     (m * log(m / ((2g-1)e**6)))**2 / (128*(2g-2)) must be strictly below the
     exact crossing total of any genuine curve system, so HOLDS is the only
     healthy verdict; INCONSISTENT flags an internal error in the caller's cr.
-    Enclosures too wide to decide are retried at doubled precision and
-    reported UNDECIDED at the cap.
+    Both comparisons go through `logspace.certify`; one still undecided at
+    max_digits is reported UNDECIDED.
     """
     if not isinstance(g, int) or g < 2:
         raise DomainError(f"genus must be an integer >= 2, got {g!r}")
@@ -269,75 +252,66 @@ def crossing_inequality_check(
     if cr < 0:
         raise DomainError(f"crossing total must be >= 0, got {cr}")
 
-    def mids(d: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    def threshold(d: int):  # log10(e**6 * (2g-1))
         ctx = interval_context(d)
-        ln10 = ctx.log(ctx.mpf(10))
-        thr = log10_int(ctx, 2 * g - 1) + 6 / ln10
-        size = log10_int(ctx, m)
-        with mp.workdps(d + 10):
-            return (
-                sum(endpoints(thr)) / 2,
-                sum(endpoints(size)) / 2,
-            )
+        return log10_int(ctx, 2 * g - 1) + 6 / ctx.ln10
 
-    # Applicability: m versus e**6 * (2g-1); never equal (threshold irrational).
-    d = digits
-    while True:
-        ctx = interval_context(d)
-        ln10 = ctx.log(ctx.mpf(10))
-        thr_lo, thr_hi = endpoints(log10_int(ctx, 2 * g - 1) + 6 / ln10)
-        m_lo, m_hi = endpoints(log10_int(ctx, m))
-        if m_hi < thr_lo:
-            thr_mid, size_mid = mids(d)
-            return CrossingInequalityVerdict(
-                InequalityStatus.NOT_APPLICABLE, thr_mid, size_mid, None, None, d
-            )
-        if thr_hi <= m_lo:
-            break
-        if d >= max_digits:
-            thr_mid, size_mid = mids(d)
-            return CrossingInequalityVerdict(
-                InequalityStatus.UNDECIDED, thr_mid, size_mid, None, None, d
-            )
-        d = min(2 * d, max_digits)
+    def size(d: int):
+        return log10_int(interval_context(d), m)
 
-    # Applicable regime: evaluate the left side and compare with cr.
-    while True:
+    def gap(ctx):  # ln(m / ((2g-1) * e**6)), positive exactly in the applicable regime
+        return ctx.log(ctx.mpf(m)) - ctx.log(ctx.mpf(2 * g - 1)) - 6
+
+    def left(d: int):
         ctx = interval_context(d)
-        ln10 = ctx.log(ctx.mpf(10))
-        gap = ctx.log(ctx.mpf(m)) - ctx.log(ctx.mpf(2 * g - 1)) - 6
-        gap_lo, _ = endpoints(gap)
-        if gap_lo > 0:
-            left = (
-                2 * (log10_int(ctx, m) + ctx.log(gap) / ln10)
-                - log10_int(ctx, 128 * (2 * g - 2))
+        gap_iv = gap(ctx)
+        if endpoints(gap_iv)[0] <= 0:
+            # log(gap) is undefined until the gap is certified positive; the
+            # whole real line overlaps every enclosure, so certify retries
+            return ctx.mpf(["-inf", "inf"])
+        return (
+            2 * (log10_int(ctx, m) + ctx.log(gap_iv) / ctx.ln10)
+            - log10_int(ctx, 128 * (2 * g - 2))
+        )
+
+    def crossings(d: int):
+        return log10_int(interval_context(d), cr)
+
+    def verdict(status, d, left_eval=None, crossings_eval=None):
+        return CrossingInequalityVerdict(
+            status,
+            midpoint(threshold(d), d),
+            midpoint(size(d), d),
+            None if left_eval is None else midpoint(left_eval(d), d),
+            None if crossings_eval is None else midpoint(crossings_eval(d), d),
+            d,
+        )
+
+    try:
+        # m versus e**6 * (2g-1); never equal (threshold irrational)
+        below, d = certify(
+            size, threshold, strict=True, digits=digits, max_digits=max_digits
+        )
+        if below:
+            return verdict(InequalityStatus.NOT_APPLICABLE, d)
+        if cr == 0:
+            # the left side is a square, never below zero crossings; the gap
+            # is certified positive only so that the left side can be reported
+            _, d = certify(
+                lambda d: interval_context(d).mpf(0),
+                lambda d: gap(interval_context(d)),
+                strict=True,
+                digits=d,
+                max_digits=max_digits,
             )
-            left_lo, left_hi = endpoints(left)
-            thr_mid, size_mid = mids(d)
-            with mp.workdps(d + 10):
-                left_mid = (left_lo + left_hi) / 2
-            if cr == 0:
-                # a strictly positive lower bound can never sit below zero crossings
-                return CrossingInequalityVerdict(
-                    InequalityStatus.INCONSISTENT, thr_mid, size_mid, left_mid, None, d
-                )
-            cr_lo, cr_hi = endpoints(log10_int(ctx, cr))
-            with mp.workdps(d + 10):
-                cr_mid = (cr_lo + cr_hi) / 2
-            if left_hi < cr_lo:
-                return CrossingInequalityVerdict(
-                    InequalityStatus.HOLDS, thr_mid, size_mid, left_mid, cr_mid, d
-                )
-            if cr_hi <= left_lo:
-                return CrossingInequalityVerdict(
-                    InequalityStatus.INCONSISTENT, thr_mid, size_mid, left_mid, cr_mid, d
-                )
-        if d >= max_digits:
-            thr_mid, size_mid = mids(d)
-            return CrossingInequalityVerdict(
-                InequalityStatus.UNDECIDED, thr_mid, size_mid, None, None, d
-            )
-        d = min(2 * d, max_digits)
+            return verdict(InequalityStatus.INCONSISTENT, d, left)
+        holds, d = certify(
+            left, crossings, strict=True, digits=d, max_digits=max_digits
+        )
+    except PrecisionError:  # raised at max_digits, or at once from above it
+        return verdict(InequalityStatus.UNDECIDED, max(digits, max_digits))
+    status = InequalityStatus.HOLDS if holds else InequalityStatus.INCONSISTENT
+    return verdict(status, d, left, crossings)
 
 
 @dataclass(frozen=True)
@@ -365,14 +339,12 @@ def linear_regime_bound(
 
     def eval_value(d: int):
         ctx = interval_context(d)
-        ln10 = ctx.log(ctx.mpf(10))
         inner = ctx.mpf(128) * power_ln(ctx, g, 1 + alpha)
-        return log10_int(ctx, 2 * g) + (ctx.sqrt(inner) + 6) / ln10
+        return log10_int(ctx, 2 * g) + (ctx.sqrt(inner) + 6) / ctx.ln10
 
     def eval_coeff(d: int):
         ctx = interval_context(d)
-        ln10 = ctx.log(ctx.mpf(10))
-        return (ctx.sqrt(ctx.mpf(128)) + 6) / ln10
+        return (ctx.sqrt(ctx.mpf(128)) + 6) / ctx.ln10
 
     return LinearRegimeBound(
         value=_make_bound("linear_regime_bound", eval_value, digits),

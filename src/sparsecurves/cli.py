@@ -34,7 +34,7 @@ from .errors import (
     SparseCurvesError,
 )
 from .homology import certify_distinct, certify_generated
-from .logspace import DEFAULT_DIGITS
+from .logspace import DEFAULT_DIGITS, check_digits
 from .surfaces import plan_composite
 
 EXIT_OK = 0
@@ -110,6 +110,7 @@ def _print_report(report: CrossingReport) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    check_digits(args.precision)
     try:
         doc = document_mod.load_document(args.document)
     except DocumentError as exc:
@@ -197,10 +198,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _parse_g_values(args: argparse.Namespace) -> list[int]:
     values: list[int] = []
     if args.g:
-        for chunk in args.g.split(","):
-            chunk = chunk.strip()
-            if chunk:
-                values.append(int(chunk))
+        try:
+            values.extend(int(chunk) for chunk in args.g.split(",") if chunk.strip())
+        except ValueError as exc:
+            raise DomainError(f"--g must list integers, got {args.g!r}") from exc
     if args.g_range:
         try:
             lo_text, hi_text, count_text = args.g_range.split(":")
@@ -223,6 +224,7 @@ def _parse_g_values(args: argparse.Namespace) -> list[int]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    check_digits(args.precision)
     try:
         g_values = _parse_g_values(args)
         alphas = [
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--threads", type=int, default=1, help="pairwise-sum workers")
     p_verify.add_argument(
-        "--precision", type=int, default=DEFAULT_DIGITS, help="log-space digits"
+        "--precision", type=int, default=DEFAULT_DIGITS, help="log-space digits (>= 1)"
     )
     p_verify.add_argument("--out", help="write the annotated document here")
     p_verify.set_defaults(func=_cmd_verify)
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bounds.add_argument("--out", help="output path (stdout when omitted)")
     p_bounds.add_argument(
-        "--precision", type=int, default=DEFAULT_DIGITS, help="log-space digits"
+        "--precision", type=int, default=DEFAULT_DIGITS, help="log-space digits (>= 1)"
     )
     p_bounds.add_argument(
         "--cap",

@@ -115,6 +115,13 @@ def _parse_fraction(text: object, field: str) -> Fraction:
         raise DocumentError(f"{field}: {exc}") from exc
 
 
+def _int_field(data: dict, key: str) -> int:
+    try:
+        return int(data[key])
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"{key} must be an integer: {exc}") from exc
+
+
 def _parse_curve(entry: object, index: int) -> Curve:
     if not isinstance(entry, dict):
         raise DocumentError(f"curves[{index}] must be an object, got {entry!r}")
@@ -156,11 +163,11 @@ def from_dict(data: object) -> SystemDocument:
         raise DocumentError("missing surface object")
     try:
         surface = CompositeSurface(
-            g=int(surface_data["g"]),
+            g=_int_field(surface_data, "g"),
             alpha=_parse_fraction(surface_data["alpha"], "surface.alpha"),
-            h=int(surface_data["h"]),
-            h_prime=int(surface_data["hPrime"]),
-            base_genus=int(surface_data["baseGenus"]),
+            h=_int_field(surface_data, "h"),
+            h_prime=_int_field(surface_data, "hPrime"),
+            base_genus=_int_field(surface_data, "baseGenus"),
         )
     except KeyError as exc:
         raise DocumentError(f"surface missing key {exc}") from exc
@@ -189,11 +196,11 @@ def from_dict(data: object) -> SystemDocument:
             raise DocumentError("report must be an object")
         try:
             report = CrossingReport(
-                total_crossings=int(report_data["totalCrossings"]),
-                pair_count=int(report_data["pairCount"]),
+                total_crossings=_int_field(report_data, "totalCrossings"),
+                pair_count=_int_field(report_data, "pairCount"),
                 average=Fraction(
-                    int(report_data["averageNumerator"]),
-                    int(report_data["averageDenominator"]),
+                    _int_field(report_data, "averageNumerator"),
+                    _int_field(report_data, "averageDenominator"),
                 ),
                 threshold=_parse_threshold(report_data["sparsityThreshold"]),
                 is_sparse=bool(report_data["isSparse"]),
@@ -201,6 +208,8 @@ def from_dict(data: object) -> SystemDocument:
             )
         except KeyError as exc:
             raise DocumentError(f"report missing key {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise DocumentError("averageDenominator must be nonzero") from exc
 
     certificate = None
     certificate_data = data.get("certificate")

@@ -3,11 +3,13 @@
 The bound formulas mix exact integers with terms like e**(sqrt(128*g) + 6)
 whose values overflow any fixed-precision float, so all magnitude comparisons
 happen in log10 space.  Every quantity is enclosed in a directed-rounding
-interval (mpmath's interval context); a comparison that cannot be decided at
-the working precision is retried with the precision doubled, up to a hard
-cap, and raises PrecisionError if the enclosures still overlap there.  All
-formula inequalities we certify are strict with room, so the cap is only ever
-reached for genuinely equal quantities.
+interval (mpmath's interval context) by an evaluator, a function from decimal
+digits to an enclosure.  Every certified comparison goes through one kernel,
+`certify`: while the two enclosures overlap it doubles the digits, up to a
+hard cap, and raises PrecisionError if they still overlap there.  Precision
+starts at `digits >= 1` (doubling 0 never moves).  All formula inequalities
+we certify are strict with room, so the cap is only ever reached for
+genuinely equal quantities.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import mpmath
 from mpmath import mp
 from mpmath.ctx_iv import MPIntervalContext
 
-from .errors import PrecisionError
+from .errors import DomainError, PrecisionError
 
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 1000
@@ -58,7 +60,7 @@ def log10_int(ctx: MPIntervalContext, n: int):
     """Enclosure of log10(n) for a positive integer n of any size."""
     if n <= 0:
         raise ValueError(f"log10 needs a positive argument, got {n}")
-    return ctx.log(ctx.mpf(n)) / ctx.log(ctx.mpf(10))
+    return ctx.log(ctx.mpf(n)) / ctx.ln10
 
 
 def log10_fraction(ctx: MPIntervalContext, value: Fraction):
@@ -76,29 +78,46 @@ def power_ln(ctx: MPIntervalContext, g: int, exponent: Fraction):
     return ctx.exp(ctx.log(ctx.mpf(g)) * r / s)
 
 
+def midpoint(x, digits: int) -> mpmath.mpf:
+    """Midpoint of the enclosure x, as reported for a value evaluated at `digits`."""
+    lo, hi = endpoints(x)
+    with mp.workdps(digits + _GUARD_DIGITS):
+        return (lo + hi) / 2
+
+
 Evaluator = Callable[[int], object]
 
 
-def certified_le(
+def check_digits(digits: int) -> None:
+    """Raise DomainError unless digits is a usable precision (at least 1)."""
+    if digits < 1:
+        raise DomainError(f"precision must be at least 1 digit, got {digits}")
+
+
+def certify(
     eval_a: Evaluator,
     eval_b: Evaluator,
     *,
+    strict: bool = False,
     digits: int = DEFAULT_DIGITS,
     max_digits: int = MAX_DIGITS,
-) -> bool:
-    """Certify a <= b between two interval-valued evaluators.
+) -> tuple[bool, int]:
+    """Certify a <= b (a < b when strict) between two interval-valued evaluators.
 
-    Returns True when a <= b is proven, False when a > b is proven, and
-    raises PrecisionError if the enclosures still overlap at max_digits.
+    Returns (verdict, settled_digits): the verdict is proven either way, and
+    settled_digits is the precision of the evaluations that decided it.  The
+    precision starts at `digits` and doubles while the enclosures overlap;
+    PrecisionError is raised if they still overlap at max_digits.
     """
+    check_digits(digits)
     d = digits
     while True:
         a_lo, a_hi = endpoints(eval_a(d))
         b_lo, b_hi = endpoints(eval_b(d))
-        if a_hi <= b_lo:
-            return True
-        if b_hi < a_lo:
-            return False
+        if a_hi < b_lo or (a_hi == b_lo and not strict):
+            return True, d
+        if b_hi < a_lo or (b_hi == a_lo and strict):
+            return False, d
         if d >= max_digits:
             raise PrecisionError(
                 f"comparison undecidable at {d} digits "
@@ -108,22 +127,11 @@ def certified_le(
         d = min(2 * d, max_digits)
 
 
-def certified_lt(
-    eval_a: Evaluator,
-    eval_b: Evaluator,
-    *,
-    digits: int = DEFAULT_DIGITS,
-    max_digits: int = MAX_DIGITS,
-) -> bool:
-    """Certify a < b; True / False are both proven, overlap raises PrecisionError."""
-    d = digits
-    while True:
-        a_lo, a_hi = endpoints(eval_a(d))
-        b_lo, b_hi = endpoints(eval_b(d))
-        if a_hi < b_lo:
-            return True
-        if b_hi <= a_lo:
-            return False
-        if d >= max_digits:
-            raise PrecisionError(f"comparison undecidable at {d} digits")
-        d = min(2 * d, max_digits)
+def certified_le(eval_a: Evaluator, eval_b: Evaluator, **limits) -> bool:
+    """Certify a <= b; limits are certify's digits and max_digits."""
+    return certify(eval_a, eval_b, **limits)[0]
+
+
+def certified_lt(eval_a: Evaluator, eval_b: Evaluator, **limits) -> bool:
+    """Certify a < b; limits are certify's digits and max_digits."""
+    return certify(eval_a, eval_b, strict=True, **limits)[0]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from sparsecurves.cli import main
 from sparsecurves.document import load_document
 
@@ -100,6 +102,28 @@ def test_verify_parse_error_exits_5(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("surface", "g", "x"),
+        ("surface", "h", None),
+        ("report", "totalCrossings", "zz"),
+        ("report", "averageDenominator", 0),
+    ],
+)
+def test_verify_bad_integer_field_exits_5(tmp_path, capsys, section, key, value):
+    out = tmp_path / "g16.json"
+    annotated = tmp_path / "annotated.json"
+    main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
+    main(["verify", str(out), "--out", str(annotated)])
+    data = json.loads(annotated.read_text())
+    data[section][key] = value
+    annotated.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(annotated)]) == 5
+    assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+
 def test_verify_analytic_document(tmp_path, capsys):
     out = tmp_path / "a.json"
     main(["construct", "--g", "64", "--alpha", "1/1", "--analytic", "--out", str(out)])
@@ -164,6 +188,28 @@ def test_bounds_g_range_grid(capsys):
 def test_bounds_requires_g(capsys):
     assert main(["bounds", "--alpha", "0/1"]) == 4
     assert "--g" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g_list", ["16,abc", "1.5"])
+def test_bounds_non_integer_g_exits_4(capsys, g_list):
+    assert main(["bounds", "--g", g_list, "--alpha", "0/1"]) == 4
+    assert capsys.readouterr().err.startswith("error: --g must list integers")
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+@pytest.mark.parametrize("precision", ["0", "-1"])
+def test_precision_below_one_exits_4(tmp_path, capsys, command, precision):
+    if command == "verify":
+        out = tmp_path / "g16.json"
+        main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
+        args = ["verify", str(out)]
+    else:
+        args = ["bounds", "--g", "16", "--alpha", "0/1"]
+    capsys.readouterr()
+    assert main(args + ["--precision", precision]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: precision must be at least 1 digit")
 
 
 def test_bad_alpha_fraction(tmp_path, capsys):
