@@ -356,8 +356,11 @@ def linear_regime_bound(
 # Comparison tables
 # ----------------------------------------------------------------------
 
-# Explicit crossing totals are quadratic in family size; table rows beyond
-# this many words per necklace use the closed form instead.
+# Table rows beyond this many words per necklace use the closed form.  An
+# explicit row materialises all h' * 4**(h-1) Curve tuples through
+# generate_system, so the next size up (16,384 words per necklace) would
+# dominate a table's time and memory; raising the limit waits for curve
+# systems that describe a full family without building it.
 TABLE_EXPLICIT_WORD_LIMIT = 4096
 
 
@@ -400,17 +403,15 @@ def bounds_table(
     *,
     digits: int = DEFAULT_DIGITS,
     cap: int = DEFAULT_WORD_CAP,
-    explicit_word_limit: int = TABLE_EXPLICIT_WORD_LIMIT,
-    workers: int = 1,
 ) -> list[TableRow]:
     """One row per (g, alpha), ordered by (g, alpha).
 
     Each row reports the construction parameters, exact counts, the three
     bound values in log10, the exact sparsity ratio of the generated system,
     and the two consistency flags, each certified.  Crossing totals come from
-    the explicit pair sum while the per-necklace family stays at or below
-    both the word cap and the (smaller) quadratic-work limit, and from the
-    closed form beyond that; the mode column records which route was taken.
+    the explicit counter while the per-necklace family stays at or below
+    both the word cap and TABLE_EXPLICIT_WORD_LIMIT, and from the closed
+    form beyond that; the mode column records which route was taken.
     """
     rows: list[TableRow] = []
     for g in sorted(set(g_values)):
@@ -422,9 +423,9 @@ def bounds_table(
                 g, SparsityThreshold.power(alpha), digits=digits
             )
             words = 4 ** (surface.h - 1)
-            if words <= min(cap, explicit_word_limit):
+            if words <= min(cap, TABLE_EXPLICIT_WORD_LIMIT):
                 system = generate_system(surface, cap=cap)
-                crossings = total_crossings_explicit(system, workers=workers)
+                crossings = total_crossings_explicit(system)
                 mode = "explicit"
             else:
                 crossings = total_crossings_analytic(surface)

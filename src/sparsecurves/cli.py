@@ -124,7 +124,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report: Optional[CrossingReport] = None
     report_error: Optional[str] = None
     try:
-        report = verify_sparsity(system, threshold, workers=args.threads)
+        report = verify_sparsity(system, threshold)
     except (DomainError, EnumerationCapError) as exc:
         report_error = str(exc)
 
@@ -239,7 +239,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             alphas,
             digits=args.precision,
             cap=args.cap,
-            workers=args.threads,
         )
     except (DomainError, PrecisionError) as exc:
         return _fail(EXIT_DOMAIN, str(exc))
@@ -303,7 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="gpow",
         help="sparsity threshold: an exact fraction p/q, or 'gpow' for g**alpha",
     )
-    p_verify.add_argument("--threads", type=int, default=1, help="pairwise-sum workers")
+    p_verify.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and ignored, so older scripts still parse",
+    )
     p_verify.add_argument(
         "--precision", type=int, default=DEFAULT_DIGITS, help="log-space digits (>= 1)"
     )
@@ -329,7 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_WORD_CAP,
         help="max words per necklace for explicit enumeration",
     )
-    p_bounds.add_argument("--threads", type=int, default=1, help="pairwise-sum workers")
+    p_bounds.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and ignored, so older scripts still parse",
+    )
     p_bounds.set_defaults(func=_cmd_bounds)
     return parser
 

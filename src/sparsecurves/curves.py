@@ -26,8 +26,8 @@ from .surfaces import ARC_LABELS, CompositeSurface
 
 Word = tuple[int, ...]
 
-# Explicit enumeration is quadratic in family size; beyond this many words per
-# necklace, callers must use the analytic counting path.
+# Beyond this many words per necklace families are not enumerated; callers
+# must use the analytic counting path.
 DEFAULT_WORD_CAP = 2 ** 24
 
 
@@ -161,15 +161,12 @@ class CrossingReport:
 
 
 def verify_sparsity(
-    system: CurveSystem,
-    threshold: SparsityThreshold,
-    *,
-    workers: int = 1,
+    system: CurveSystem, threshold: SparsityThreshold
 ) -> CrossingReport:
     """Exact crossing report for a system against the given threshold.
 
-    Explicit systems are summed pair by pair; analytic systems use the
-    closed-form total.  The verdict never touches floating point.
+    Explicit systems are totalled over their word sets; analytic systems use
+    the closed-form total.  The verdict never touches floating point.
     """
     from . import intersections
 
@@ -182,7 +179,7 @@ def verify_sparsity(
         crossings = intersections.total_crossings_analytic(system.surface)
         mode = "analytic"
     else:
-        crossings = intersections.total_crossings_explicit(system, workers=workers)
+        crossings = intersections.total_crossings_explicit(system)
         mode = "explicit"
     pairs = system.pair_count
     report = CrossingReport(

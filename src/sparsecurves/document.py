@@ -115,11 +115,15 @@ def _parse_fraction(text: object, field: str) -> Fraction:
         raise DocumentError(f"{field}: {exc}") from exc
 
 
+def _json_int(value: object, name: str) -> int:
+    """`value` itself if it is a JSON integer; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _int_field(data: dict, key: str) -> int:
-    try:
-        return int(data[key])
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"{key} must be an integer: {exc}") from exc
+    return _json_int(data[key], key)
 
 
 def _parse_curve(entry: object, index: int) -> Curve:
@@ -130,7 +134,7 @@ def _parse_curve(entry: object, index: int) -> Curve:
         word_text = entry["word"]
     except KeyError as exc:
         raise DocumentError(f"curves[{index}] missing key {exc}") from exc
-    if not isinstance(necklace, int) or necklace < 0:
+    if _json_int(necklace, f"curves[{index}].necklace") < 0:
         raise DocumentError(f"curves[{index}].necklace must be a nonnegative integer")
     if not isinstance(word_text, str) or not word_text:
         raise DocumentError(f"curves[{index}].word must be a nonempty string")

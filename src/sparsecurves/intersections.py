@@ -11,7 +11,8 @@ necklaces.
 Three routes to the same totals:
 
   * pair_intersection / total_crossings_explicit - the interleaving rule,
-    summed over annuli and over unordered pairs;
+    summed over annuli for one pair, and totalled over a whole word set by
+    letter-pair histograms of its shared-prefix groups, not pair by pair;
   * total_crossings_analytic - a closed form for the full 4**(h-1) family,
     obtained by classifying ordered pairs by their first differing letter;
   * oracle_crossings_pl - an actual piecewise-linear drawing in a planar net
@@ -22,7 +23,8 @@ Three routes to the same totals:
 
 from __future__ import annotations
 
-import multiprocessing
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -105,90 +107,61 @@ def pair_intersection(c1: Curve, c2: Curve, surface: CompositeSurface) -> int:
 #
 # For two words with u < w lexicographically, the strand of u precedes the
 # strand of w on a boundary circle iff u[i] <= w[i] at the adjacent piece
-# (ties are broken by the lexicographic nesting).  The pair's crossing count
-# is therefore the number of cyclic sign changes of the pattern
-# q_i = (u[i] <= w[i]); the inner loops below count exactly that.
+# (ties are broken by the lexicographic nesting).  The pair crosses in
+# annulus (i, i+1 mod n) iff q_i != q_{i+1} for q_k = (u[k] <= w[k]).  If
+# the words first differ at position d, q_k holds for every k <= d, so only
+# annuli with i >= d can cross, and each of those depends only on the letter
+# pairs (u[i], u[i+1]) and (w[i], w[i+1]).  A sorted family is therefore
+# walked by shared prefix: each range of words sharing d letters is split by
+# its letter at d, and for every annulus i >= d the letter-pair histogram of
+# each group is paired with that of all earlier groups.  That is O(N*n**2)
+# work for N words of length n instead of O(N**2*n) for a pair scan.  Pairs
+# first differing at the last letter can only cross in the wrapping annulus
+# (n-1, 0), where q_{n-1} and q_0 both hold, so ranges are never split there.
 
 
-def _rows_crossings(words: Sequence[Word], lo: int, hi: int) -> int:
-    total = 0
-    count = len(words)
-    for a in range(lo, hi):
-        u = words[a]
-        n = len(u)
-        for b in range(a + 1, count):
-            w = words[b]
-            first = prev = u[0] <= w[0]
-            changes = 0
-            for i in range(1, n):
-                cur = u[i] <= w[i]
-                if cur != prev:
-                    changes += 1
-                    prev = cur
-            if prev != first:
-                changes += 1
-            total += changes
-    return total
-
-
-_POOL_WORDS: Sequence[Word] | None = None
-
-
-def _pool_init(words: Sequence[Word]) -> None:
-    global _POOL_WORDS
-    _POOL_WORDS = words
-
-
-def _pool_rows(block: tuple[int, int]) -> int:
-    assert _POOL_WORDS is not None
-    return _rows_crossings(_POOL_WORDS, block[0], block[1])
-
-
-def _row_blocks(count: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges with roughly equal pair mass (row a owns count-a-1 pairs)."""
-    total_pairs = count * (count - 1) // 2
-    blocks: list[tuple[int, int]] = []
-    start = 0
-    done = 0
-    for part in range(parts):
-        target = (part + 1) * total_pairs // parts
-        end = start
-        while end < count and done < target:
-            done += count - end - 1
-            end += 1
-        if end > start:
-            blocks.append((start, end))
-        start = end
-    if start < count:
-        blocks.append((start, count))
-    return blocks
-
-
-def _family_crossings_sorted(words: list[Word], workers: int = 1) -> int:
+def _family_crossings_sorted(words: list[Word]) -> int:
     """Total crossings over all unordered pairs of a sorted, duplicate-free family."""
     count = len(words)
-    if count < 2:
-        return 0
     for a in range(count - 1):
         if words[a] == words[a + 1]:
             raise DomainError(f"duplicate word {words[a]} within one necklace")
-    if workers <= 1:
-        return _rows_crossings(words, 0, count)
-    blocks = _row_blocks(count, 4 * workers)
-    with multiprocessing.Pool(
-        processes=workers, initializer=_pool_init, initargs=(words,)
-    ) as pool:
-        return sum(pool.map(_pool_rows, blocks))
+    if count < 2:
+        return 0
+    n = len(words[0])
+    total = 0
+    ranges = [(0, count, 0)]  # words[lo:hi] share their first d letters
+    while ranges:
+        lo, hi, d = ranges.pop()
+        prefix = words[lo][:d]
+        groups = []
+        while lo < hi:  # one group per letter at d
+            end = bisect_left(words, prefix + (words[lo][d] + 1,), lo, hi)
+            groups.append((lo, end))
+            lo = end
+        if d + 2 < n:
+            ranges.extend((a, b, d + 1) for a, b in groups if b - a > 1)
+        if len(groups) < 2:
+            continue
+        for i in range(d, n):
+            j = (i + 1) % n
+            earlier: Counter[tuple[int, int]] = Counter()
+            for a, b in groups:
+                current = Counter((w[i], w[j]) for w in words[a:b])
+                for (x, y), p in earlier.items():
+                    for (s, t), q in current.items():
+                        if (x <= s) != (y <= t):
+                            total += p * q
+                earlier.update(current)
+    return total
 
 
-def total_crossings_explicit(system: CurveSystem, *, workers: int = 1) -> int:
+def total_crossings_explicit(system: CurveSystem) -> int:
     """Sum of pair_intersection over all unordered pairs of the system.
 
     Pairs on different necklaces contribute zero, so the sum decomposes into
     per-necklace totals; necklaces carrying identical word sets (as in every
-    generated system) are computed once.  The result is an exact big integer
-    and is identical for every worker count: partial sums are integers and
-    integer addition is associative.
+    generated system) are computed once.  The result is an exact big integer.
     """
     if system.analytic:
         raise DomainError("analytic systems carry no curve list; use analytic totals")
@@ -201,7 +174,7 @@ def total_crossings_explicit(system: CurveSystem, *, workers: int = 1) -> int:
     for words in by_necklace.values():
         key = tuple(sorted(words))
         if key not in cache:
-            cache[key] = _family_crossings_sorted(list(key), workers=workers)
+            cache[key] = _family_crossings_sorted(list(key))
         total += cache[key]
     return total
 

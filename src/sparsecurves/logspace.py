@@ -63,13 +63,6 @@ def log10_int(ctx: MPIntervalContext, n: int):
     return ctx.log(ctx.mpf(n)) / ctx.ln10
 
 
-def log10_fraction(ctx: MPIntervalContext, value: Fraction):
-    """Enclosure of log10 of a positive rational."""
-    if value <= 0:
-        raise ValueError(f"log10 needs a positive argument, got {value}")
-    return log10_int(ctx, value.numerator) - log10_int(ctx, value.denominator)
-
-
 def power_ln(ctx: MPIntervalContext, g: int, exponent: Fraction):
     """Enclosure of g**exponent via exp((r/s) * ln(g)); exponent may be negative."""
     if g < 1:

@@ -95,7 +95,7 @@ def test_criterion_02_sparsity_chain():
         surface = plan_composite(g, Fraction(0))
         system = _system(g)
         start = time.perf_counter()
-        crossings = total_crossings_explicit(system, workers=1)
+        crossings = total_crossings_explicit(system)
         elapsed = time.perf_counter() - start
         if g == 100:
             elapsed_100 = elapsed

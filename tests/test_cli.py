@@ -109,6 +109,9 @@ def test_verify_parse_error_exits_5(tmp_path, capsys):
         ("surface", "h", None),
         ("report", "totalCrossings", "zz"),
         ("report", "averageDenominator", 0),
+        ("surface", "g", 16.7),
+        ("surface", "h", 2.0),
+        ("surface", "g", True),
     ],
 )
 def test_verify_bad_integer_field_exits_5(tmp_path, capsys, section, key, value):
@@ -122,6 +125,18 @@ def test_verify_bad_integer_field_exits_5(tmp_path, capsys, section, key, value)
     capsys.readouterr()
     assert main(["verify", str(annotated)]) == 5
     assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+
+def test_verify_boolean_necklace_exits_5(tmp_path, capsys):
+    # true must not be read as necklace 1, which would collide with a real curve
+    out = tmp_path / "g16.json"
+    main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
+    data = json.loads(out.read_text())
+    data["curves"][0]["necklace"] = True
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert capsys.readouterr().err.startswith("error: curves[0].necklace must be")
 
 
 def test_verify_analytic_document(tmp_path, capsys):

@@ -106,13 +106,36 @@ def test_explicit_total_equals_pairwise_sum_g36():
     assert total == by_pairs
 
 
-def test_explicit_total_worker_invariance():
-    surface = plan_composite(36, Fraction(0))
-    system = generate_system(surface)
-    t1 = total_crossings_explicit(system, workers=1)
-    t2 = total_crossings_explicit(system, workers=2)
-    t3 = total_crossings_explicit(system, workers=3)
-    assert t1 == t2 == t3 == 864
+def test_explicit_total_g36_is_864():
+    system = generate_system(plan_composite(36, Fraction(0)))
+    assert total_crossings_explicit(system) == 864
+
+
+@given(data=st.data(), h=st.integers(min_value=2, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_explicit_total_equals_pairwise_rule_on_subfamilies(data, h):
+    # the histogram counter against the independent pair-by-pair rule
+    surface = SURFACES[h]
+    words = data.draw(st.sets(_word_strategy(h - 1), max_size=40))
+    necklaces = data.draw(
+        st.lists(st.integers(0, 1), min_size=len(words), max_size=len(words))
+    )
+    curves = tuple(Curve(k, w) for k, w in zip(necklaces, sorted(words)))
+    system = CurveSystem(surface=surface, curves=curves)
+    by_pairs = sum(
+        pair_intersection(a, b, surface) for a, b in combinations(curves, 2)
+    )
+    assert total_crossings_explicit(system) == by_pairs
+
+
+@pytest.mark.parametrize("g, h", [(196, 7), (256, 8)])
+def test_explicit_total_full_family_large(g, h):
+    # 4,096 and 16,384 words on one necklace, against the closed form
+    surface = plan_composite(g, Fraction(0))
+    assert surface.h == h
+    curves = tuple(Curve(0, w) for w in generate_necklace_family(h))
+    system = CurveSystem(surface=surface, curves=curves)
+    assert total_crossings_explicit(system) == necklace_family_crossings(h)
 
 
 def test_explicit_total_g16_is_zero():
