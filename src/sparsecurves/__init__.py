@@ -30,7 +30,6 @@ from .curves import (
     SparsityThreshold,
     generate_necklace_family,
     generate_system,
-    generate_system_analytic,
     sparsity_chain_check,
     verify_sparsity,
 )
@@ -58,6 +57,7 @@ from .intersections import (
     oracle_crossings_pl,
     pair_intersection,
     strands_cross,
+    total_crossings,
     total_crossings_analytic,
     total_crossings_explicit,
 )

@@ -31,10 +31,10 @@ from typing import Callable, Optional, Sequence
 import mpmath
 from mpmath import mp
 
-from .curves import DEFAULT_WORD_CAP, SparsityThreshold, generate_system
+from .curves import SparsityThreshold, generate_system
 from .errors import DomainError, PrecisionError
 from .exactint import floor_scaled_power, is_exact_power, min_admissible_genus
-from .intersections import total_crossings_analytic, total_crossings_explicit
+from .intersections import total_crossings
 from .logspace import (
     DEFAULT_DIGITS,
     MAX_DIGITS,
@@ -356,14 +356,6 @@ def linear_regime_bound(
 # Comparison tables
 # ----------------------------------------------------------------------
 
-# Table rows beyond this many words per necklace use the closed form.  An
-# explicit row materialises all h' * 4**(h-1) Curve tuples through
-# generate_system, so the next size up (16,384 words per necklace) would
-# dominate a table's time and memory; raising the limit waits for curve
-# systems that describe a full family without building it.
-TABLE_EXPLICIT_WORD_LIMIT = 4096
-
-
 @dataclass(frozen=True)
 class TableRow:
     g: int
@@ -402,16 +394,13 @@ def bounds_table(
     alphas: Sequence[Fraction],
     *,
     digits: int = DEFAULT_DIGITS,
-    cap: int = DEFAULT_WORD_CAP,
 ) -> list[TableRow]:
     """One row per (g, alpha), ordered by (g, alpha).
 
     Each row reports the construction parameters, exact counts, the three
     bound values in log10, the exact sparsity ratio of the generated system,
     and the two consistency flags, each certified.  Crossing totals come from
-    the explicit counter while the per-necklace family stays at or below
-    both the word cap and TABLE_EXPLICIT_WORD_LIMIT, and from the closed
-    form beyond that; the mode column records which route was taken.
+    `intersections.total_crossings`; the mode column is the system's mode.
     """
     rows: list[TableRow] = []
     for g in sorted(set(g_values)):
@@ -422,15 +411,8 @@ def bounds_table(
             upper = upper_bound(
                 g, SparsityThreshold.power(alpha), digits=digits
             )
-            words = 4 ** (surface.h - 1)
-            if words <= min(cap, TABLE_EXPLICIT_WORD_LIMIT):
-                system = generate_system(surface, cap=cap)
-                crossings = total_crossings_explicit(system)
-                mode = "explicit"
-            else:
-                crossings = total_crossings_analytic(surface)
-                mode = "analytic"
-            pairs = surface.h_prime * words * (surface.h_prime * words - 1) // 2
+            system = generate_system(surface)
+            crossings = total_crossings(system)
             count_int = (
                 int(count.exact) if count.exact is not None else None
             )
@@ -447,8 +429,8 @@ def bounds_table(
                     upper_tight_log10=_nstr(upper.tight.log10),
                     upper_rounded_log10=_nstr(upper.rounded.log10),
                     crossings=crossings,
-                    ratio=_render_ratio(crossings, pairs),
-                    mode=mode,
+                    ratio=_render_ratio(crossings, system.pair_count),
+                    mode=system.mode,
                     lower_le_count=certified_le(lower, count),
                     lower_le_upper=certified_le(lower, upper.rounded),
                 )

@@ -18,21 +18,8 @@ import mpmath
 
 from . import bounds as bounds_mod
 from . import document as document_mod
-from .curves import (
-    DEFAULT_WORD_CAP,
-    CrossingReport,
-    SparsityThreshold,
-    generate_system,
-    generate_system_analytic,
-    verify_sparsity,
-)
-from .errors import (
-    DocumentError,
-    DomainError,
-    EnumerationCapError,
-    PrecisionError,
-    SparseCurvesError,
-)
+from .curves import CrossingReport, SparsityThreshold, generate_system, verify_sparsity
+from .errors import DocumentError, DomainError, PrecisionError, SparseCurvesError
 from .homology import certify_distinct, certify_generated
 from .logspace import DEFAULT_DIGITS, check_digits
 from .surfaces import plan_composite
@@ -69,14 +56,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     try:
         alpha = _parse_fraction_arg(args.alpha, "--alpha")
         surface = plan_composite(args.g, alpha)
-        if args.analytic:
-            system = generate_system_analytic(surface)
-        else:
-            system = generate_system(surface, cap=args.cap)
-    except EnumerationCapError as exc:
-        return _fail(EXIT_DOMAIN, f"{exc} (pass --analytic for a counts-only document)")
     except DomainError as exc:
         return _fail(EXIT_DOMAIN, str(exc))
+    system = generate_system(surface)
     doc = document_mod.SystemDocument.from_system(system)
     try:
         document_mod.save_document(doc, args.out)
@@ -84,7 +66,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
     print(
         f"curves={system.curve_count} h={surface.h} hPrime={surface.h_prime} "
-        f"baseGenus={surface.base_genus} analytic={'true' if args.analytic else 'false'}"
+        f"baseGenus={surface.base_genus} "
+        f"analytic={'true' if system.mode == 'analytic' else 'false'}"
     )
     return EXIT_OK
 
@@ -125,10 +108,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report_error: Optional[str] = None
     try:
         report = verify_sparsity(system, threshold)
-    except (DomainError, EnumerationCapError) as exc:
+    except DomainError as exc:
         report_error = str(exc)
 
-    if system.analytic:
+    if system.full:
         certificate = certify_generated(system.surface)
     else:
         certificate = certify_distinct(system)
@@ -238,7 +221,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             g_values,
             alphas,
             digits=args.precision,
-            cap=args.cap,
         )
     except (DomainError, PrecisionError) as exc:
         return _fail(EXIT_DOMAIN, str(exc))
@@ -283,13 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument(
         "--analytic",
         action="store_true",
-        help="write a counts-only document (no curve list)",
+        help="accepted and ignored, so older scripts still parse",
     )
     p_construct.add_argument(
         "--cap",
         type=int,
-        default=DEFAULT_WORD_CAP,
-        help="max words per necklace for explicit enumeration",
+        help="accepted and ignored, so older scripts still parse",
     )
     p_construct.set_defaults(func=_cmd_construct)
 
@@ -330,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument(
         "--cap",
         type=int,
-        default=DEFAULT_WORD_CAP,
-        help="max words per necklace for explicit enumeration",
+        help="accepted and ignored, so older scripts still parse",
     )
     p_bounds.add_argument(
         "--threads",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import DomainError, EnumerationCapError
 from .exactint import le_scaled_power
@@ -26,9 +26,15 @@ from .surfaces import ARC_LABELS, CompositeSurface
 
 Word = tuple[int, ...]
 
-# Beyond this many words per necklace families are not enumerated; callers
-# must use the analytic counting path.
+# Beyond this many words per necklace generate_necklace_family refuses to
+# list a family; a full family is still described and counted in closed form.
 DEFAULT_WORD_CAP = 2 ** 24
+
+# A full family with at most this many words per necklace is also counted by
+# the explicit counter, as a cross-check of the closed form.  The counter's
+# work grows as N*n**2 for N words of length n, so each step up (4x the words)
+# costs every bounds-table row of that size over 4x the time.
+EXPLICIT_WORD_LIMIT = 4096
 
 
 class Curve(NamedTuple):
@@ -65,19 +71,20 @@ def generate_necklace_family(h: int, *, cap: int = DEFAULT_WORD_CAP) -> list[Wor
 class CurveSystem:
     """A set of curves on a composite surface, with a write-once crossing report.
 
-    Curves are kept in canonical (necklace, word) order.  `analytic` systems
-    carry no explicit curve list; their size is the construction count
-    h' * 4**(h-1) and their totals come from the closed-form counter.
+    A `full` system is the generated family, h' necklaces each carrying all
+    4**(h-1) words; it is described rather than listed, so `curves` stays
+    empty.  Any other system lists its curves in canonical (necklace, word)
+    order.
     """
 
     surface: CompositeSurface
-    curves: tuple[Curve, ...]
-    analytic: bool = False
+    curves: tuple[Curve, ...] = ()
+    full: bool = False
     report: Optional["CrossingReport"] = field(default=None, compare=False)
 
     @property
     def curve_count(self) -> int:
-        if self.analytic:
+        if self.full:
             return self.surface.h_prime * 4 ** (self.surface.h - 1)
         return len(self.curves)
 
@@ -85,6 +92,21 @@ class CurveSystem:
     def pair_count(self) -> int:
         n = self.curve_count
         return n * (n - 1) // 2
+
+    @property
+    def mode(self) -> str:
+        """The route of the total: "explicit" when the explicit counter runs on
+        the system, "analytic" when only the closed form does."""
+        if self.full and 4 ** (self.surface.h - 1) > EXPLICIT_WORD_LIMIT:
+            return "analytic"
+        return "explicit"
+
+    def iter_curves(self) -> Iterator[Curve]:
+        """Every curve in canonical order; a full family is generated lazily."""
+        if not self.full:
+            return iter(self.curves)
+        words = generate_necklace_family(self.surface.h)
+        return (Curve(k, w) for k in range(self.surface.h_prime) for w in words)
 
     def check_invariants(self) -> None:
         seen = set()
@@ -99,20 +121,9 @@ class CurveSystem:
             seen.add(curve)
 
 
-def generate_system(
-    surface: CompositeSurface, *, cap: int = DEFAULT_WORD_CAP
-) -> CurveSystem:
-    """The full family on every necklace: h' * 4**(h-1) distinct curves."""
-    words = generate_necklace_family(surface.h, cap=cap)
-    curves = tuple(
-        Curve(k, word) for k in range(surface.h_prime) for word in words
-    )
-    return CurveSystem(surface=surface, curves=curves)
-
-
-def generate_system_analytic(surface: CompositeSurface) -> CurveSystem:
-    """Counts-only stand-in for families too large to enumerate."""
-    return CurveSystem(surface=surface, curves=(), analytic=True)
+def generate_system(surface: CompositeSurface) -> CurveSystem:
+    """The full family, h' * 4**(h-1) distinct curves, described without a list."""
+    return CurveSystem(surface=surface, full=True)
 
 
 @dataclass(frozen=True)
@@ -165,8 +176,8 @@ def verify_sparsity(
 ) -> CrossingReport:
     """Exact crossing report for a system against the given threshold.
 
-    Explicit systems are totalled over their word sets; analytic systems use
-    the closed-form total.  The verdict never touches floating point.
+    Totals come from `intersections.total_crossings`; the verdict never
+    touches floating point.
     """
     from . import intersections
 
@@ -175,12 +186,7 @@ def verify_sparsity(
         raise DomainError(
             f"average crossing number undefined for {count} curve(s): C(n,2) = 0"
         )
-    if system.analytic:
-        crossings = intersections.total_crossings_analytic(system.surface)
-        mode = "analytic"
-    else:
-        crossings = intersections.total_crossings_explicit(system)
-        mode = "explicit"
+    crossings = intersections.total_crossings(system)
     pairs = system.pair_count
     report = CrossingReport(
         total_crossings=crossings,
@@ -188,7 +194,7 @@ def verify_sparsity(
         average=Fraction(crossings, pairs),
         threshold=threshold,
         is_sparse=threshold.admits(crossings, pairs, system.surface.g),
-        mode=mode,
+        mode=system.mode,
     )
     if system.report is None:
         system.report = report

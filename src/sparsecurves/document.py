@@ -1,10 +1,13 @@
 """JSON system documents: serialization, parsing, atomic writes.
 
-A document records one surface plus its curve list (empty in analytic,
-counts-only mode), optionally extended by a crossing report and a
-distinctness certificate.  JSON keeps desk-scale systems inspectable by eye;
-round-tripping is stable field for field, and writes go through a temp file
-plus rename so readers never see a partial document.
+A document records one surface plus its curves, optionally extended by a
+crossing report and a distinctness certificate.  The full generated family
+is written as `"curves": "full"`; any other system lists its curves as
+{"necklace", "word"} objects.  Schema-1 documents still load: there the full
+family is `"analytic": true` with an empty curve list.  JSON keeps desk-scale
+systems inspectable by eye; round-tripping is stable field for field, and
+writes go through a temp file plus rename so readers never see a partial
+document.
 """
 
 from __future__ import annotations
@@ -22,21 +25,20 @@ from .errors import DocumentError
 from .homology import DistinctnessCertificate
 from .surfaces import CompositeSurface
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+FULL_FAMILY = "full"
 
 
 @dataclass
 class SystemDocument:
     surface: CompositeSurface
     curves: tuple[Curve, ...]
-    analytic: bool = False
+    full: bool = False
     report: Optional[CrossingReport] = None
     certificate: Optional[DistinctnessCertificate] = None
 
     def system(self) -> CurveSystem:
-        return CurveSystem(
-            surface=self.surface, curves=self.curves, analytic=self.analytic
-        )
+        return CurveSystem(surface=self.surface, curves=self.curves, full=self.full)
 
     @staticmethod
     def from_system(
@@ -47,7 +49,7 @@ class SystemDocument:
         return SystemDocument(
             surface=system.surface,
             curves=system.curves,
-            analytic=system.analytic,
+            full=system.full,
             report=report or system.report,
             certificate=certificate,
         )
@@ -99,8 +101,7 @@ def to_dict(doc: SystemDocument) -> dict:
             "hPrime": surface.h_prime,
             "baseGenus": surface.base_genus,
         },
-        "analytic": doc.analytic,
-        "curves": [_curve_dict(c) for c in doc.curves],
+        "curves": FULL_FAMILY if doc.full else [_curve_dict(c) for c in doc.curves],
         "report": _report_dict(doc.report) if doc.report else None,
         "certificate": _certificate_dict(doc.certificate) if doc.certificate else None,
     }
@@ -119,6 +120,13 @@ def _json_int(value: object, name: str) -> int:
     """`value` itself if it is a JSON integer; floats, bools and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_bool(value: object, name: str) -> bool:
+    """`value` itself if it is a JSON boolean; strings and numbers are refused."""
+    if not isinstance(value, bool):
+        raise DocumentError(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -158,9 +166,10 @@ def _parse_threshold(entry: object) -> SparsityThreshold:
 def from_dict(data: object) -> SystemDocument:
     if not isinstance(data, dict):
         raise DocumentError(f"document root must be an object, got {type(data).__name__}")
-    if data.get("schemaVersion") != SCHEMA_VERSION:
+    version = data.get("schemaVersion")
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise DocumentError(
-            f"unsupported schemaVersion {data.get('schemaVersion')!r}, expected {SCHEMA_VERSION}"
+            f"unsupported schemaVersion {version!r}, expected 1 or {SCHEMA_VERSION}"
         )
     surface_data = data.get("surface")
     if not isinstance(surface_data, dict):
@@ -180,9 +189,17 @@ def from_dict(data: object) -> SystemDocument:
     except ValueError as exc:
         raise DocumentError(f"inconsistent surface: {exc}") from exc
     curves_data = data.get("curves")
-    if not isinstance(curves_data, list):
-        raise DocumentError("curves must be a list")
-    curves = tuple(_parse_curve(entry, i) for i, entry in enumerate(curves_data))
+    if version == 1:
+        full = _json_bool(data.get("analytic", False), "analytic")
+        if full and curves_data != []:
+            raise DocumentError('a schema-1 analytic document must have "curves": []')
+    else:
+        full = curves_data == FULL_FAMILY
+    if not full and not isinstance(curves_data, list):
+        raise DocumentError(f'curves must be a list or "{FULL_FAMILY}"')
+    curves = () if full else tuple(
+        _parse_curve(entry, i) for i, entry in enumerate(curves_data)
+    )
     for i, curve in enumerate(curves):
         if len(curve.word) != surface.h - 1:
             raise DocumentError(
@@ -207,7 +224,7 @@ def from_dict(data: object) -> SystemDocument:
                     _int_field(report_data, "averageDenominator"),
                 ),
                 threshold=_parse_threshold(report_data["sparsityThreshold"]),
-                is_sparse=bool(report_data["isSparse"]),
+                is_sparse=_json_bool(report_data["isSparse"], "isSparse"),
                 mode=str(report_data["mode"]),
             )
         except KeyError as exc:
@@ -230,7 +247,7 @@ def from_dict(data: object) -> SystemDocument:
                 _parse_curve(collision_data[1], 1),
             )
         certificate = DistinctnessCertificate(
-            distinct=bool(certificate_data.get("distinct")),
+            distinct=_json_bool(certificate_data.get("distinct", False), "distinct"),
             method=str(certificate_data.get("method", "exhaustive")),
             collision=collision,
         )
@@ -238,7 +255,7 @@ def from_dict(data: object) -> SystemDocument:
     return SystemDocument(
         surface=surface,
         curves=curves,
-        analytic=bool(data.get("analytic", False)),
+        full=full,
         report=report,
         certificate=certificate,
     )
@@ -282,4 +299,6 @@ def load_document(path: str | Path) -> SystemDocument:
         raise DocumentError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the int-to-str digit limit
+        raise DocumentError(f"{path}: {exc}") from exc
     return from_dict(data)

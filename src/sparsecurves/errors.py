@@ -10,10 +10,10 @@ class DomainError(SparseCurvesError, ValueError):
 
 
 class EnumerationCapError(SparseCurvesError):
-    """Explicit curve enumeration would exceed the configured word cap.
+    """Listing a necklace family would exceed the configured word cap.
 
-    Callers hitting this should switch to the analytic counting path, which
-    evaluates the same totals in closed form.
+    A full family never needs listing: `generate_system` describes it, and its
+    totals come from the closed form.
     """
 
 

@@ -67,18 +67,17 @@ def certify_distinct(system: CurveSystem) -> DistinctnessCertificate:
 
     Curves are scanned in canonical (necklace, word) order, so a failure
     witness is the first pair whose classes coincide.  Identical words on one
-    necklace map to identical classes, so duplicated curves always fail.
+    necklace map to identical classes, so duplicated curves always fail.  A
+    full family is scanned curve by curve too, generated as it goes.
     """
-    seen: dict[tuple[int, ...], int] = {}
-    for index, curve in enumerate(system.curves):
+    seen: dict[tuple[int, ...], Curve] = {}
+    for curve in system.iter_curves():
         key = curve_class(curve, system.surface).coefficients
         if key in seen:
             return DistinctnessCertificate(
-                distinct=False,
-                method="exhaustive",
-                collision=(system.curves[seen[key]], curve),
+                distinct=False, method="exhaustive", collision=(seen[key], curve)
             )
-        seen[key] = index
+        seen[key] = curve
     return DistinctnessCertificate(distinct=True, method="exhaustive")
 
 

@@ -28,8 +28,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .curves import Curve, CurveSystem, Word, validate_word
-from .errors import DegenerateGeometryError, DomainError
+from .curves import Curve, CurveSystem, Word, generate_necklace_family, validate_word
+from .errors import DegenerateGeometryError, DomainError, SparseCurvesError
 from .surfaces import CompositeSurface
 
 
@@ -160,11 +160,14 @@ def total_crossings_explicit(system: CurveSystem) -> int:
     """Sum of pair_intersection over all unordered pairs of the system.
 
     Pairs on different necklaces contribute zero, so the sum decomposes into
-    per-necklace totals; necklaces carrying identical word sets (as in every
-    generated system) are computed once.  The result is an exact big integer.
+    per-necklace totals; necklaces carrying identical word sets are computed
+    once, and a full family is counted on one listed necklace.  The result is
+    an exact big integer.
     """
-    if system.analytic:
-        raise DomainError("analytic systems carry no curve list; use analytic totals")
+    if system.full:
+        words = generate_necklace_family(system.surface.h)
+        one = CurveSystem(system.surface, tuple(Curve(0, w) for w in words))
+        return system.surface.h_prime * total_crossings_explicit(one)
     by_necklace: dict[int, list[Word]] = {}
     for curve in system.curves:
         validate_word(curve.word, system.surface.piece_count)
@@ -235,6 +238,25 @@ def necklace_family_crossings(h: int) -> int:
 def total_crossings_analytic(surface: CompositeSurface) -> int:
     """Closed-form total for the generated system: h' identical necklace families."""
     return surface.h_prime * necklace_family_crossings(surface.h)
+
+
+def total_crossings(system: CurveSystem) -> int:
+    """The exact total of any system, by the one counting rule.
+
+    A listed system is totalled by the explicit counter.  A full family is
+    totalled by the closed form and, when `system.mode` is "explicit", counted
+    again by the explicit counter; a disagreement is an error.
+    """
+    if not system.full:
+        return total_crossings_explicit(system)
+    total = total_crossings_analytic(system.surface)
+    if system.mode == "explicit":
+        explicit = total_crossings_explicit(system)
+        if explicit != total:
+            raise SparseCurvesError(
+                f"explicit total {explicit} disagrees with the closed form {total}"
+            )
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -195,7 +195,7 @@ def test_table_five_rows_all_flags_true():
 def test_table_mode_switches_to_analytic():
     rows = bounds_table([16, 1024], [Fraction(1)])
     modes = {r.g: r.mode for r in rows}
-    # h = 8 gives 16384 words: beyond the quadratic-work limit
+    # h = 8 gives 16384 words: beyond EXPLICIT_WORD_LIMIT, so no explicit cross-check
     assert modes[16] == "analytic"
     assert modes[1024] == "analytic"
     small = bounds_table([16], [Fraction(0)])

@@ -4,8 +4,27 @@ import json
 
 import pytest
 
+from sparsecurves import intersections
 from sparsecurves.cli import main
-from sparsecurves.document import load_document
+from sparsecurves.document import SystemDocument, load_document, save_document
+
+
+def _write_listed(path, system):
+    save_document(SystemDocument.from_system(system), path)
+    return json.loads(path.read_text())
+
+
+def _schema_1(data):
+    """A schema-2 document dict rewritten in schema 1, as older versions wrote it."""
+    full = data["curves"] == "full"
+    return {
+        "schemaVersion": 1,
+        "surface": data["surface"],
+        "analytic": full,
+        "curves": [] if full else data["curves"],
+        "report": data["report"],
+        "certificate": data["certificate"],
+    }
 
 
 def test_construct_writes_document(tmp_path, capsys):
@@ -14,8 +33,11 @@ def test_construct_writes_document(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "curves=32" in stdout
     assert "h=2" in stdout and "hPrime=8" in stdout and "baseGenus=0" in stdout
+    assert "analytic=false" in stdout
     doc = load_document(out)
-    assert len(doc.curves) == 32
+    assert doc.full and doc.curves == ()
+    assert doc.system().curve_count == 32
+    assert json.loads(out.read_text())["curves"] == "full"
 
 
 def test_construct_below_threshold_exits_4(tmp_path, capsys):
@@ -32,17 +54,20 @@ def test_construct_analytic_counts_only(tmp_path, capsys):
     )
     assert code == 0
     doc = load_document(out)
-    assert doc.analytic and doc.curves == ()
+    assert doc.full and doc.curves == ()
     assert "analytic=true" in capsys.readouterr().out
 
 
-def test_construct_over_cap_without_analytic_flag(tmp_path, capsys):
-    out = tmp_path / "never.json"
-    code = main(
-        ["construct", "--g", "64", "--alpha", "1/1", "--out", str(out)]
-    )
-    assert code == 4
-    assert "--analytic" in capsys.readouterr().err
+@pytest.mark.parametrize("g, alpha", [(16, "0/1"), (64, "1/1")])
+def test_construct_ignores_analytic_and_cap(tmp_path, capsys, g, alpha):
+    # --analytic and --cap still parse but change neither the document nor stdout
+    outputs = []
+    for i, extra in enumerate([[], ["--analytic"], ["--cap", "1"]]):
+        out = tmp_path / f"doc{i}.json"
+        args = ["construct", "--g", str(g), "--alpha", alpha, "--out", str(out)]
+        assert main(args + extra) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_verify_constructed_document(tmp_path, capsys):
@@ -56,10 +81,9 @@ def test_verify_constructed_document(tmp_path, capsys):
     assert "status=not-applicable" in stdout
 
 
-def test_verify_duplicate_curve_exits_3(tmp_path, capsys):
+def test_verify_duplicate_curve_exits_3(tmp_path, capsys, listed_system):
     out = tmp_path / "g16.json"
-    main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
-    data = json.loads(out.read_text())
+    data = _write_listed(out, listed_system())
     data["curves"].append(dict(data["curves"][0]))
     out.write_text(json.dumps(data))
     capsys.readouterr()
@@ -69,10 +93,9 @@ def test_verify_duplicate_curve_exits_3(tmp_path, capsys):
     assert "collision=" in stdout
 
 
-def test_verify_singleton_exits_4(tmp_path, capsys):
+def test_verify_singleton_exits_4(tmp_path, capsys, listed_system):
     out = tmp_path / "one.json"
-    main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
-    data = json.loads(out.read_text())
+    data = _write_listed(out, listed_system())
     data["curves"] = data["curves"][:1]
     out.write_text(json.dumps(data))
     capsys.readouterr()
@@ -127,16 +150,97 @@ def test_verify_bad_integer_field_exits_5(tmp_path, capsys, section, key, value)
     assert capsys.readouterr().err.startswith(f"error: {key} must be")
 
 
-def test_verify_boolean_necklace_exits_5(tmp_path, capsys):
+def test_verify_boolean_necklace_exits_5(tmp_path, capsys, listed_system):
     # true must not be read as necklace 1, which would collide with a real curve
     out = tmp_path / "g16.json"
-    main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
-    data = json.loads(out.read_text())
+    data = _write_listed(out, listed_system())
     data["curves"][0]["necklace"] = True
     out.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(out)]) == 5
     assert capsys.readouterr().err.startswith("error: curves[0].necklace must be")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("report", "isSparse", "false"),
+        ("certificate", "distinct", 1),
+        (None, "schemaVersion", True),
+    ],
+)
+def test_verify_non_boolean_flag_exits_5(tmp_path, capsys, section, key, value):
+    # a schema-1 document, so the parse is the same one older versions made
+    out = tmp_path / "g16.json"
+    annotated = tmp_path / "annotated.json"
+    main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
+    main(["verify", str(out), "--out", str(annotated)])
+    data = _schema_1(json.loads(annotated.read_text()))
+    (data[section] if section else data)[key] = value
+    annotated.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(annotated)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize(
+    "analytic, curves, message",
+    [
+        ("false", [{"necklace": 0, "word": "1"}], "analytic must be true or false"),
+        (1, [], "analytic must be true or false"),
+        (True, [{"necklace": 0, "word": "1"}], 'must have "curves": []'),
+    ],
+    ids=["string", "integer", "true-with-curves"],
+)
+def test_verify_schema_1_analytic_flag_exits_5(tmp_path, capsys, analytic, curves, message):
+    # none of these may be read as the full family
+    out = tmp_path / "g16.json"
+    main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
+    data = _schema_1(json.loads(out.read_text()))
+    data["analytic"] = analytic
+    data["curves"] = curves
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    assert message in capsys.readouterr().err
+
+
+def test_verify_huge_integer_exits_5(tmp_path, capsys):
+    # 5,000 digits is past the int-to-str limit json.loads enforces
+    out = tmp_path / "g16.json"
+    main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
+    text = out.read_text()
+    assert text.count('"g": 16,') == 1
+    out.write_text(text.replace('"g": 16,', '"g": ' + "1" * 5000 + ","))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "digits" in err
+
+
+@pytest.mark.parametrize("g, alpha", [(36, "0/1"), (64, "1/1")])
+def test_verify_schema_1_full_family_prints_the_same(tmp_path, capsys, g, alpha):
+    new = tmp_path / "schema2.json"
+    old = tmp_path / "schema1.json"
+    main(["construct", "--g", str(g), "--alpha", alpha, "--out", str(new)])
+    old.write_text(json.dumps(_schema_1(json.loads(new.read_text()))))
+    capsys.readouterr()
+    assert main(["verify", str(new)]) == 0
+    stdout = capsys.readouterr().out
+    assert main(["verify", str(old)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert "method=construction" in stdout
+
+
+def test_verify_full_family_disagreement_exits_4(tmp_path, capsys, monkeypatch):
+    # under the word limit the explicit counter (864) cross-checks the closed form
+    out = tmp_path / "g36.json"
+    main(["construct", "--g", "36", "--alpha", "0/1", "--out", str(out)])
+    monkeypatch.setattr(intersections, "total_crossings_analytic", lambda surface: 865)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 4
+    assert "explicit total 864 disagrees with the closed form 865" in capsys.readouterr().err
 
 
 def test_verify_analytic_document(tmp_path, capsys):

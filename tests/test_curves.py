@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecurves.curves import (
     Curve,
@@ -10,12 +12,30 @@ from sparsecurves.curves import (
     SparsityThreshold,
     generate_necklace_family,
     generate_system,
-    generate_system_analytic,
     sparsity_chain_check,
     verify_sparsity,
 )
 from sparsecurves.errors import DomainError, EnumerationCapError
+from sparsecurves.homology import certify_distinct, certify_generated
 from sparsecurves.surfaces import plan_composite
+
+
+def _small_families():
+    """(g, alpha) planning at most 256 words per necklace and 6,000 curves."""
+    cases = []
+    for alpha in (Fraction(-1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 2)):
+        for g in range(16, 130):
+            try:
+                surface = plan_composite(g, alpha)
+            except DomainError:
+                continue
+            words = 4 ** (surface.h - 1)
+            if words <= 256 and surface.h_prime * words <= 6000:
+                cases.append((g, alpha))
+    return cases
+
+
+SMALL_FAMILIES = _small_families()
 
 
 def test_family_h2_is_alphabet():
@@ -44,21 +64,27 @@ def test_generate_system_counts():
         system = generate_system(surface)
         assert system.curve_count == expected
         assert system.curve_count == surface.h_prime * 4 ** (surface.h - 1)
-        words_len = {len(c.word) for c in system.curves}
+        assert system.full and system.curves == ()
+        curves = list(system.iter_curves())
+        assert len(curves) == expected
+        words_len = {len(c.word) for c in curves}
         assert words_len == {surface.h - 1}
-        assert len(set(system.curves)) == len(system.curves)
-        system.check_invariants()
+        assert len(set(curves)) == len(curves)
+        CurveSystem(surface, tuple(curves)).check_invariants()
 
 
 def test_generate_system_canonical_order():
     system = generate_system(plan_composite(36, Fraction(0)))
-    assert list(system.curves) == sorted(system.curves)
+    curves = list(system.iter_curves())
+    assert len(curves) == system.curve_count == 192
+    assert curves == sorted(curves)
 
 
 def test_analytic_system_counts_only():
     surface = plan_composite(64, Fraction(1))  # h = 32: far beyond enumeration
-    system = generate_system_analytic(surface)
-    assert system.curves == ()
+    system = generate_system(surface)
+    assert system.full and system.curves == ()
+    assert system.mode == "analytic"
     assert system.curve_count == surface.h_prime * 4 ** (surface.h - 1)
 
 
@@ -116,3 +142,21 @@ def test_sparsity_chain_g36():
         report.total_crossings, report.pair_count, surface
     )
     assert first and second
+
+
+@given(
+    case=st.sampled_from(SMALL_FAMILIES),
+    f=st.one_of(st.none(), st.fractions(min_value=Fraction(1, 100), max_value=4)),
+)
+@settings(max_examples=40, deadline=None)
+def test_described_family_matches_its_listing(case, f):
+    # the described full family against the same family listed curve by curve
+    g, alpha = case
+    full = generate_system(plan_composite(g, alpha))
+    listed = CurveSystem(full.surface, tuple(full.iter_curves()))
+    threshold = SparsityThreshold.power(alpha) if f is None else SparsityThreshold.rational(f)
+    described = verify_sparsity(full, threshold)
+    assert described == verify_sparsity(listed, threshold)
+    assert described.mode == "explicit"
+    assert certify_generated(full.surface).distinct
+    assert certify_distinct(listed).distinct

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sparsecurves.curves import SparsityThreshold, generate_system, generate_system_analytic, verify_sparsity
+from sparsecurves.curves import SparsityThreshold, generate_system, verify_sparsity
 from sparsecurves.document import (
     SystemDocument,
     dumps,
@@ -25,18 +25,22 @@ def _sample_document():
     return SystemDocument.from_system(system, report=report, certificate=certificate)
 
 
-def test_round_trip_field_for_field():
+def test_round_trip_field_for_field(listed_system):
     doc = _sample_document()
     rebuilt = from_dict(to_dict(doc))
     assert rebuilt == doc
+    listed = SystemDocument.from_system(listed_system())
+    assert from_dict(to_dict(listed)) == listed
 
 
 def test_round_trip_analytic_document():
-    system = generate_system_analytic(plan_composite(64, Fraction(1)))
+    system = generate_system(plan_composite(64, Fraction(1)))
     doc = SystemDocument.from_system(system)
-    rebuilt = from_dict(to_dict(doc))
+    data = to_dict(doc)
+    assert data["curves"] == "full" and "analytic" not in data
+    rebuilt = from_dict(data)
     assert rebuilt == doc
-    assert rebuilt.analytic
+    assert rebuilt.full
     assert rebuilt.curves == ()
 
 
@@ -72,8 +76,8 @@ def test_rejects_wrong_schema_version():
         from_dict(data)
 
 
-def test_rejects_bad_words():
-    data = to_dict(_sample_document())
+def test_rejects_bad_words(listed_system):
+    data = to_dict(SystemDocument.from_system(listed_system()))
     data["curves"][0]["word"] = "105"
     with pytest.raises(DocumentError, match="letters 1-4"):
         from_dict(data)
@@ -86,8 +90,8 @@ def test_rejects_inconsistent_surface():
         from_dict(data)
 
 
-def test_duplicate_curves_parse_but_fail_certification():
-    data = to_dict(_sample_document())
+def test_duplicate_curves_parse_but_fail_certification(listed_system):
+    data = to_dict(SystemDocument.from_system(listed_system()))
     data["curves"].append(dict(data["curves"][0]))
     doc = from_dict(data)
     certificate = certify_distinct(doc.system())
