@@ -33,7 +33,12 @@ from mpmath import mp
 
 from .curves import SparsityThreshold, generate_system
 from .errors import DomainError, PrecisionError
-from .exactint import floor_scaled_power, is_exact_power, min_admissible_genus
+from .exactint import (
+    floor_scaled_power,
+    is_exact_power,
+    lowest_terms_within,
+    min_admissible_genus,
+)
 from .intersections import total_crossings
 from .logspace import (
     DEFAULT_DIGITS,
@@ -379,14 +384,30 @@ def _nstr(x: mpmath.mpf) -> str:
     return mpmath.nstr(x, 15)
 
 
-def _render_ratio(crossings: int, pairs: int) -> str:
-    ratio = Fraction(crossings, pairs)
-    # bit-length guard: stringifying mega-digit integers is quadratic
-    if ratio.numerator.bit_length() + ratio.denominator.bit_length() <= 133:
-        return f"{ratio.numerator}/{ratio.denominator}"
+# A ratio cell is exact p/q while its lowest terms fit in this many bits.
+RATIO_EXACT_BITS = 133
+
+# Significant bits kept of each side of a ratio shown as a 12-digit decimal.
+_RATIO_DECIMAL_BITS = 256
+
+
+def render_ratio(crossings: int, pairs: int) -> str:
+    """crossings/pairs as exact p/q in lowest terms while that fits
+    RATIO_EXACT_BITS, else as a 12-digit decimal.
+
+    The branch is decided on the lowest-terms form, which
+    `lowest_terms_within` finds without a gcd.  The decimal divides the
+    leading bits of each side, so no multi-million-bit integer is converted
+    or reduced.
+    """
+    reduced = lowest_terms_within(crossings, pairs, RATIO_EXACT_BITS)
+    if reduced is not None:
+        return f"{reduced[0]}/{reduced[1]}"
+    num_shift = max(0, crossings.bit_length() - _RATIO_DECIMAL_BITS)
+    den_shift = max(0, pairs.bit_length() - _RATIO_DECIMAL_BITS)
     with mp.workdps(30):
-        value = mp.mpf(ratio.numerator) / mp.mpf(ratio.denominator)
-        return mpmath.nstr(value, 12)
+        value = mp.mpf(crossings >> num_shift) / mp.mpf(pairs >> den_shift)
+        return mpmath.nstr(mpmath.ldexp(value, num_shift - den_shift), 12)
 
 
 def bounds_table(
@@ -429,7 +450,7 @@ def bounds_table(
                     upper_tight_log10=_nstr(upper.tight.log10),
                     upper_rounded_log10=_nstr(upper.rounded.log10),
                     crossings=crossings,
-                    ratio=_render_ratio(crossings, system.pair_count),
+                    ratio=render_ratio(crossings, system.pair_count),
                     mode=system.mode,
                     lower_le_count=certified_le(lower, count),
                     lower_le_upper=certified_le(lower, upper.rounded),

@@ -21,7 +21,8 @@ from . import document as document_mod
 from .curves import CrossingReport, SparsityThreshold, generate_system, verify_sparsity
 from .errors import DocumentError, DomainError, PrecisionError, SparseCurvesError
 from .homology import certify_distinct, certify_generated
-from .logspace import DEFAULT_DIGITS, check_digits
+from .exactint import fits_decimal
+from .logspace import DEFAULT_DIGITS, check_digits, interval_context, log10_int, midpoint
 from .surfaces import plan_composite
 
 EXIT_OK = 0
@@ -47,6 +48,15 @@ def _nstr(x: mpmath.mpf) -> str:
     return mpmath.nstr(x, 15)
 
 
+def _int_text(n: int) -> str:
+    """n in decimal while it fits DECIMAL_DIGIT_LIMIT digits; past that, one
+    whitespace-free token with its exact bit length and its log10."""
+    if fits_decimal(n):
+        return str(n)
+    log10 = midpoint(log10_int(interval_context(DEFAULT_DIGITS), n), DEFAULT_DIGITS)
+    return f"[bits={n.bit_length()},log10={_nstr(log10)}]"
+
+
 # ----------------------------------------------------------------------
 # construct
 # ----------------------------------------------------------------------
@@ -65,7 +75,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
     print(
-        f"curves={system.curve_count} h={surface.h} hPrime={surface.h_prime} "
+        f"curves={_int_text(system.curve_count)} h={surface.h} hPrime={surface.h_prime} "
         f"baseGenus={surface.base_genus} "
         f"analytic={'true' if system.mode == 'analytic' else 'false'}"
     )
@@ -84,9 +94,15 @@ def _threshold_from_arg(text: str, alpha: Fraction) -> SparsityThreshold:
 
 
 def _print_report(report: CrossingReport) -> None:
-    print(f"crossings={report.total_crossings} pairs={report.pair_count}")
+    crossings, pairs = report.total_crossings, report.pair_count
+    print(f"crossings={_int_text(crossings)} pairs={_int_text(pairs)}")
+    if fits_decimal(crossings) and fits_decimal(pairs):
+        exact = report.average
+        average = f"{exact.numerator}/{exact.denominator}"
+    else:
+        average = bounds_mod.render_ratio(crossings, pairs)
     print(
-        f"average={report.average.numerator}/{report.average.denominator} "
+        f"average={average} "
         f"threshold={report.threshold.describe()} "
         f"sparse={'true' if report.is_sparse else 'false'} mode={report.mode}"
     )
@@ -116,11 +132,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         certificate = certify_distinct(system)
 
+    print(f"curves={_int_text(system.curve_count)}")
     if report is not None:
-        print(f"curves={system.curve_count}")
         _print_report(report)
     else:
-        print(f"curves={system.curve_count}")
         print(f"crossing report unavailable: {report_error}")
     collision = ""
     if certificate.collision is not None:
@@ -161,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         try:
             document_mod.save_document(annotated, args.out)
-        except OSError as exc:
+        except (OSError, DocumentError) as exc:
             return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
 
     if not certificate.distinct:
@@ -243,8 +258,16 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors raise DomainError, so they exit 4 with one `error:` line
+    instead of argparse's usage text and exit 2 (which means "not sparse")."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sparse-curves",
         description=(
             "Construct sparse curve systems on high-genus surfaces, verify their "
@@ -324,9 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SparseCurvesError as exc:
         return _fail(EXIT_DOMAIN, str(exc))

@@ -161,14 +161,22 @@ class SparsityThreshold:
 
 @dataclass(frozen=True)
 class CrossingReport:
-    """Exact crossing totals of a system together with its sparsity verdict."""
+    """Exact crossing totals of a system together with its sparsity verdict.
+
+    The average is not stored: reducing multi-million-bit totals costs
+    seconds, so it is derived only where it is shown or written.
+    """
 
     total_crossings: int
     pair_count: int
-    average: Fraction
     threshold: SparsityThreshold
     is_sparse: bool
     mode: str  # "explicit" | "analytic"
+
+    @property
+    def average(self) -> Fraction:
+        """Average pairwise crossing number, in lowest terms."""
+        return Fraction(self.total_crossings, self.pair_count)
 
 
 def verify_sparsity(
@@ -191,7 +199,6 @@ def verify_sparsity(
     report = CrossingReport(
         total_crossings=crossings,
         pair_count=pairs,
-        average=Fraction(crossings, pairs),
         threshold=threshold,
         is_sparse=threshold.admits(crossings, pairs, system.surface.g),
         mode=system.mode,

@@ -7,7 +7,8 @@ is written as `"curves": "full"`; any other system lists its curves as
 family is `"analytic": true` with an empty curve list.  JSON keeps desk-scale
 systems inspectable by eye; round-tripping is stable field for field, and
 writes go through a temp file plus rename so readers never see a partial
-document.
+document.  Integers are written in decimal, so a report whose totals exceed
+CPython's int-to-str digit limit is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Optional
 
 from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
 from .errors import DocumentError
+from .exactint import DECIMAL_DIGIT_LIMIT, fits_decimal
 from .homology import DistinctnessCertificate
 from .surfaces import CompositeSurface
 
@@ -64,11 +66,23 @@ def _threshold_dict(threshold: SparsityThreshold) -> dict:
 
 
 def _report_dict(report: CrossingReport) -> dict:
+    # checked before the average is reduced: JSON integers are decimal, and
+    # json.dumps refuses any past the int-to-str digit limit
+    for key, value in (
+        ("totalCrossings", report.total_crossings),
+        ("pairCount", report.pair_count),
+    ):
+        if not fits_decimal(value):
+            raise DocumentError(
+                f"report.{key} has {value.bit_length()} bits, more than "
+                f"{DECIMAL_DIGIT_LIMIT} decimal digits"
+            )
+    average = report.average
     return {
         "totalCrossings": report.total_crossings,
         "pairCount": report.pair_count,
-        "averageNumerator": report.average.numerator,
-        "averageDenominator": report.average.denominator,
+        "averageNumerator": average.numerator,
+        "averageDenominator": average.denominator,
         "sparsityThreshold": _threshold_dict(report.threshold),
         "isSparse": report.is_sparse,
         "mode": report.mode,
@@ -219,18 +233,21 @@ def from_dict(data: object) -> SystemDocument:
             report = CrossingReport(
                 total_crossings=_int_field(report_data, "totalCrossings"),
                 pair_count=_int_field(report_data, "pairCount"),
-                average=Fraction(
-                    _int_field(report_data, "averageNumerator"),
-                    _int_field(report_data, "averageDenominator"),
-                ),
                 threshold=_parse_threshold(report_data["sparsityThreshold"]),
                 is_sparse=_json_bool(report_data["isSparse"], "isSparse"),
                 mode=str(report_data["mode"]),
             )
+            numerator = _int_field(report_data, "averageNumerator")
+            denominator = _int_field(report_data, "averageDenominator")
         except KeyError as exc:
             raise DocumentError(f"report missing key {exc}") from exc
-        except ZeroDivisionError as exc:
-            raise DocumentError("averageDenominator must be nonzero") from exc
+        if denominator == 0:
+            raise DocumentError("averageDenominator must be nonzero")
+        if numerator * report.pair_count != denominator * report.total_crossings:
+            raise DocumentError(
+                "report average averageNumerator/averageDenominator differs "
+                "from totalCrossings/pairCount"
+            )
 
     certificate = None
     certificate_data = data.get("certificate")

@@ -5,12 +5,61 @@ many necklaces a construction gets, and for large g a one-ULP floating-point
 error flips the floor and changes the curve count by a factor of four.
 Everything here therefore stays in integer arithmetic: k <= c * g**(r/s) is
 decided by raising both sides to the s-th power, and floors are obtained from
-an integer root.
+an integer root.  Crossing totals run to millions of bits, so a ratio of them
+is brought to lowest terms without a gcd, and only while that form is small.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+# Integers print in decimal up to this many digits, CPython's default int<->str
+# limit; past it `str(n)` and `json.dumps` raise ValueError.
+DECIMAL_DIGIT_LIMIT = 4300
+_DECIMAL_BOUND = 10 ** DECIMAL_DIGIT_LIMIT
+
+
+def fits_decimal(n: int) -> bool:
+    """True iff n has at most DECIMAL_DIGIT_LIMIT decimal digits."""
+    return -_DECIMAL_BOUND < n < _DECIMAL_BOUND
+
+
+def lowest_terms_within(num: int, den: int, bits: int) -> tuple[int, int] | None:
+    """num/den in lowest terms as (p, q), if p.bit_length() + q.bit_length() <= bits.
+
+    Returns None when the lowest-terms form is larger.  Requires num >= 0 and
+    den >= 1.  No gcd runs on the (possibly multi-million-bit) inputs: one
+    truncated quotient Q = floor(num * 2**G / den), with G = 2*bits + 1, is
+    expanded as a continued fraction, and its convergents p/q with q < 2**bits
+    are the only candidates.
+
+    Why this is exact.  A candidate is accepted only if num*q == p*den, checked
+    by integer multiplication, and a convergent is always in lowest terms.
+    Conversely, suppose the lowest-terms form p/q fits, so q < 2**bits.  Then
+    0 <= p/q - Q/2**G < 2**-G, and 2**-G < 1/(2*q**2) because 2*q**2 < 2**G.
+    By Legendre's theorem, any p/q with |x - p/q| < 1/(2*q**2) is a convergent
+    of x, so p/q is a convergent of Q/2**G and the walk meets it.  A convergent
+    is tested by multiplication only if it lies within 2**-G above Q/2**G; two
+    fractions with denominators below 2**bits differ by more than 2**(1-G),
+    so at most one multiplication runs.
+    """
+    if num < 0 or den < 1:
+        raise ValueError("need num >= 0 and den >= 1")
+    shift = 2 * bits + 1
+    scale = 1 << shift
+    quotient = (num << shift) // den
+    # convergents p/q of quotient/scale: a, b run the Euclidean algorithm
+    a, b = quotient, scale
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while b:
+        term, rest = divmod(a, b)
+        a, b = b, rest
+        p0, q0, p1, q1 = p1, q1, term * p1 + p0, term * q1 + q0
+        if q1.bit_length() > bits:
+            return None
+        if 0 <= p1 * scale - quotient * q1 < q1 and num * q1 == p1 * den:
+            return (p1, q1) if p1.bit_length() + q1.bit_length() <= bits else None
+    return None
 
 
 def integer_nth_root(n: int, k: int) -> int:

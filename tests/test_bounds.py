@@ -1,10 +1,13 @@
 """Bound formulas, certified comparisons, inequality gate, tables."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from sparsecurves.bounds import (
@@ -15,14 +18,17 @@ from sparsecurves.bounds import (
     crossing_inequality_check,
     linear_regime_bound,
     lower_bound,
+    render_ratio,
     render_table_csv,
     render_table_json,
     upper_bound,
 )
-from sparsecurves.curves import SparsityThreshold
+from sparsecurves.curves import SparsityThreshold, generate_system
 from sparsecurves.errors import DomainError
+from sparsecurves.intersections import total_crossings
 from sparsecurves.logspace import certified_le as log_certified_le
 from sparsecurves.logspace import interval_context, log10_int
+from sparsecurves.surfaces import plan_composite
 
 
 def test_lower_bound_exact_values():
@@ -224,3 +230,72 @@ def test_table_json_round_trip():
     assert payload["rows"][0]["g"] == 16
     assert payload["rows"][0]["count"] == "32"
     assert payload["rows"][0]["lower_le_count"] == "true"
+
+
+def _ratio_cell_by_gcd(crossings: int, pairs: int) -> str | None:
+    """The exact cell as the gcd route writes it, or None past 133 bits."""
+    ratio = Fraction(crossings, pairs)
+    if ratio.numerator.bit_length() + ratio.denominator.bit_length() <= 133:
+        return f"{ratio.numerator}/{ratio.denominator}"
+    return None
+
+
+def _unit_in_12th_digit(value: Fraction) -> Fraction:
+    exponent = len(str(value.numerator)) - len(str(value.denominator))
+    while Fraction(10) ** exponent > value:
+        exponent -= 1
+    while Fraction(10) ** (exponent + 1) <= value:
+        exponent += 1
+    return Fraction(10) ** (exponent - 11)
+
+
+def _of_bits(bits: int, salt: int) -> int:
+    """A `bits`-bit integer whose lower bits hash the draw: shrinking toward
+    2**(bits-1) would make every drawn ratio a power of two."""
+    digest = hashlib.sha256(f"{bits}:{salt}".encode()).digest()
+    return (1 << (bits - 1)) | int.from_bytes(digest, "big") % (1 << (bits - 1))
+
+
+# bit lengths skewed small or large, so the lowest-terms sizes fall on both
+# sides of 133 bits
+_bit_length = st.integers(min_value=1, max_value=120)
+_sized = st.builds(
+    _of_bits,
+    st.one_of(_bit_length, _bit_length.map(lambda b: 121 - b)),
+    st.integers(min_value=0, max_value=2 ** 32),
+)
+
+
+@given(
+    p=_sized,
+    q=_sized,
+    shift=st.integers(min_value=0, max_value=3000),
+    odd=st.integers(min_value=0, max_value=2 ** 2000).map(lambda k: 2 * k + 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_render_ratio_matches_the_gcd_route(p, q, shift, odd):
+    crossings, pairs = (p * odd) << shift, (q * odd) << shift
+    text = render_ratio(crossings, pairs)
+    expected = _ratio_cell_by_gcd(crossings, pairs)
+    if expected is not None:
+        assert text == expected
+        return
+    assert "/" not in text
+    exact = Fraction(crossings, pairs)
+    assert abs(Fraction(text) - exact) <= _unit_in_12th_digit(exact)
+
+
+@pytest.mark.parametrize(
+    "g, alpha, text",
+    [
+        # crossings and pairs of 247 and 149 bits together, in lowest terms
+        # within 133 bits
+        (3574, 0, "1841972247594532863/17149707381026848766"),
+        (39, 1, "1112396529663/274877906942"),
+        # 2,000,014-bit crossings: decimal from the leading bits, no reduction
+        (10 ** 6, 1, "117187.09375"),
+    ],
+)
+def test_render_ratio_pins(g, alpha, text):
+    system = generate_system(plan_composite(g, Fraction(alpha)))
+    assert render_ratio(total_crossings(system), system.pair_count) == text

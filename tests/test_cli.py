@@ -1,10 +1,18 @@
 """End-to-end CLI behaviour and exit-code contract."""
 
+import contextlib
+import io
 import json
+import math
+import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecurves import intersections
+from sparsecurves.bounds import render_ratio
 from sparsecurves.cli import main
 from sparsecurves.document import SystemDocument, load_document, save_document
 
@@ -206,6 +214,89 @@ def test_verify_schema_1_analytic_flag_exits_5(tmp_path, capsys, analytic, curve
     assert message in capsys.readouterr().err
 
 
+def test_verify_average_mismatch_exits_5(tmp_path, capsys):
+    out = tmp_path / "g36.json"
+    annotated = tmp_path / "annotated.json"
+    main(["construct", "--g", "36", "--alpha", "0/1", "--out", str(out)])
+    main(["verify", str(out), "--out", str(annotated)])
+    data = json.loads(annotated.read_text())
+    report = data["report"]
+    # an equal average not in lowest terms still loads
+    report["averageNumerator"] *= 3
+    report["averageDenominator"] *= 3
+    annotated.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(annotated)]) == 0
+    report["averageDenominator"] += 1
+    annotated.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(annotated)]) == 5
+    assert capsys.readouterr().err.startswith("error: report average")
+
+
+def _token(stdout: str, key: str) -> str:
+    return re.search(rf"(?:^|\s){key}=(\S+)", stdout).group(1)
+
+
+def _check_big_token(token: str, n_bits: int) -> None:
+    """`[bits=B,log10=L]` with B exact and L inside [(B-1)·log10 2, B·log10 2)."""
+    match = re.fullmatch(r"\[bits=(\d+),log10=([0-9.]+)\]", token)
+    assert match, token
+    assert int(match.group(1)) == n_bits
+    assert (n_bits - 1) * math.log10(2) <= float(match.group(2)) < n_bits * math.log10(2)
+
+
+def test_construct_past_the_digit_limit_prints_bit_length(tmp_path, capsys):
+    # 2 * 4**49999 curves: 100,000 bits, past 4,300 decimal digits
+    out = tmp_path / "a.json"
+    assert main(["construct", "--g", "100000", "--alpha", "1/1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    _check_big_token(_token(captured.out, "curves"), 100_000)
+    assert "h=50000 hPrime=2 baseGenus=0 analytic=true" in captured.out
+
+
+def test_verify_past_the_digit_limit(tmp_path, capsys):
+    # g=10^4, alpha=1: 20,008-bit crossings and 19,997-bit pairs
+    doc = tmp_path / "a.json"
+    annotated = tmp_path / "verified.json"
+    main(["construct", "--g", "10000", "--alpha", "1/1", "--out", str(doc)])
+    capsys.readouterr()
+    assert main(["verify", str(doc)]) == 0
+    stdout = capsys.readouterr().out
+    system = load_document(doc).system()
+    crossings = intersections.total_crossings(system)
+    _check_big_token(_token(stdout, "crossings"), crossings.bit_length())
+    _check_big_token(_token(stdout, "pairs"), system.pair_count.bit_length())
+    assert _token(stdout, "average") == render_ratio(crossings, system.pair_count)
+    assert "sparse=true" in stdout and "status=holds" in stdout
+    # the document cannot hold the totals: refused before any reduction or write
+    assert main(["verify", str(doc), "--out", str(annotated)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == stdout
+    assert captured.err.startswith(f"error: cannot write {annotated}: report.totalCrossings")
+    assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["construct"],
+        ["construct", "--g", "abc", "--alpha", "0/1", "--out", "x.json"],
+        ["verify"],
+        ["bounds", "--g", "16", "--alpha", "0/1", "--format", "xml"],
+        ["bounds", "--g", "16", "--alpha", "0/1", "--bogus"],
+    ],
+)
+def test_argument_errors_exit_4_with_one_line(tmp_path, capsys, argv):
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_huge_integer_exits_5(tmp_path, capsys):
     # 5,000 digits is past the int-to-str limit json.loads enforces
     out = tmp_path / "g16.json"
@@ -334,3 +425,157 @@ def test_precision_below_one_exits_4(tmp_path, capsys, command, precision):
 def test_bad_alpha_fraction(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert main(["construct", "--g", "16", "--alpha", "zzz", "--out", str(out)]) == 4
+
+
+# ----------------------------------------------------------------------
+# Exit-code gate: mutated argv and documents
+# ----------------------------------------------------------------------
+
+# Values every argv position may receive.  Integers stay small or lie past the
+# int-to-str limit (refused on parse): a valid huge genus or precision would
+# make a legitimate run astronomically long.
+_HOSTILE_ARGS = [
+    "abc", "", "-1", "0", "1.5", "1/0", "2/1", "-1/1", "1/2", "16", "16,zz",
+    "0/1,abc", "x:y:z", "256:16:3", "gpow", "json", "--bogus", "--g", "--out",
+    "1" * 5000,
+]
+_BASE_ARGVS = [
+    ["construct", "--g", "36", "--alpha", "0/1", "--out", "c.json"],
+    ["construct", "--g", "100000", "--alpha", "1/1", "--out", "c.json"],
+    ["verify", "{small}", "--f", "gpow", "--precision", "20", "--out", "v.json"],
+    ["verify", "{big}", "--out", "v.json"],
+    ["bounds", "--g", "16,64", "--alpha", "0/1,1/1", "--format", "json"],
+    ["bounds", "--g-range", "16:256:3", "--alpha", "1/2", "--precision", "20"],
+]
+# Values every document field may receive; the last is past the digit limit
+# and is spliced into the JSON text as a literal.
+_HUGE_LITERAL = "1" + "0" * 4300
+_HOSTILE_FIELDS = [
+    10 ** 4300 - 1, -1, 0, 1, 2, 1.5, "x", "1/2", "full", True, None, [], {},
+    _HUGE_LITERAL,
+]
+
+
+@contextlib.contextmanager
+def _inside(path):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+def _assert_contract(code: int, stderr: str) -> None:
+    assert code in (0, 2, 3, 4, 5)
+    assert all(line.startswith("error: ") for line in stderr.splitlines()), stderr
+
+
+@pytest.fixture(scope="module")
+def gate_documents(tmp_path_factory):
+    """An annotated g=36 document, a listed g=16 one and a g=10^4, alpha=1 one."""
+    root = tmp_path_factory.mktemp("gate")
+    with _inside(root):
+        assert _run_cli(["construct", "--g", "36", "--alpha", "0/1", "--out", "s.json"])[0] == 0
+        assert _run_cli(["verify", "s.json", "--out", "small.json"])[0] == 0
+        assert _run_cli(["construct", "--g", "10000", "--alpha", "1/1", "--out", "big.json"])[0] == 0
+    full = load_document(root / "s.json").system()
+    listed = SystemDocument(full.surface, tuple(full.iter_curves())[:40])
+    save_document(listed, root / "listed.json")
+    return root, {
+        name: json.loads((root / f"{name}.json").read_text())
+        for name in ("small", "listed", "big")
+    }
+
+
+def _mutate_argv(argv, edits):
+    argv = list(argv)
+    for kind, index, value in edits:
+        i = index % (len(argv) + 1)
+        if kind == "insert":
+            argv.insert(i, value)
+        elif i < len(argv):
+            if kind == "delete":
+                del argv[i]
+            else:
+                argv[i] = value
+    return argv
+
+
+_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "delete", "insert"]),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from(_HOSTILE_ARGS),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(_BASE_ARGVS), edits=_edits)
+def test_cli_contract_under_mutated_argv(gate_documents, base, edits):
+    root, _ = gate_documents
+    argv = [arg.format(small="small.json", big="big.json") for arg in base]
+    with _inside(root):
+        _assert_contract(*_run_cli(_mutate_argv(argv, edits)))
+
+
+def _paths(node, prefix=()):
+    """Every key path of a JSON tree, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate_document(data, edits) -> str:
+    data = json.loads(json.dumps(data))
+    for pick, value, delete in edits:
+        paths = list(_paths(data))
+        if not paths:
+            break
+        *parents, key = paths[pick % len(paths)]
+        node = data
+        for step in parents:
+            node = node[step]
+        if delete and isinstance(node, dict):
+            del node[key]
+        else:
+            node[key] = "@huge@" if value == _HUGE_LITERAL else value
+    return json.dumps(data).replace('"@huge@"', _HUGE_LITERAL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["small", "listed", "big"]),
+    edits=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=10 ** 6),
+            st.sampled_from(_HOSTILE_FIELDS),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    write=st.booleans(),
+)
+def test_cli_contract_under_mutated_documents(gate_documents, name, edits, write):
+    root, documents = gate_documents
+    (root / "mutated.json").write_text(_mutate_document(documents[name], edits))
+    argv = ["verify", "mutated.json"] + (["--out", "out.json"] if write else [])
+    with _inside(root):
+        _assert_contract(*_run_cli(argv))

@@ -1,5 +1,6 @@
 """System document serialization, parsing, atomic writes."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -96,3 +97,13 @@ def test_duplicate_curves_parse_but_fail_certification(listed_system):
     doc = from_dict(data)
     certificate = certify_distinct(doc.system())
     assert not certificate.distinct
+
+
+def test_save_refuses_totals_past_the_digit_limit(tmp_path):
+    doc = _sample_document()
+    big = 10 ** 4300
+    doc.report = replace(doc.report, total_crossings=big, pair_count=big + 1)
+    path = tmp_path / "big.json"
+    with pytest.raises(DocumentError, match="report.totalCrossings has 14285 bits"):
+        save_document(doc, path)
+    assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,6 @@
 """Integer root extraction and exact rational-power comparisons."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecurves.exactint import (
+    DECIMAL_DIGIT_LIMIT,
+    fits_decimal,
     floor_scaled_power,
     genus_admissible,
     integer_nth_root,
     is_exact_power,
     le_scaled_power,
+    lowest_terms_within,
     min_admissible_genus,
 )
 
@@ -110,3 +114,65 @@ def test_min_admissible_genus_is_minimal(p, q):
     g0 = min_admissible_genus(alpha)
     assert genus_admissible(g0, alpha)
     assert not genus_admissible(g0 - 1, alpha)
+
+
+# Shared factors: powers of two, odd or even multi-thousand-bit integers, and
+# both together, so the inputs are far from lowest terms.
+_shared_factors = st.one_of(
+    st.just(1),
+    st.integers(min_value=0, max_value=4000).map(lambda e: 1 << e),
+    st.integers(min_value=1, max_value=1 << 3000),
+    st.tuples(st.integers(0, 2000), st.integers(1, 1 << 1500)).map(lambda t: t[1] << t[0]),
+)
+
+
+def _of_bits(bits: int, salt: int) -> int:
+    """A `bits`-bit integer (0 for 0 bits) whose lower bits hash the draw."""
+    if bits == 0:
+        return 0
+    digest = hashlib.sha256(f"{bits}:{salt}".encode()).digest()
+    return (1 << (bits - 1)) | int.from_bytes(digest, "big") % (1 << (bits - 1))
+
+
+# bit lengths skewed small or large, so the lowest-terms sizes p_bits + q_bits
+# fall on both sides of 133 bits
+_bit_length = st.integers(min_value=0, max_value=110)
+_skewed_bits = st.one_of(_bit_length, _bit_length.map(lambda b: 110 - b))
+
+
+@given(
+    p_bits=_skewed_bits,
+    q_bits=_skewed_bits.map(lambda b: max(b, 1)),
+    salt=st.integers(min_value=0, max_value=2 ** 32),
+    factor=_shared_factors,
+    bits=st.sampled_from([133, 1, 2, 64, 200]),
+)
+@settings(max_examples=300, deadline=None)
+def test_lowest_terms_within_matches_fraction(p_bits, q_bits, salt, factor, bits):
+    num = _of_bits(p_bits, salt) * factor
+    den = _of_bits(q_bits, salt + 1) * factor
+    exact = Fraction(num, den)
+    fits = exact.numerator.bit_length() + exact.denominator.bit_length() <= bits
+    expected = (exact.numerator, exact.denominator) if fits else None
+    assert lowest_terms_within(num, den, bits) == expected
+
+
+def test_lowest_terms_within_edges():
+    assert lowest_terms_within(0, 1 << 5000, 133) == (0, 1)
+    assert lowest_terms_within(6 << 9000, 4 << 9000, 133) == (3, 2)
+    # 2**66 + 1 over 2**66 needs 67 + 67 = 134 bits: one bit over
+    assert lowest_terms_within((2 ** 66 + 1) * 7, 2 ** 66 * 7, 133) is None
+    assert lowest_terms_within((2 ** 66 + 1) * 7, 2 ** 66 * 7, 134) == (2 ** 66 + 1, 2 ** 66)
+    with pytest.raises(ValueError):
+        lowest_terms_within(1, 0, 133)
+    with pytest.raises(ValueError):
+        lowest_terms_within(-1, 2, 133)
+
+
+def test_fits_decimal_is_the_int_to_str_limit():
+    largest = 10 ** DECIMAL_DIGIT_LIMIT - 1
+    assert fits_decimal(largest) and fits_decimal(-largest) and fits_decimal(0)
+    assert len(str(largest)) == DECIMAL_DIGIT_LIMIT
+    assert not fits_decimal(largest + 1)
+    with pytest.raises(ValueError):
+        str(largest + 1)
