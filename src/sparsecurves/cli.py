@@ -69,7 +69,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     except DomainError as exc:
         return _fail(EXIT_DOMAIN, str(exc))
     system = generate_system(surface)
-    doc = document_mod.SystemDocument.from_system(system)
+    doc = document_mod.SystemDocument(system)
     try:
         document_mod.save_document(doc, args.out)
     except OSError as exc:
@@ -114,7 +114,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc = document_mod.load_document(args.document)
     except DocumentError as exc:
         return _fail(EXIT_IO, str(exc))
-    system = doc.system()
+    system = doc.system
     try:
         threshold = _threshold_from_arg(args.f, system.surface.alpha)
     except DomainError as exc:
@@ -171,7 +171,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"inequality: unavailable ({exc})")
 
     if args.out:
-        annotated = document_mod.SystemDocument.from_system(
+        annotated = document_mod.SystemDocument(
             system, report=report, certificate=certificate
         )
         try:

@@ -15,10 +15,10 @@ g**alpha with irrational value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, EnumerationCapError
 from .exactint import le_scaled_power
@@ -69,18 +69,17 @@ def generate_necklace_family(h: int, *, cap: int = DEFAULT_WORD_CAP) -> list[Wor
 
 @dataclass
 class CurveSystem:
-    """A set of curves on a composite surface, with a write-once crossing report.
+    """A set of curves on a composite surface.
 
     A `full` system is the generated family, h' necklaces each carrying all
     4**(h-1) words; it is described rather than listed, so `curves` stays
-    empty.  Any other system lists its curves in canonical (necklace, word)
-    order.
+    empty.  Any other system lists its curves; `homology.certify_distinct`
+    and the document loader validate them.
     """
 
     surface: CompositeSurface
     curves: tuple[Curve, ...] = ()
     full: bool = False
-    report: Optional["CrossingReport"] = field(default=None, compare=False)
 
     @property
     def curve_count(self) -> int:
@@ -102,23 +101,12 @@ class CurveSystem:
         return "explicit"
 
     def iter_curves(self) -> Iterator[Curve]:
-        """Every curve in canonical order; a full family is generated lazily."""
+        """Every curve in listed order; a full family is generated lazily, in
+        canonical (necklace, word) order."""
         if not self.full:
             return iter(self.curves)
         words = generate_necklace_family(self.surface.h)
         return (Curve(k, w) for k in range(self.surface.h_prime) for w in words)
-
-    def check_invariants(self) -> None:
-        seen = set()
-        for curve in self.curves:
-            validate_word(curve.word, self.surface.piece_count)
-            if not (0 <= curve.necklace < self.surface.h_prime):
-                raise DomainError(
-                    f"necklace index {curve.necklace} outside [0, {self.surface.h_prime})"
-                )
-            if curve in seen:
-                raise DomainError(f"duplicate curve {curve}")
-            seen.add(curve)
 
 
 def generate_system(surface: CompositeSurface) -> CurveSystem:
@@ -196,16 +184,13 @@ def verify_sparsity(
         )
     crossings = intersections.total_crossings(system)
     pairs = system.pair_count
-    report = CrossingReport(
+    return CrossingReport(
         total_crossings=crossings,
         pair_count=pairs,
         threshold=threshold,
         is_sparse=threshold.admits(crossings, pairs, system.surface.g),
         mode=system.mode,
     )
-    if system.report is None:
-        system.report = report
-    return report
 
 
 def sparsity_chain_check(

@@ -2,14 +2,16 @@
 
 A document records one surface plus its curves, optionally extended by a
 crossing report and a distinctness certificate.  The full generated family
-is written as `"curves": "full"`; any other system lists its curves as
-{"necklace", "word"} objects.  Schema-1 documents still load: there the full
-family is `"analytic": true` with an empty curve list.  JSON keeps desk-scale
-systems inspectable by eye; round-tripping is stable field for field, and
-writes go through a temp file plus rename so readers never see a partial
-document.  Integers are written in decimal, so a report whose totals exceed
-CPython's int-to-str digit limit is refused before anything is written.
-"""
+is written as `"curves": "full"`; any other system is written (schema 3) as
+one {"necklace", "words"} object per necklace, necklaces ascending, with the
+necklace's words blank-separated in listed order.  Older documents still
+load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
+1 does too, with the full family as `"analytic": true` and an empty curve
+list.  JSON keeps desk-scale systems inspectable by eye; round-tripping is
+stable field for field, and writes go through a temp file plus rename so
+readers never see a partial document.  Integers are written in decimal, so a
+report whose totals exceed CPython's int-to-str digit limit is refused before
+anything is written."""
 
 from __future__ import annotations
 
@@ -27,34 +29,18 @@ from .exactint import DECIMAL_DIGIT_LIMIT, fits_decimal
 from .homology import DistinctnessCertificate
 from .surfaces import CompositeSurface
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 FULL_FAMILY = "full"
+_PACKED_CHARACTERS = frozenset("1234 ")
 
 
 @dataclass
 class SystemDocument:
-    surface: CompositeSurface
-    curves: tuple[Curve, ...]
-    full: bool = False
+    """A curve system, with the crossing report and certificate found for it."""
+
+    system: CurveSystem
     report: Optional[CrossingReport] = None
     certificate: Optional[DistinctnessCertificate] = None
-
-    def system(self) -> CurveSystem:
-        return CurveSystem(surface=self.surface, curves=self.curves, full=self.full)
-
-    @staticmethod
-    def from_system(
-        system: CurveSystem,
-        report: Optional[CrossingReport] = None,
-        certificate: Optional[DistinctnessCertificate] = None,
-    ) -> "SystemDocument":
-        return SystemDocument(
-            surface=system.surface,
-            curves=system.curves,
-            full=system.full,
-            report=report or system.report,
-            certificate=certificate,
-        )
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -100,12 +86,26 @@ def _certificate_dict(certificate: DistinctnessCertificate) -> dict:
     }
 
 
+def _word_text(word: tuple[int, ...]) -> str:
+    return "".join(map(str, word))
+
+
 def _curve_dict(curve: Curve) -> dict:
-    return {"necklace": curve.necklace, "word": "".join(map(str, curve.word))}
+    return {"necklace": curve.necklace, "word": _word_text(curve.word)}
+
+
+def _packed_curves(curves: tuple[Curve, ...]) -> list[dict]:
+    """Listed curves as one entry per necklace, necklaces ascending, with the
+    necklace's words blank-separated in listed order."""
+    words: dict[int, list[str]] = {}
+    for curve in curves:
+        words.setdefault(curve.necklace, []).append(_word_text(curve.word))
+    return [{"necklace": k, "words": " ".join(words[k])} for k in sorted(words)]
 
 
 def to_dict(doc: SystemDocument) -> dict:
-    surface = doc.surface
+    system = doc.system
+    surface = system.surface
     return {
         "schemaVersion": SCHEMA_VERSION,
         "surface": {
@@ -115,7 +115,7 @@ def to_dict(doc: SystemDocument) -> dict:
             "hPrime": surface.h_prime,
             "baseGenus": surface.base_genus,
         },
-        "curves": FULL_FAMILY if doc.full else [_curve_dict(c) for c in doc.curves],
+        "curves": FULL_FAMILY if system.full else _packed_curves(system.curves),
         "report": _report_dict(doc.report) if doc.report else None,
         "certificate": _certificate_dict(doc.certificate) if doc.certificate else None,
     }
@@ -165,6 +165,44 @@ def _parse_curve(entry: object, index: int) -> Curve:
     return Curve(necklace, tuple(int(ch) for ch in word_text))
 
 
+def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[Curve, ...]:
+    """Schema-3 listed curves: necklaces strictly ascending and in range, each
+    with a nonempty string of blank-separated words of h-1 letters 1-4."""
+    curves: list[Curve] = []
+    previous = -1
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"curves[{i}] must be an object, got {entry!r}")
+        try:
+            necklace = _json_int(entry["necklace"], f"curves[{i}].necklace")
+            text = entry["words"]
+        except KeyError as exc:
+            raise DocumentError(f"curves[{i}] missing key {exc}") from exc
+        if not 0 <= necklace < surface.h_prime:
+            raise DocumentError(
+                f"curves[{i}].necklace = {necklace} outside [0, {surface.h_prime})"
+            )
+        if necklace <= previous:
+            raise DocumentError(
+                f"curves[{i}].necklace = {necklace} must exceed the previous necklace {previous}"
+            )
+        previous = necklace
+        if not isinstance(text, str) or not text:
+            raise DocumentError(f"curves[{i}].words must be a nonempty string")
+        if not set(text) <= _PACKED_CHARACTERS:
+            raise DocumentError(
+                f"curves[{i}].words must use letters 1-4 and single blanks only"
+            )
+        for word in text.split(" "):
+            if len(word) != surface.piece_count:
+                raise DocumentError(
+                    f"curves[{i}].words holds a word of length {len(word)}, "
+                    f"surface needs {surface.piece_count}"
+                )
+            curves.append(Curve(necklace, tuple(map(int, word))))
+    return tuple(curves)
+
+
 def _parse_threshold(entry: object) -> SparsityThreshold:
     if not isinstance(entry, dict) or "kind" not in entry or "value" not in entry:
         raise DocumentError(f"sparsityThreshold must have kind and value, got {entry!r}")
@@ -181,9 +219,9 @@ def from_dict(data: object) -> SystemDocument:
     if not isinstance(data, dict):
         raise DocumentError(f"document root must be an object, got {type(data).__name__}")
     version = data.get("schemaVersion")
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+    if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
         raise DocumentError(
-            f"unsupported schemaVersion {version!r}, expected 1 or {SCHEMA_VERSION}"
+            f"unsupported schemaVersion {version!r}, expected 1, 2 or {SCHEMA_VERSION}"
         )
     surface_data = data.get("surface")
     if not isinstance(surface_data, dict):
@@ -211,18 +249,21 @@ def from_dict(data: object) -> SystemDocument:
         full = curves_data == FULL_FAMILY
     if not full and not isinstance(curves_data, list):
         raise DocumentError(f'curves must be a list or "{FULL_FAMILY}"')
-    curves = () if full else tuple(
-        _parse_curve(entry, i) for i, entry in enumerate(curves_data)
-    )
-    for i, curve in enumerate(curves):
-        if len(curve.word) != surface.h - 1:
-            raise DocumentError(
-                f"curves[{i}].word has length {len(curve.word)}, surface needs {surface.h - 1}"
-            )
-        if curve.necklace >= surface.h_prime:
-            raise DocumentError(
-                f"curves[{i}].necklace = {curve.necklace} outside [0, {surface.h_prime})"
-            )
+    if full:
+        curves: tuple[Curve, ...] = ()
+    elif version == SCHEMA_VERSION:
+        curves = _parse_packed(curves_data, surface)
+    else:
+        curves = tuple(_parse_curve(entry, i) for i, entry in enumerate(curves_data))
+        for i, curve in enumerate(curves):
+            if len(curve.word) != surface.h - 1:
+                raise DocumentError(
+                    f"curves[{i}].word has length {len(curve.word)}, surface needs {surface.h - 1}"
+                )
+            if curve.necklace >= surface.h_prime:
+                raise DocumentError(
+                    f"curves[{i}].necklace = {curve.necklace} outside [0, {surface.h_prime})"
+                )
 
     report = None
     report_data = data.get("report")
@@ -270,9 +311,7 @@ def from_dict(data: object) -> SystemDocument:
         )
 
     return SystemDocument(
-        surface=surface,
-        curves=curves,
-        full=full,
+        CurveSystem(surface=surface, curves=curves, full=full),
         report=report,
         certificate=certificate,
     )

@@ -37,13 +37,17 @@ class HomologyClass:
     coefficients: tuple[int, ...]
 
 
-def curve_class(curve: Curve, surface: CompositeSurface) -> HomologyClass:
-    """Class of one curve: per-piece arc offsets plus one longitude per traversal."""
+def _check_curve(curve: Curve, surface: CompositeSurface) -> None:
     validate_word(curve.word, surface.piece_count)
-    if not (0 <= curve.necklace < surface.h_prime):
+    if not (isinstance(curve.necklace, int) and 0 <= curve.necklace < surface.h_prime):
         raise DomainError(
             f"necklace index {curve.necklace} outside [0, {surface.h_prime})"
         )
+
+
+def curve_class(curve: Curve, surface: CompositeSurface) -> HomologyClass:
+    """Class of one curve: per-piece arc offsets plus one longitude per traversal."""
+    _check_curve(curve, surface)
     coords = [0] * (2 * surface.g)
     base = curve.necklace * 2 * surface.h
     for i, letter in enumerate(curve.word):
@@ -65,19 +69,28 @@ class DistinctnessCertificate:
 def certify_distinct(system: CurveSystem) -> DistinctnessCertificate:
     """Check all curve classes pairwise distinct; report the earliest collision.
 
-    Curves are scanned in canonical (necklace, word) order, so a failure
-    witness is the first pair whose classes coincide.  Identical words on one
-    necklace map to identical classes, so duplicated curves always fail.  A
-    full family is scanned curve by curve too, generated as it goes.
+    Curves are scanned in the order the system lists them (a full family in
+    canonical (necklace, word) order, generated as it goes), so a failure
+    witness is the first curve whose class repeats an earlier one, paired
+    with that earlier curve.  Identical words on one necklace map to
+    identical classes, so duplicated curves always fail.  Each curve passes
+    `curve_class`'s checks, but no class vector is built: the work is
+    proportional to the words, not to the genus.
     """
-    seen: dict[tuple[int, ...], Curve] = {}
+    surface = system.surface
+    # Classes are compared through the curves themselves.  curve_class writes
+    # a curve's arc offsets and its longitude 1 only into the block of its own
+    # necklace (2h coordinates at 2h*necklace; the blocks are disjoint since
+    # h*h' <= g), and ARC_OFFSETS is injective, so two checked curves have
+    # equal classes exactly when they have equal necklaces and equal words.
+    seen: dict[Curve, Curve] = {}
     for curve in system.iter_curves():
-        key = curve_class(curve, system.surface).coefficients
-        if key in seen:
+        _check_curve(curve, surface)
+        if curve in seen:
             return DistinctnessCertificate(
-                distinct=False, method="exhaustive", collision=(seen[key], curve)
+                distinct=False, method="exhaustive", collision=(seen[curve], curve)
             )
-        seen[key] = curve
+        seen[curve] = curve
     return DistinctnessCertificate(distinct=True, method="exhaustive")
 
 

@@ -22,6 +22,13 @@ from .exactint import floor_scaled_power, genus_admissible, min_admissible_genus
 
 ARC_LABELS = (1, 2, 3, 4)
 
+# Largest necklace genus a plan may have.  Every count is an exact integer in
+# memory: h' * 4**(h-1) curves has about 2h bits and a crossing total about 4h,
+# so past this bound one total would outgrow 4*10**8 bits (50 MB) and the plan
+# is refused before anything is computed.  h <= g/2, so every g up to 2*10**8
+# plans at every alpha.
+MAX_NECKLACE_GENUS = 10 ** 8
+
 
 @dataclass(frozen=True)
 class NecklaceSurface:
@@ -106,6 +113,11 @@ class CompositeSurface:
     def check_invariants(self) -> None:
         if not (2 <= self.h <= self.g):
             raise DomainError(f"h={self.h} must satisfy 2 <= h <= g={self.g}")
+        if self.h > MAX_NECKLACE_GENUS:
+            raise DomainError(
+                f"necklace genus h={self.h} exceeds {MAX_NECKLACE_GENUS}: "
+                "its exact counts cannot be held"
+            )
         if self.h * self.h_prime > self.g:
             raise DomainError("necklaces exceed the available genus: h*h' > g")
         if self.base_genus != self.g - self.h * self.h_prime or self.base_genus < 0:

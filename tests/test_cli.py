@@ -5,7 +5,10 @@ import io
 import json
 import math
 import os
+import random
 import re
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,22 +17,32 @@ from hypothesis import strategies as st
 from sparsecurves import intersections
 from sparsecurves.bounds import render_ratio
 from sparsecurves.cli import main
+from sparsecurves.curves import Curve, CurveSystem
 from sparsecurves.document import SystemDocument, load_document, save_document
+from sparsecurves.surfaces import plan_composite
 
 
 def _write_listed(path, system):
-    save_document(SystemDocument.from_system(system), path)
+    save_document(SystemDocument(system), path)
     return json.loads(path.read_text())
 
 
-def _schema_1(data):
-    """A schema-2 document dict rewritten in schema 1, as older versions wrote it."""
+def _older_schema(data, version):
+    """A schema-3 document dict rewritten in schema 2 or 1, as older versions
+    wrote it: one {"necklace", "word"} object per listed curve."""
     full = data["curves"] == "full"
+    curves = [
+        {"necklace": entry["necklace"], "word": word}
+        for entry in ([] if full else data["curves"])
+        for word in entry["words"].split(" ")
+    ]
+    if version == 2:
+        return dict(data, schemaVersion=2, curves="full" if full else curves)
     return {
         "schemaVersion": 1,
         "surface": data["surface"],
         "analytic": full,
-        "curves": [] if full else data["curves"],
+        "curves": curves,
         "report": data["report"],
         "certificate": data["certificate"],
     }
@@ -42,9 +55,9 @@ def test_construct_writes_document(tmp_path, capsys):
     assert "curves=32" in stdout
     assert "h=2" in stdout and "hPrime=8" in stdout and "baseGenus=0" in stdout
     assert "analytic=false" in stdout
-    doc = load_document(out)
-    assert doc.full and doc.curves == ()
-    assert doc.system().curve_count == 32
+    system = load_document(out).system
+    assert system.full and system.curves == ()
+    assert system.curve_count == 32
     assert json.loads(out.read_text())["curves"] == "full"
 
 
@@ -61,8 +74,8 @@ def test_construct_analytic_counts_only(tmp_path, capsys):
         ["construct", "--g", "64", "--alpha", "1/1", "--analytic", "--out", str(out)]
     )
     assert code == 0
-    doc = load_document(out)
-    assert doc.full and doc.curves == ()
+    system = load_document(out).system
+    assert system.full and system.curves == ()
     assert "analytic=true" in capsys.readouterr().out
 
 
@@ -92,7 +105,7 @@ def test_verify_constructed_document(tmp_path, capsys):
 def test_verify_duplicate_curve_exits_3(tmp_path, capsys, listed_system):
     out = tmp_path / "g16.json"
     data = _write_listed(out, listed_system())
-    data["curves"].append(dict(data["curves"][0]))
+    data["curves"][0]["words"] += " 1"  # necklace 0 already lists word 1
     out.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(out)]) == 3
@@ -104,7 +117,7 @@ def test_verify_duplicate_curve_exits_3(tmp_path, capsys, listed_system):
 def test_verify_singleton_exits_4(tmp_path, capsys, listed_system):
     out = tmp_path / "one.json"
     data = _write_listed(out, listed_system())
-    data["curves"] = data["curves"][:1]
+    data["curves"] = [{"necklace": 0, "words": "1"}]
     out.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(out)]) == 4
@@ -116,10 +129,7 @@ def test_verify_not_sparse_exits_2(tmp_path, capsys):
     main(["construct", "--g", "36", "--alpha", "0/1", "--out", str(out)])
     data = json.loads(out.read_text())
     # keep only the antipodal pair that crosses twice: average 2 > 1
-    data["curves"] = [
-        {"necklace": 0, "word": "12"},
-        {"necklace": 0, "word": "21"},
-    ]
+    data["curves"] = [{"necklace": 0, "words": "12 21"}]
     out.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(out), "--f", "1/1"]) == 2
@@ -183,7 +193,7 @@ def test_verify_non_boolean_flag_exits_5(tmp_path, capsys, section, key, value):
     annotated = tmp_path / "annotated.json"
     main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
     main(["verify", str(out), "--out", str(annotated)])
-    data = _schema_1(json.loads(annotated.read_text()))
+    data = _older_schema(json.loads(annotated.read_text()), 1)
     (data[section] if section else data)[key] = value
     annotated.write_text(json.dumps(data))
     capsys.readouterr()
@@ -205,7 +215,7 @@ def test_verify_schema_1_analytic_flag_exits_5(tmp_path, capsys, analytic, curve
     # none of these may be read as the full family
     out = tmp_path / "g16.json"
     main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
-    data = _schema_1(json.loads(out.read_text()))
+    data = _older_schema(json.loads(out.read_text()), 1)
     data["analytic"] = analytic
     data["curves"] = curves
     out.write_text(json.dumps(data))
@@ -264,7 +274,7 @@ def test_verify_past_the_digit_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(doc)]) == 0
     stdout = capsys.readouterr().out
-    system = load_document(doc).system()
+    system = load_document(doc).system
     crossings = intersections.total_crossings(system)
     _check_big_token(_token(stdout, "crossings"), crossings.bit_length())
     _check_big_token(_token(stdout, "pairs"), system.pair_count.bit_length())
@@ -312,16 +322,102 @@ def test_verify_huge_integer_exits_5(tmp_path, capsys):
 
 @pytest.mark.parametrize("g, alpha", [(36, "0/1"), (64, "1/1")])
 def test_verify_schema_1_full_family_prints_the_same(tmp_path, capsys, g, alpha):
-    new = tmp_path / "schema2.json"
+    new = tmp_path / "schema3.json"
     old = tmp_path / "schema1.json"
     main(["construct", "--g", str(g), "--alpha", alpha, "--out", str(new)])
-    old.write_text(json.dumps(_schema_1(json.loads(new.read_text()))))
+    old.write_text(json.dumps(_older_schema(json.loads(new.read_text()), 1)))
     capsys.readouterr()
     assert main(["verify", str(new)]) == 0
     stdout = capsys.readouterr().out
     assert main(["verify", str(old)]) == 0
     assert capsys.readouterr().out == stdout
     assert "method=construction" in stdout
+
+
+def _seeded_subfamily(seed):
+    """Random words, in random order, on a random 6 of the 20 necklaces at
+    g=100, alpha=0 (h=5: 256 words each), listed necklace by necklace."""
+    rng = random.Random(seed)
+    surface = plan_composite(100, Fraction(0))
+    words = list(product((1, 2, 3, 4), repeat=surface.h - 1))
+    curves = tuple(
+        Curve(k, word)
+        for k in sorted(rng.sample(range(surface.h_prime), 6))
+        for word in rng.sample(words, 30)
+    )
+    return CurveSystem(surface, curves)
+
+
+def test_sub_family_loads_and_verifies_the_same_in_every_schema(tmp_path, capsys):
+    system = _seeded_subfamily(11)
+    packed = _write_listed(tmp_path / "schema3.json", system)
+    assert packed["schemaVersion"] == 3 and len(packed["curves"]) == 6
+    for version in (1, 2):
+        path = tmp_path / f"schema{version}.json"
+        path.write_text(json.dumps(_older_schema(packed, version)))
+    outputs = set()
+    for version in (1, 2, 3):
+        path = tmp_path / f"schema{version}.json"
+        assert load_document(path).system == system
+        capsys.readouterr()
+        code = main(["verify", str(path)])
+        outputs.add((code, capsys.readouterr().out))
+    assert len(outputs) == 1
+    code, stdout = outputs.pop()
+    assert code in (0, 2) and "curves=180" in stdout and "distinct=true" in stdout
+
+
+@pytest.mark.parametrize(
+    "index, key, value, message",
+    [
+        (0, "words", 12, "curves[0].words must be a nonempty string"),
+        (0, "words", "", "curves[0].words must be a nonempty string"),
+        (1, "words", "11 15", "curves[1].words must use letters 1-4"),
+        (1, "words", "11 1", "curves[1].words holds a word of length 1"),
+        (1, "words", "11  12", "curves[1].words holds a word of length 0"),
+        (1, "words", "11 12 ", "curves[1].words holds a word of length 0"),
+        (1, "necklace", 0, "curves[1].necklace = 0 must exceed the previous necklace 0"),
+        (0, "necklace", 2, "curves[1].necklace = 1 must exceed the previous necklace 2"),
+        (2, "necklace", 12, "curves[2].necklace = 12 outside [0, 12)"),
+        (0, "necklace", -1, "curves[0].necklace = -1 outside [0, 12)"),
+        (0, "necklace", 0.0, "curves[0].necklace must be an integer"),
+        (1, "necklace", True, "curves[1].necklace must be an integer"),
+        (0, "necklace", None, "curves[0].necklace must be an integer"),
+        (0, "word", "11", "curves[0] missing key 'words'"),
+    ],
+)
+def test_verify_malformed_packed_curves_exits_5(
+    tmp_path, capsys, listed_system, index, key, value, message
+):
+    # the g=36 family listed (h=3, h'=12): "11 12 ... 44" on each necklace
+    out = tmp_path / "packed.json"
+    data = _write_listed(out, listed_system(36))
+    if key == "word":  # a schema-2 key in place of the packed one
+        del data["curves"][index]["words"]
+    data["curves"][index][key] = value
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_plans_past_the_necklace_genus_limit_are_refused(tmp_path, capsys):
+    # g=10^12, alpha=1 plans h = 5*10^11: 4**(h-1) alone would hold 10^12 bits
+    g = 10 ** 12
+    out = tmp_path / "c.json"
+    refusal = "error: necklace genus h=500000000000 exceeds 100000000"
+    assert main(["construct", "--g", str(g), "--alpha", "1/1", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(refusal)
+    assert not out.exists()
+    assert main(["bounds", "--g", str(g), "--alpha", "1/1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(refusal)
+    data = _write_listed(out, CurveSystem(plan_composite(16, Fraction(0)), full=True))
+    data["surface"] = {"g": g, "alpha": "1/1", "h": g // 2, "hPrime": 2, "baseGenus": 0}
+    out.write_text(json.dumps(data))
+    assert main(["verify", str(out)]) == 5
+    assert capsys.readouterr().err.startswith("error: inconsistent surface: necklace genus")
 
 
 def test_verify_full_family_disagreement_exits_4(tmp_path, capsys, monkeypatch):
@@ -480,18 +576,26 @@ def _assert_contract(code: int, stderr: str) -> None:
 
 @pytest.fixture(scope="module")
 def gate_documents(tmp_path_factory):
-    """An annotated g=36 document, a listed g=16 one and a g=10^4, alpha=1 one."""
+    """An annotated g=36 document; 40 listed g=36 curves, packed (schema 3) and
+    one object per curve (schema 2); the same packed curves with duplicates on
+    two necklaces, annotated with the collision; and a g=10^4, alpha=1 one."""
     root = tmp_path_factory.mktemp("gate")
     with _inside(root):
         assert _run_cli(["construct", "--g", "36", "--alpha", "0/1", "--out", "s.json"])[0] == 0
         assert _run_cli(["verify", "s.json", "--out", "small.json"])[0] == 0
         assert _run_cli(["construct", "--g", "10000", "--alpha", "1/1", "--out", "big.json"])[0] == 0
-    full = load_document(root / "s.json").system()
-    listed = SystemDocument(full.surface, tuple(full.iter_curves())[:40])
-    save_document(listed, root / "listed.json")
+    full = load_document(root / "s.json").system
+    curves = tuple(full.iter_curves())[:40]
+    save_document(SystemDocument(CurveSystem(full.surface, curves)), root / "listed.json")
+    listed = json.loads((root / "listed.json").read_text())
+    (root / "listed2.json").write_text(json.dumps(_older_schema(listed, 2)))
+    twice = CurveSystem(full.surface, curves + (curves[20], curves[3]))
+    save_document(SystemDocument(twice), root / "twice.json")
+    with _inside(root):
+        assert _run_cli(["verify", "twice.json", "--out", "collided.json"])[0] == 3
     return root, {
         name: json.loads((root / f"{name}.json").read_text())
-        for name in ("small", "listed", "big")
+        for name in ("small", "listed", "listed2", "collided", "big")
     }
 
 
@@ -561,7 +665,7 @@ def _mutate_document(data, edits) -> str:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    name=st.sampled_from(["small", "listed", "big"]),
+    name=st.sampled_from(["small", "listed", "listed2", "collided", "big"]),
     edits=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=10 ** 6),

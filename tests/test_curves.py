@@ -70,7 +70,7 @@ def test_generate_system_counts():
         words_len = {len(c.word) for c in curves}
         assert words_len == {surface.h - 1}
         assert len(set(curves)) == len(curves)
-        CurveSystem(surface, tuple(curves)).check_invariants()
+        assert certify_distinct(CurveSystem(surface, tuple(curves))).distinct
 
 
 def test_generate_system_canonical_order():
@@ -96,7 +96,7 @@ def test_verify_sparsity_g16():
     assert report.pair_count == 496
     assert report.is_sparse
     assert report.mode == "explicit"
-    assert system.report is report  # cached once
+    assert verify_sparsity(system, SparsityThreshold.rational(1)) == report
 
 
 def test_verify_sparsity_rejects_tiny_systems():

@@ -4,8 +4,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsecurves.curves import SparsityThreshold, generate_system, verify_sparsity
+from sparsecurves.curves import (
+    Curve,
+    CurveSystem,
+    SparsityThreshold,
+    generate_system,
+    verify_sparsity,
+)
 from sparsecurves.document import (
     SystemDocument,
     dumps,
@@ -23,26 +31,52 @@ def _sample_document():
     system = generate_system(plan_composite(16, Fraction(0)))
     report = verify_sparsity(system, SparsityThreshold.power(Fraction(0)))
     certificate = certify_distinct(system)
-    return SystemDocument.from_system(system, report=report, certificate=certificate)
+    return SystemDocument(system, report=report, certificate=certificate)
 
 
 def test_round_trip_field_for_field(listed_system):
     doc = _sample_document()
     rebuilt = from_dict(to_dict(doc))
     assert rebuilt == doc
-    listed = SystemDocument.from_system(listed_system())
+    listed = SystemDocument(listed_system())
     assert from_dict(to_dict(listed)) == listed
+
+
+def test_listed_system_is_written_one_word_string_per_necklace(listed_system):
+    data = to_dict(SystemDocument(listed_system()))
+    assert data["schemaVersion"] == 3
+    assert data["curves"] == [{"necklace": k, "words": "1 2 3 4"} for k in range(8)]
+
+
+_LETTER = st.sampled_from((1, 2, 3, 4))
+
+
+@given(
+    curves=st.lists(
+        st.builds(Curve, st.integers(min_value=0, max_value=11), st.tuples(_LETTER, _LETTER)),
+        max_size=30,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_listed_round_trip_sorts_stably_by_necklace(curves):
+    # g=36, alpha=0: h=3, h'=12; duplicates are kept for the certificate to find
+    system = CurveSystem(plan_composite(36, Fraction(0)), tuple(curves))
+    rebuilt = from_dict(to_dict(SystemDocument(system))).system
+    by_necklace = sorted(curves, key=lambda curve: curve.necklace)
+    assert rebuilt == CurveSystem(system.surface, tuple(by_necklace))
+    if curves == by_necklace:
+        assert rebuilt == system
 
 
 def test_round_trip_analytic_document():
     system = generate_system(plan_composite(64, Fraction(1)))
-    doc = SystemDocument.from_system(system)
+    doc = SystemDocument(system)
     data = to_dict(doc)
     assert data["curves"] == "full" and "analytic" not in data
     rebuilt = from_dict(data)
     assert rebuilt == doc
-    assert rebuilt.full
-    assert rebuilt.curves == ()
+    assert rebuilt.system.full
+    assert rebuilt.system.curves == ()
 
 
 def test_save_and_load(tmp_path):
@@ -78,8 +112,8 @@ def test_rejects_wrong_schema_version():
 
 
 def test_rejects_bad_words(listed_system):
-    data = to_dict(SystemDocument.from_system(listed_system()))
-    data["curves"][0]["word"] = "105"
+    data = to_dict(SystemDocument(listed_system()))
+    data["curves"][0]["words"] = "105"
     with pytest.raises(DocumentError, match="letters 1-4"):
         from_dict(data)
 
@@ -92,10 +126,10 @@ def test_rejects_inconsistent_surface():
 
 
 def test_duplicate_curves_parse_but_fail_certification(listed_system):
-    data = to_dict(SystemDocument.from_system(listed_system()))
-    data["curves"].append(dict(data["curves"][0]))
+    data = to_dict(SystemDocument(listed_system()))
+    data["curves"][0]["words"] += " 1"  # necklace 0 already lists word 1
     doc = from_dict(data)
-    certificate = certify_distinct(doc.system())
+    certificate = certify_distinct(doc.system)
     assert not certificate.distinct
 
 

@@ -3,11 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsecurves.curves import Curve, CurveSystem, generate_necklace_family, generate_system
 from sparsecurves.errors import DomainError
 from sparsecurves.homology import (
     ARC_OFFSETS,
+    DistinctnessCertificate,
     certify_distinct,
     certify_generated,
     curve_class,
@@ -104,3 +107,52 @@ def test_certify_generated_shortcut():
     certificate = certify_generated(surface)
     assert certificate.distinct
     assert certificate.method == "construction"
+
+
+def _dense_certificate(system: CurveSystem) -> DistinctnessCertificate:
+    """The certificate keyed on each curve's full 2g-length class vector."""
+    seen = {}
+    for curve in system.iter_curves():
+        key = curve_class(curve, system.surface).coefficients
+        if key in seen:
+            return DistinctnessCertificate(False, "exhaustive", (seen[key], curve))
+        seen[key] = curve
+    return DistinctnessCertificate(True, "exhaustive")
+
+
+def _outcome(certify, system):
+    try:
+        return certify(system)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+@st.composite
+def _listed_systems(draw):
+    """Listed systems in arbitrary order on surfaces with h = 2..4 (and a base
+    handle at g=17), with duplicates, and sometimes an out-of-range necklace
+    or a malformed word."""
+    surface = plan_composite(draw(st.sampled_from([16, 17, 36, 64, 65])), Fraction(0))
+    n = surface.piece_count
+    necklace = st.integers(min_value=0, max_value=surface.h_prime - 1)
+    word = st.tuples(*[st.sampled_from((1, 2, 3, 4))] * n)
+    curves = draw(st.lists(st.builds(Curve, necklace, word), max_size=40))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if curves:
+            copy = curves[draw(st.integers(min_value=0, max_value=len(curves) - 1))]
+            curves.insert(draw(st.integers(min_value=0, max_value=len(curves))), copy)
+    bad = st.one_of(
+        st.builds(Curve, st.sampled_from([-1, surface.h_prime, 0.5]), word),
+        st.builds(Curve, necklace, st.tuples(*[st.sampled_from((1, 2, 3, 4))] * (n + 1))),
+        st.builds(Curve, necklace, st.tuples(*[st.sampled_from((0, 1, 4, 5))] * n)),
+    )
+    if curves and draw(st.booleans()):
+        curves.insert(draw(st.integers(min_value=0, max_value=len(curves))), draw(bad))
+    return CurveSystem(surface, tuple(curves))
+
+
+@given(system=_listed_systems())
+@settings(max_examples=300, deadline=None)
+def test_curve_key_matches_the_dense_class_key(system):
+    # same verdict, same collision pair, same exception type
+    assert _outcome(certify_distinct, system) == _outcome(_dense_certificate, system)

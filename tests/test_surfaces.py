@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecurves.errors import DomainError
-from sparsecurves.surfaces import build_necklace, plan_composite
+from sparsecurves.exactint import genus_admissible
+from sparsecurves.surfaces import MAX_NECKLACE_GENUS, build_necklace, plan_composite
 
 
 def test_build_necklace_smallest():
@@ -81,11 +82,28 @@ def test_plan_composite_invariants(g, p, q):
     alpha = Fraction(p, q)
     if not (Fraction(-1) < alpha <= 1):
         return
-    from sparsecurves.exactint import genus_admissible
-
     if not genus_admissible(g, alpha):
         return
     s = plan_composite(g, alpha)
     assert 2 <= s.h <= g
     assert s.h * s.h_prime <= g
     assert s.base_genus == g - s.h * s.h_prime >= 0
+
+
+@given(
+    g=st.integers(min_value=16, max_value=10 ** 8),
+    alpha=st.fractions(min_value=Fraction(-23, 24), max_value=1, max_denominator=24),
+)
+@settings(max_examples=200)
+def test_every_plan_up_to_g_1e8_is_accepted(g, alpha):
+    if genus_admissible(g, alpha):
+        assert plan_composite(g, alpha).h <= MAX_NECKLACE_GENUS
+
+
+def test_plans_past_the_necklace_genus_limit_are_refused():
+    # at alpha = 1, h = floor(g/2) is the largest necklace genus of any plan
+    assert plan_composite(10 ** 8, Fraction(1)).h == 5 * 10 ** 7
+    assert plan_composite(2 * MAX_NECKLACE_GENUS + 1, Fraction(1)).h == MAX_NECKLACE_GENUS
+    for g in (2 * MAX_NECKLACE_GENUS + 2, 10 ** 12):
+        with pytest.raises(DomainError, match="cannot be held"):
+            plan_composite(g, Fraction(1))
