@@ -37,7 +37,6 @@ from .exactint import (
     floor_scaled_power,
     is_exact_power,
     lowest_terms_within,
-    min_admissible_genus,
 )
 from .intersections import total_crossings
 from .logspace import (
@@ -51,7 +50,7 @@ from .logspace import (
     midpoint,
     power_ln,
 )
-from .surfaces import plan_composite
+from .surfaces import check_plan_domain, plan_composite
 
 # Exact values are materialized only below this bit size; larger ones are
 # carried purely in log space.
@@ -100,18 +99,6 @@ def certified_le(
         raise PrecisionError(f"{a.formula} vs {b.formula}: {exc}") from exc
 
 
-def _check_domain(g: int, alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
-    if not (Fraction(-1) < alpha <= Fraction(1)):
-        raise DomainError(f"alpha must lie in (-1, 1], got {alpha}")
-    if not isinstance(g, int) or g < 1:
-        raise DomainError(f"genus must be a positive integer, got {g!r}")
-    minimal = min_admissible_genus(alpha)
-    if g < minimal:
-        raise DomainError(f"g >= {minimal} required for alpha = {alpha} (got g = {g})")
-    return alpha
-
-
 def lower_bound(
     g: int, alpha: Fraction | int | str, *, digits: int = DEFAULT_DIGITS
 ) -> BoundValue:
@@ -121,7 +108,7 @@ def lower_bound(
     irrational and lives in the log enclosure, but when g**((1+alpha)/2) is an
     exact integer the whole value is attached as an exact rational.
     """
-    alpha = _check_domain(g, alpha)
+    alpha = check_plan_domain(g, alpha)
     prefactor = floor_scaled_power(Fraction(2), g, (1 - alpha) / 2)
     exponent = (1 + alpha) / 2
     exp_int = is_exact_power(g, exponent)
@@ -145,7 +132,6 @@ def construction_count(
     g: int, alpha: Fraction | int | str, *, digits: int = DEFAULT_DIGITS
 ) -> BoundValue:
     """Size h' * 4**(h-1) of the generated system, as an exact big integer."""
-    alpha = _check_domain(g, alpha)
     surface = plan_composite(g, alpha)
     h, h_prime = surface.h, surface.h_prime
     exact = None
@@ -380,7 +366,8 @@ class TableRow:
     lower_le_upper: bool
 
 
-def _nstr(x: mpmath.mpf) -> str:
+def nstr(x: mpmath.mpf) -> str:
+    """x at the 15 significant digits every printed log10 uses."""
     return mpmath.nstr(x, 15)
 
 
@@ -445,10 +432,10 @@ def bounds_table(
                     h_prime=surface.h_prime,
                     base_genus=surface.base_genus,
                     count=count_int,
-                    count_log10=_nstr(count.log10),
-                    lower_log10=_nstr(lower.log10),
-                    upper_tight_log10=_nstr(upper.tight.log10),
-                    upper_rounded_log10=_nstr(upper.rounded.log10),
+                    count_log10=nstr(count.log10),
+                    lower_log10=nstr(lower.log10),
+                    upper_tight_log10=nstr(upper.tight.log10),
+                    upper_rounded_log10=nstr(upper.rounded.log10),
                     crossings=crossings,
                     ratio=render_ratio(crossings, system.pair_count),
                     mode=system.mode,

@@ -14,10 +14,9 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
-
 from . import bounds as bounds_mod
 from . import document as document_mod
+from .bounds import nstr
 from .curves import CrossingReport, SparsityThreshold, generate_system, verify_sparsity
 from .errors import DocumentError, DomainError, PrecisionError, SparseCurvesError
 from .homology import certify_distinct, certify_generated
@@ -44,17 +43,13 @@ def _parse_fraction_arg(text: str, name: str) -> Fraction:
         raise DomainError(f"{name} must be an exact fraction like 1/2, got {text!r}: {exc}")
 
 
-def _nstr(x: mpmath.mpf) -> str:
-    return mpmath.nstr(x, 15)
-
-
 def _int_text(n: int) -> str:
     """n in decimal while it fits DECIMAL_DIGIT_LIMIT digits; past that, one
     whitespace-free token with its exact bit length and its log10."""
     if fits_decimal(n):
         return str(n)
     log10 = midpoint(log10_int(interval_context(DEFAULT_DIGITS), n), DEFAULT_DIGITS)
-    return f"[bits={n.bit_length()},log10={_nstr(log10)}]"
+    return f"[bits={n.bit_length()},log10={nstr(log10)}]"
 
 
 # ----------------------------------------------------------------------
@@ -159,13 +154,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
             parts = [
                 f"inequality: status={verdict.status.value}",
-                f"size_log10={_nstr(verdict.size_log10)}",
-                f"threshold_log10={_nstr(verdict.threshold_log10)}",
+                f"size_log10={nstr(verdict.size_log10)}",
+                f"threshold_log10={nstr(verdict.threshold_log10)}",
             ]
             if verdict.left_log10 is not None:
-                parts.append(f"left_log10={_nstr(verdict.left_log10)}")
+                parts.append(f"left_log10={nstr(verdict.left_log10)}")
             if verdict.crossings_log10 is not None:
-                parts.append(f"crossings_log10={_nstr(verdict.crossings_log10)}")
+                parts.append(f"crossings_log10={nstr(verdict.crossings_log10)}")
             print(" ".join(parts))
         except (DomainError, PrecisionError) as exc:
             print(f"inequality: unavailable ({exc})")

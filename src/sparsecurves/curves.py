@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, EnumerationCapError
@@ -54,6 +55,15 @@ def validate_word(word: Word, piece_count: int) -> None:
             raise DomainError(f"arc label must be in {ARC_LABELS}, got {letter}")
 
 
+def check_curve(curve: Curve, surface: CompositeSurface) -> None:
+    """DomainError unless the curve has h-1 arc labels on one of the h' necklaces."""
+    validate_word(curve.word, surface.piece_count)
+    if not (isinstance(curve.necklace, int) and 0 <= curve.necklace < surface.h_prime):
+        raise DomainError(
+            f"necklace index {curve.necklace} outside [0, {surface.h_prime})"
+        )
+
+
 def generate_necklace_family(h: int, *, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
     """All 4**(h-1) arc-words on a genus-h necklace, in lexicographic order."""
     if h < 2:
@@ -67,19 +77,26 @@ def generate_necklace_family(h: int, *, cap: int = DEFAULT_WORD_CAP) -> list[Wor
     return list(product(ARC_LABELS, repeat=h - 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurveSystem:
     """A set of curves on a composite surface.
 
     A `full` system is the generated family, h' necklaces each carrying all
     4**(h-1) words; it is described rather than listed, so `curves` stays
-    empty.  Any other system lists its curves; `homology.certify_distinct`
-    and the document loader validate them.
+    empty.  Any other system lists its curves: each one is checked with
+    `check_curve` when the system is built, and `curves` holds them in
+    canonical (necklace, word) order, whatever order they were given in.
+    Repeated curves are kept, for `homology.certify_distinct` to report.
     """
 
     surface: CompositeSurface
     curves: tuple[Curve, ...] = ()
     full: bool = False
+
+    def __post_init__(self) -> None:
+        for curve in self.curves:
+            check_curve(curve, self.surface)
+        object.__setattr__(self, "curves", tuple(sorted(self.curves)))
 
     @property
     def curve_count(self) -> int:
@@ -101,12 +118,18 @@ class CurveSystem:
         return "explicit"
 
     def iter_curves(self) -> Iterator[Curve]:
-        """Every curve in listed order; a full family is generated lazily, in
-        canonical (necklace, word) order."""
+        """Every curve in canonical (necklace, word) order; a full family is
+        generated lazily."""
         if not self.full:
             return iter(self.curves)
         words = generate_necklace_family(self.surface.h)
         return (Curve(k, w) for k in range(self.surface.h_prime) for w in words)
+
+    def necklace_words(self) -> Iterator[tuple[int, tuple[Word, ...]]]:
+        """Each necklace that carries listed curves, ascending, with its words
+        in ascending order, repeats included."""
+        for necklace, group in groupby(self.curves, key=itemgetter(0)):
+            yield necklace, tuple(word for _, word in group)
 
 
 def generate_system(surface: CompositeSurface) -> CurveSystem:

@@ -4,7 +4,7 @@ A document records one surface plus its curves, optionally extended by a
 crossing report and a distinctness certificate.  The full generated family
 is written as `"curves": "full"`; any other system is written (schema 3) as
 one {"necklace", "words"} object per necklace, necklaces ascending, with the
-necklace's words blank-separated in listed order.  Older documents still
+necklace's words blank-separated in ascending order.  Older documents still
 load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 1 does too, with the full family as `"analytic": true` and an empty curve
 list.  JSON keeps desk-scale systems inspectable by eye; round-tripping is
@@ -94,13 +94,13 @@ def _curve_dict(curve: Curve) -> dict:
     return {"necklace": curve.necklace, "word": _word_text(curve.word)}
 
 
-def _packed_curves(curves: tuple[Curve, ...]) -> list[dict]:
+def _packed_curves(system: CurveSystem) -> list[dict]:
     """Listed curves as one entry per necklace, necklaces ascending, with the
-    necklace's words blank-separated in listed order."""
-    words: dict[int, list[str]] = {}
-    for curve in curves:
-        words.setdefault(curve.necklace, []).append(_word_text(curve.word))
-    return [{"necklace": k, "words": " ".join(words[k])} for k in sorted(words)]
+    necklace's words blank-separated in ascending order."""
+    return [
+        {"necklace": k, "words": " ".join(map(_word_text, words))}
+        for k, words in system.necklace_words()
+    ]
 
 
 def to_dict(doc: SystemDocument) -> dict:
@@ -115,7 +115,7 @@ def to_dict(doc: SystemDocument) -> dict:
             "hPrime": surface.h_prime,
             "baseGenus": surface.base_genus,
         },
-        "curves": FULL_FAMILY if system.full else _packed_curves(system.curves),
+        "curves": FULL_FAMILY if system.full else _packed_curves(system),
         "report": _report_dict(doc.report) if doc.report else None,
         "certificate": _certificate_dict(doc.certificate) if doc.certificate else None,
     }

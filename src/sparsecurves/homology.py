@@ -16,10 +16,10 @@ The check is sufficient for non-isotopy, not a full isotopy decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Optional
 
-from .curves import Curve, CurveSystem, validate_word
-from .errors import DomainError
+from .curves import Curve, CurveSystem, check_curve
 from .surfaces import CompositeSurface
 
 ARC_OFFSETS: dict[int, tuple[int, int]] = {
@@ -37,17 +37,9 @@ class HomologyClass:
     coefficients: tuple[int, ...]
 
 
-def _check_curve(curve: Curve, surface: CompositeSurface) -> None:
-    validate_word(curve.word, surface.piece_count)
-    if not (isinstance(curve.necklace, int) and 0 <= curve.necklace < surface.h_prime):
-        raise DomainError(
-            f"necklace index {curve.necklace} outside [0, {surface.h_prime})"
-        )
-
-
 def curve_class(curve: Curve, surface: CompositeSurface) -> HomologyClass:
     """Class of one curve: per-piece arc offsets plus one longitude per traversal."""
-    _check_curve(curve, surface)
+    check_curve(curve, surface)
     coords = [0] * (2 * surface.g)
     base = curve.necklace * 2 * surface.h
     for i, letter in enumerate(curve.word):
@@ -69,28 +61,23 @@ class DistinctnessCertificate:
 def certify_distinct(system: CurveSystem) -> DistinctnessCertificate:
     """Check all curve classes pairwise distinct; report the earliest collision.
 
-    Curves are scanned in the order the system lists them (a full family in
-    canonical (necklace, word) order, generated as it goes), so a failure
-    witness is the first curve whose class repeats an earlier one, paired
-    with that earlier curve.  Identical words on one necklace map to
-    identical classes, so duplicated curves always fail.  Each curve passes
-    `curve_class`'s checks, but no class vector is built: the work is
-    proportional to the words, not to the genus.
+    Curves are scanned in canonical (necklace, word) order (a full family is
+    generated as it goes), so a failure witness is the first curve that
+    repeats the one before it, paired with that earlier curve.  The system
+    checked its curves when it was built, and no class vector is built: the
+    work is proportional to the words, not to the genus.
     """
-    surface = system.surface
     # Classes are compared through the curves themselves.  curve_class writes
     # a curve's arc offsets and its longitude 1 only into the block of its own
     # necklace (2h coordinates at 2h*necklace; the blocks are disjoint since
     # h*h' <= g), and ARC_OFFSETS is injective, so two checked curves have
-    # equal classes exactly when they have equal necklaces and equal words.
-    seen: dict[Curve, Curve] = {}
-    for curve in system.iter_curves():
-        _check_curve(curve, surface)
-        if curve in seen:
+    # equal classes exactly when they have equal necklaces and equal words,
+    # and in canonical order equal curves are adjacent.
+    for earlier, curve in pairwise(system.iter_curves()):
+        if curve == earlier:
             return DistinctnessCertificate(
-                distinct=False, method="exhaustive", collision=(seen[curve], curve)
+                distinct=False, method="exhaustive", collision=(earlier, curve)
             )
-        seen[curve] = curve
     return DistinctnessCertificate(distinct=True, method="exhaustive")
 
 

@@ -120,12 +120,14 @@ def pair_intersection(c1: Curve, c2: Curve, surface: CompositeSurface) -> int:
 # (n-1, 0), where q_{n-1} and q_0 both hold, so ranges are never split there.
 
 
-def _family_crossings_sorted(words: list[Word]) -> int:
-    """Total crossings over all unordered pairs of a sorted, duplicate-free family."""
+def _family_crossings_sorted(words: Sequence[Word], necklace: int) -> int:
+    """Total crossings over all unordered pairs of a sorted, duplicate-free
+    family; a repeated word is reported as a duplicate curve on `necklace`."""
     count = len(words)
     for a in range(count - 1):
         if words[a] == words[a + 1]:
-            raise DomainError(f"duplicate word {words[a]} within one necklace")
+            word = "".join(map(str, words[a]))
+            raise DomainError(f"duplicate curve {necklace}:{word}")
     if count < 2:
         return 0
     n = len(words[0])
@@ -160,25 +162,22 @@ def total_crossings_explicit(system: CurveSystem) -> int:
     """Sum of pair_intersection over all unordered pairs of the system.
 
     Pairs on different necklaces contribute zero, so the sum decomposes into
-    per-necklace totals; necklaces carrying identical word sets are computed
-    once, and a full family is counted on one listed necklace.  The result is
-    an exact big integer.
+    per-necklace totals, read from the system's sorted per-necklace words;
+    necklaces carrying identical word sets are computed once, and a full
+    family is counted on one listed necklace.  The first necklace, in
+    ascending order, that repeats a word raises DomainError naming that
+    curve.  The result is an exact big integer.
     """
     if system.full:
         words = generate_necklace_family(system.surface.h)
         one = CurveSystem(system.surface, tuple(Curve(0, w) for w in words))
         return system.surface.h_prime * total_crossings_explicit(one)
-    by_necklace: dict[int, list[Word]] = {}
-    for curve in system.curves:
-        validate_word(curve.word, system.surface.piece_count)
-        by_necklace.setdefault(curve.necklace, []).append(curve.word)
     total = 0
     cache: dict[tuple[Word, ...], int] = {}
-    for words in by_necklace.values():
-        key = tuple(sorted(words))
-        if key not in cache:
-            cache[key] = _family_crossings_sorted(list(key))
-        total += cache[key]
+    for necklace, words in system.necklace_words():
+        if words not in cache:
+            cache[words] = _family_crossings_sorted(words, necklace)
+        total += cache[words]
     return total
 
 

@@ -124,14 +124,9 @@ class CompositeSurface:
             raise DomainError("base genus must equal g - h*h' and be nonnegative")
 
 
-def plan_composite(g: int, alpha: Fraction | int | str) -> CompositeSurface:
-    """Choose necklace parameters for genus g and threshold exponent alpha.
-
-    h = floor((1/2) * g**((1+alpha)/2)) pieces of genus each, repeated in
-    h' = floor(2 * g**((1-alpha)/2)) disjoint necklaces.  Both floors are
-    computed by exact integer root extraction, never through binary floats.
-    Deterministic: identical inputs give identical outputs.
-    """
+def check_plan_domain(g: int, alpha: Fraction | int | str) -> Fraction:
+    """alpha as a Fraction, once (g, alpha) is known to admit a plan: alpha in
+    (-1, 1] and g a positive integer with g**(1+alpha) >= 16."""
     alpha = Fraction(alpha)
     if not (Fraction(-1) < alpha <= Fraction(1)):
         raise DomainError(f"alpha must lie in (-1, 1], got {alpha}")
@@ -142,6 +137,18 @@ def plan_composite(g: int, alpha: Fraction | int | str) -> CompositeSurface:
         raise DomainError(
             f"g >= {minimal} required for alpha = {alpha} (got g = {g})"
         )
+    return alpha
+
+
+def plan_composite(g: int, alpha: Fraction | int | str) -> CompositeSurface:
+    """Choose necklace parameters for genus g and threshold exponent alpha.
+
+    h = floor((1/2) * g**((1+alpha)/2)) pieces of genus each, repeated in
+    h' = floor(2 * g**((1-alpha)/2)) disjoint necklaces.  Both floors are
+    computed by exact integer root extraction, never through binary floats.
+    Deterministic: identical inputs give identical outputs.
+    """
+    alpha = check_plan_domain(g, alpha)
     h = floor_scaled_power(Fraction(1, 2), g, (1 + alpha) / 2)
     h_prime = floor_scaled_power(Fraction(2), g, (1 - alpha) / 2)
     surface = CompositeSurface(

@@ -114,6 +114,23 @@ def test_verify_duplicate_curve_exits_3(tmp_path, capsys, listed_system):
     assert "collision=" in stdout
 
 
+def test_verify_duplicates_name_one_curve_in_both_lines(tmp_path, capsys, listed_system):
+    # schema 2 keeps the listed order: 5:12 is repeated right after itself and
+    # 2:32 at the end; the counter and the certificate both meet 2:32 first
+    out = tmp_path / "g36.json"
+    data = _older_schema(_write_listed(out, listed_system(36)), 2)
+    curves = data["curves"]
+    original = curves.index({"necklace": 5, "word": "12"})
+    curves.insert(original + 1, {"necklace": 5, "word": "12"})
+    curves.append({"necklace": 2, "word": "32"})
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 3
+    stdout = capsys.readouterr().out
+    assert "crossing report unavailable: duplicate curve 2:32\n" in stdout
+    assert " collision=2:32/2:32\n" in stdout
+
+
 def test_verify_singleton_exits_4(tmp_path, capsys, listed_system):
     out = tmp_path / "one.json"
     data = _write_listed(out, listed_system())

@@ -52,20 +52,23 @@ _LETTER = st.sampled_from((1, 2, 3, 4))
 
 
 @given(
+    data=st.data(),
     curves=st.lists(
         st.builds(Curve, st.integers(min_value=0, max_value=11), st.tuples(_LETTER, _LETTER)),
         max_size=30,
-    )
+    ),
 )
 @settings(max_examples=100, deadline=None)
-def test_listed_round_trip_sorts_stably_by_necklace(curves):
+def test_listed_round_trip_sorts_stably_by_necklace(data, curves):
     # g=36, alpha=0: h=3, h'=12; duplicates are kept for the certificate to find
     system = CurveSystem(plan_composite(36, Fraction(0)), tuple(curves))
     rebuilt = from_dict(to_dict(SystemDocument(system))).system
-    by_necklace = sorted(curves, key=lambda curve: curve.necklace)
-    assert rebuilt == CurveSystem(system.surface, tuple(by_necklace))
-    if curves == by_necklace:
-        assert rebuilt == system
+    assert rebuilt == system
+    # the listed order is not part of the system
+    shuffled = CurveSystem(system.surface, tuple(data.draw(st.permutations(curves))))
+    assert shuffled == system
+    assert dumps(SystemDocument(shuffled)) == dumps(SystemDocument(system))
+    assert certify_distinct(shuffled) == certify_distinct(system)
 
 
 def test_round_trip_analytic_document():
