@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import mpmath
@@ -65,7 +66,7 @@ class BoundValue:
     log10: mpmath.mpf  # midpoint of the enclosure at `digits`
     exact: Optional[Fraction]
     digits: int
-    evaluate: Callable[[int], object]  # digits -> interval enclosing log10(value)
+    evaluate: Callable[[int], object]  # digits -> enclosure of log10(value), memoised
 
     def enclosure(self, digits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
         return endpoints(self.evaluate(digits))
@@ -77,12 +78,14 @@ def _make_bound(
     digits: int,
     exact: Optional[Fraction] = None,
 ) -> BoundValue:
+    # the midpoint and every comparison of this bound share one enclosure per precision
+    evaluate = cache(evaluator)
     return BoundValue(
         formula=formula,
-        log10=midpoint(evaluator(digits), digits),
+        log10=midpoint(evaluate(digits), digits),
         exact=exact,
         digits=digits,
-        evaluate=evaluator,
+        evaluate=evaluate,
     )
 
 
@@ -136,7 +139,7 @@ def construction_count(
     h, h_prime = surface.h, surface.h_prime
     exact = None
     if 2 * (h - 1) <= MAX_EXACT_BITS:
-        exact = Fraction(h_prime * 4 ** (h - 1))
+        exact = Fraction(h_prime << 2 * (h - 1))
 
     def evaluate(d: int):
         ctx = interval_context(d)
@@ -243,16 +246,20 @@ def crossing_inequality_check(
     if cr < 0:
         raise DomainError(f"crossing total must be >= 0, got {cr}")
 
+    # memoised, so that verdict reuses the enclosures certify settled on
+    @cache
     def threshold(d: int):  # log10(e**6 * (2g-1))
         ctx = interval_context(d)
         return log10_int(ctx, 2 * g - 1) + 6 / ctx.ln10
 
+    @cache
     def size(d: int):
         return log10_int(interval_context(d), m)
 
     def gap(ctx):  # ln(m / ((2g-1) * e**6)), positive exactly in the applicable regime
         return ctx.log(ctx.mpf(m)) - ctx.log(ctx.mpf(2 * g - 1)) - 6
 
+    @cache
     def left(d: int):
         ctx = interval_context(d)
         gap_iv = gap(ctx)
@@ -265,6 +272,7 @@ def crossing_inequality_check(
             - log10_int(ctx, 128 * (2 * g - 2))
         )
 
+    @cache
     def crossings(d: int):
         return log10_int(interval_context(d), cr)
 

@@ -21,7 +21,14 @@ from .curves import CrossingReport, SparsityThreshold, generate_system, verify_s
 from .errors import DocumentError, DomainError, PrecisionError, SparseCurvesError
 from .homology import certify_distinct, certify_generated
 from .exactint import fits_decimal
-from .logspace import DEFAULT_DIGITS, check_digits, interval_context, log10_int, midpoint
+from .logspace import (
+    DEFAULT_DIGITS,
+    MAX_DIGITS,
+    check_digits,
+    interval_context,
+    log10_int,
+    midpoint,
+)
 from .surfaces import plan_composite
 
 EXIT_OK = 0
@@ -41,6 +48,17 @@ def _parse_fraction_arg(text: str, name: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"{name} must be an exact fraction like 1/2, got {text!r}: {exc}")
+
+
+def _check_precision(digits: int) -> None:
+    """DomainError unless --precision is from 1 to MAX_DIGITS.  No comparison
+    doubles past MAX_DIGITS and every printed log10 shows 15 digits, so a
+    larger precision would only cost time."""
+    check_digits(digits)
+    if digits > MAX_DIGITS:
+        raise DomainError(
+            f"precision must be at most {MAX_DIGITS} digits, got {digits}"
+        )
 
 
 def _int_text(n: int) -> str:
@@ -104,7 +122,7 @@ def _print_report(report: CrossingReport) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    check_digits(args.precision)
+    _check_precision(args.precision)
     try:
         doc = document_mod.load_document(args.document)
     except DocumentError as exc:
@@ -217,7 +235,7 @@ def _parse_g_values(args: argparse.Namespace) -> list[int]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    check_digits(args.precision)
+    _check_precision(args.precision)
     try:
         g_values = _parse_g_values(args)
         alphas = [
@@ -308,7 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted and ignored, so older scripts still parse",
     )
     p_verify.add_argument(
-        "--precision", type=int, default=DEFAULT_DIGITS, help="log-space digits (>= 1)"
+        "--precision",
+        type=int,
+        default=DEFAULT_DIGITS,
+        help=f"log-space digits, from 1 to {MAX_DIGITS}",
     )
     p_verify.add_argument("--out", help="write the annotated document here")
     p_verify.set_defaults(func=_cmd_verify)
@@ -324,7 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bounds.add_argument("--out", help="output path (stdout when omitted)")
     p_bounds.add_argument(
-        "--precision", type=int, default=DEFAULT_DIGITS, help="log-space digits (>= 1)"
+        "--precision",
+        type=int,
+        default=DEFAULT_DIGITS,
+        help=f"log-space digits, from 1 to {MAX_DIGITS}",
     )
     p_bounds.add_argument(
         "--cap",

@@ -101,7 +101,7 @@ class CurveSystem:
     @property
     def curve_count(self) -> int:
         if self.full:
-            return self.surface.h_prime * 4 ** (self.surface.h - 1)
+            return self.surface.h_prime << 2 * (self.surface.h - 1)
         return len(self.curves)
 
     @property
@@ -113,7 +113,8 @@ class CurveSystem:
     def mode(self) -> str:
         """The route of the total: "explicit" when the explicit counter runs on
         the system, "analytic" when only the closed form does."""
-        if self.full and 4 ** (self.surface.h - 1) > EXPLICIT_WORD_LIMIT:
+        # 4**(h-1) > limit exactly when 2*(h-1) reaches the limit's bit length
+        if self.full and 2 * (self.surface.h - 1) >= EXPLICIT_WORD_LIMIT.bit_length():
             return "analytic"
         return "explicit"
 

@@ -213,20 +213,24 @@ def necklace_family_crossings(h: int) -> int:
     """Closed-form total crossings of the full 4**(h-1) family on one necklace.
 
     Equals the sum of annulus_family_crossings over all annuli; the geometric
-    series collapse to a handful of big-integer powers, so this stays cheap
-    even when 4**(h-1) words could never be enumerated.
+    series collapse to a handful of powers of 4, written as shifts, so this
+    stays cheap even when 4**(h-1) words could never be enumerated.
     """
     if h < 2:
         raise DomainError(f"necklace genus must be >= 2, got {h}")
     n = h - 1
     if n < 2:
         return 0
-    num1 = 4 ** (2 * n - 3) - 4 ** (n - 2)
+    num1 = (1 << 2 * (2 * n - 3)) - (1 << 2 * (n - 2))
     assert num1 % 3 == 0
     s1 = num1 // 3
     m = n - 2
     if m > 0:
-        num2 = 12 * m * 4 ** (2 * n - 6) - 4 ** (2 * n - 5) + 4 ** (n - 3)
+        num2 = (
+            ((12 * m) << 2 * (2 * n - 6))
+            - (1 << 2 * (2 * n - 5))
+            + (1 << 2 * (n - 3))
+        )
         assert num2 % 9 == 0
         s2 = num2 // 9
     else:

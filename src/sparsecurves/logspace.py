@@ -4,7 +4,9 @@ The bound formulas mix exact integers with terms like e**(sqrt(128*g) + 6)
 whose values overflow any fixed-precision float, so all magnitude comparisons
 happen in log10 space.  Every quantity is enclosed in a directed-rounding
 interval (mpmath's interval context) by an evaluator, a function from decimal
-digits to an enclosure.  Every certified comparison goes through one kernel,
+digits to an enclosure.  Evaluators at one precision share one context, which
+nothing writes after it is built (see `interval_context`).  Every certified
+comparison goes through one kernel,
 `certify`: while the two enclosures overlap it doubles the digits, up to a
 hard cap, and raises PrecisionError if they still overlap there.  Precision
 starts at `digits >= 1` (doubling 0 never moves).  All formula inequalities
@@ -30,14 +32,27 @@ MAX_DIGITS = 1000
 _GUARD_DIGITS = 10
 
 
-def interval_context(digits: int) -> MPIntervalContext:
-    """Fresh interval context at the requested decimal precision.
+# Interval contexts by requested digits, each built on first use.
+_CONTEXTS: dict[int, MPIntervalContext] = {}
 
-    A private context per evaluation keeps concurrent callers from racing on
-    mpmath's global precision state.
+
+def interval_context(digits: int) -> MPIntervalContext:
+    """The interval context at the requested decimal precision, shared by every
+    evaluation at that precision in the process.
+
+    A shared context is read-only: its precision is set once, here.  The
+    context functions evaluators call (`mpf`, `log`/`ln`, `exp`, `sqrt`,
+    `ln10` and interval arithmetic) read `ctx.prec` and never write it, so an
+    enclosure does not depend on what was evaluated before it, and threads
+    may share a context.  mpmath's special functions differ: they raise
+    `prec` in place while they run, so they, like any `dps` assignment,
+    belong on a private `MPIntervalContext`.
     """
-    ctx = MPIntervalContext()
-    ctx.dps = digits + _GUARD_DIGITS
+    ctx = _CONTEXTS.get(digits)
+    if ctx is None:
+        ctx = MPIntervalContext()
+        ctx.dps = digits + _GUARD_DIGITS
+        _CONTEXTS[digits] = ctx
     return ctx
 
 

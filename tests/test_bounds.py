@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.ctx_iv import MPIntervalContext
 
+from sparsecurves import bounds as bounds_module
 from sparsecurves.bounds import (
     InequalityStatus,
     bounds_table,
@@ -27,8 +31,8 @@ from sparsecurves.curves import SparsityThreshold, generate_system
 from sparsecurves.errors import DomainError
 from sparsecurves.intersections import total_crossings
 from sparsecurves.logspace import certified_le as log_certified_le
-from sparsecurves.logspace import interval_context, log10_int
-from sparsecurves.surfaces import plan_composite
+from sparsecurves.logspace import MAX_DIGITS, _GUARD_DIGITS, interval_context, log10_int
+from sparsecurves.surfaces import check_plan_domain, plan_composite
 
 
 def test_lower_bound_exact_values():
@@ -299,3 +303,68 @@ def test_render_ratio_matches_the_gcd_route(p, q, shift, odd):
 def test_render_ratio_pins(g, alpha, text):
     system = generate_system(plan_composite(g, Fraction(alpha)))
     assert render_ratio(total_crossings(system), system.pair_count) == text
+
+
+# ----------------------------------------------------------------------
+# Shared interval contexts against a fresh context per evaluation
+# ----------------------------------------------------------------------
+
+# Every precision certify reaches from the starts 1, 3 and 50 by doubling up
+# to the cap.
+_DOUBLING_STEPS = sorted(
+    {min(start << k, MAX_DIGITS) for start in (1, 3, 50) for k in range(11)}
+)
+
+
+def _fresh_context(digits):
+    """The replaced path: a private context built for every evaluation."""
+    ctx = MPIntervalContext()
+    ctx.dps = digits + _GUARD_DIGITS
+    return ctx
+
+
+def _bound_enclosures(g, alpha, f, linear_alpha, digits):
+    upper = upper_bound(g, f, digits=digits)
+    linear = linear_regime_bound(g, linear_alpha, digits=digits)
+    values = [
+        lower_bound(g, alpha, digits=digits),
+        construction_count(g, alpha, digits=digits),
+        upper.tight,
+        upper.rounded,
+        linear.value,
+        linear.coefficient,
+    ]
+    return [(v.log10, v.enclosure(digits)) for v in values]
+
+
+@given(
+    g=st.integers(16, 10 ** 6),
+    alpha=st.sampled_from([Fraction(-1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+    rational_f=st.booleans(),
+    linear_alpha=st.sampled_from([Fraction(-1), Fraction(-3, 2), Fraction(-5)]),
+    cr=st.integers(0, 10 ** 40),
+    near_threshold=st.integers(-2, 2),
+    digits=st.sampled_from(_DOUBLING_STEPS),
+)
+@settings(max_examples=60, deadline=None)
+def test_shared_contexts_give_the_fresh_context_endpoints(
+    g, alpha, rational_f, linear_alpha, cr, near_threshold, digits
+):
+    try:
+        check_plan_domain(g, alpha)
+    except DomainError:
+        return
+    f = Fraction(g, 7) if rational_f else SparsityThreshold.power(alpha)
+    # sizes on both sides of the inequality's threshold e**6 * (2g-1)
+    m = max(2, int(math.exp(6) * (2 * g - 1)) + near_threshold)
+
+    def outcomes():
+        return (
+            _bound_enclosures(g, alpha, f, linear_alpha, digits),
+            crossing_inequality_check(g, m, cr, digits=digits),
+        )
+
+    shared = outcomes()
+    with patch.object(bounds_module, "interval_context", _fresh_context):
+        fresh = outcomes()
+    assert shared == fresh

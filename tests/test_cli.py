@@ -520,7 +520,7 @@ def test_bounds_non_integer_g_exits_4(capsys, g_list):
 
 
 @pytest.mark.parametrize("command", ["verify", "bounds"])
-@pytest.mark.parametrize("precision", ["0", "-1"])
+@pytest.mark.parametrize("precision", ["0", "-1", "1001", str(10 ** 6)])
 def test_precision_below_one_exits_4(tmp_path, capsys, command, precision):
     if command == "verify":
         out = tmp_path / "g16.json"
@@ -532,7 +532,26 @@ def test_precision_below_one_exits_4(tmp_path, capsys, command, precision):
     assert main(args + ["--precision", precision]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: precision must be at least 1 digit")
+    if int(precision) < 1:
+        assert captured.err.startswith("error: precision must be at least 1 digit")
+    else:
+        assert captured.err == f"error: precision must be at most 1000 digits, got {precision}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+def test_precision_at_the_cap_is_accepted(tmp_path, capsys, command):
+    if command == "verify":
+        out = tmp_path / "g16.json"
+        main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
+        args = ["verify", str(out)]
+    else:
+        args = ["bounds", "--g", "16", "--alpha", "0/1"]
+    capsys.readouterr()
+    assert main(args + ["--precision", "1000"]) == 0
+    at_cap = capsys.readouterr()
+    assert main(args) == 0
+    # every printed log10 shows 15 digits, the same at 50 and at 1,000
+    assert at_cap.err == "" and at_cap.out == capsys.readouterr().out
 
 
 def test_bad_alpha_fraction(tmp_path, capsys):
@@ -550,7 +569,7 @@ def test_bad_alpha_fraction(tmp_path, capsys):
 _HOSTILE_ARGS = [
     "abc", "", "-1", "0", "1.5", "1/0", "2/1", "-1/1", "1/2", "16", "16,zz",
     "0/1,abc", "x:y:z", "256:16:3", "gpow", "json", "--bogus", "--g", "--out",
-    "1" * 5000,
+    "1001", "1" * 5000,
 ]
 _BASE_ARGVS = [
     ["construct", "--g", "36", "--alpha", "0/1", "--out", "c.json"],

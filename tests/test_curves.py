@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecurves.curves import (
+    EXPLICIT_WORD_LIMIT,
     Curve,
     CurveSystem,
     SparsityThreshold,
@@ -160,3 +161,15 @@ def test_described_family_matches_its_listing(case, f):
     assert described.mode == "explicit"
     assert certify_generated(full.surface).distinct
     assert certify_distinct(listed).distinct
+
+
+@pytest.mark.parametrize("h", range(2, 41))
+def test_full_family_count_and_mode_match_powers_of_4(h):
+    # h = 7 has 4,096 words per necklace, the last explicit size; h = 8 is analytic
+    for surface in (plan_composite(4 * h * h, 0), plan_composite(2 * h, 1)):
+        assert surface.h == h
+        system = generate_system(surface)
+        assert system.curve_count == surface.h_prime * 4 ** (h - 1)
+        expected = "analytic" if 4 ** (h - 1) > EXPLICIT_WORD_LIMIT else "explicit"
+        assert system.mode == expected
+    assert (system.mode == "explicit") == (h <= 7)

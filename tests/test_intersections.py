@@ -194,6 +194,25 @@ def test_closed_form_matches_annulus_sums_moderate_sizes():
         assert total == necklace_family_crossings(n + 1)
 
 
+def _necklace_family_crossings_by_powers(h):
+    """The closed form as first written, with 4**k for the shifts."""
+    n = h - 1
+    if n < 2:
+        return 0
+    s1 = (4 ** (2 * n - 3) - 4 ** (n - 2)) // 3
+    m = n - 2
+    s2 = 0
+    if m > 0:
+        s2 = (12 * m * 4 ** (2 * n - 6) - 4 ** (2 * n - 5) + 4 ** (n - 3)) // 9
+    return 72 * s1 + 720 * s2
+
+
+@pytest.mark.parametrize("hs", [range(2, 2001), [5 * 10 ** 5]])
+def test_closed_form_shifts_match_powers_of_4(hs):
+    for h in hs:
+        assert necklace_family_crossings(h) == _necklace_family_crossings_by_powers(h), h
+
+
 def test_oracle_examples():
     surface = SURFACES[2]
     assert oracle_crossings_pl(Curve(0, (1,)), Curve(0, (3,)), surface) == 0

@@ -3,8 +3,12 @@
 import pytest
 from mpmath import mp
 
+from sparsecurves import logspace
+from sparsecurves.bounds import bounds_table
 from sparsecurves.errors import PrecisionError
 from sparsecurves.logspace import (
+    _GUARD_DIGITS,
+    certify,
     certified_le,
     certified_lt,
     endpoints,
@@ -68,3 +72,18 @@ def test_log10_rejects_nonpositive():
     ctx = interval_context(20)
     with pytest.raises(ValueError):
         log10_int(ctx, 0)
+
+
+def test_interval_context_is_shared_per_precision():
+    assert interval_context(37) is interval_context(37)
+    assert interval_context(37) is not interval_context(38)
+
+
+def test_shared_contexts_keep_their_precision():
+    bounds_table([16, 17, 4096], [Fraction(0), Fraction(1, 2), Fraction(1)])
+    with pytest.raises(PrecisionError):
+        certify(_log_of(7), _log_of(7), max_digits=120)
+    # the escalation reached 50, 100 and 120 digits
+    assert {50, 100, 120} <= set(logspace._CONTEXTS)
+    for digits, ctx in logspace._CONTEXTS.items():
+        assert ctx.dps == digits + _GUARD_DIGITS, digits
