@@ -225,10 +225,13 @@ def _parse_g_values(args: argparse.Namespace) -> list[int]:
             values.append(lo)
         else:
             span = math.log(hi) - math.log(lo)
-            values.extend(
-                round(math.exp(math.log(lo) + span * i / (count - 1)))
-                for i in range(count)
-            )
+            try:
+                values.extend(
+                    round(math.exp(math.log(lo) + span * i / (count - 1)))
+                    for i in range(count)
+                )
+            except OverflowError:
+                raise DomainError("--g-range MAX is too large for a log-spaced grid") from None
     if not values:
         raise DomainError("bounds needs --g and/or --g-range")
     return sorted(set(values))

@@ -32,9 +32,9 @@ Word = tuple[int, ...]
 DEFAULT_WORD_CAP = 2 ** 24
 
 # A full family with at most this many words per necklace is also counted by
-# the explicit counter, as a cross-check of the closed form.  The counter's
-# work grows as N*n**2 for N words of length n, so each step up (4x the words)
-# costs every bounds-table row of that size over 4x the time.
+# the explicit counter, as a cross-check of the closed form.  The counter
+# takes about 16*N*n byte steps for N words of length n, so each step up (4x
+# the words) costs every bounds-table row of that size over 4x the time.
 EXPLICIT_WORD_LIMIT = 4096
 
 

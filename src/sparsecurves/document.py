@@ -31,6 +31,7 @@ from .surfaces import CompositeSurface
 
 SCHEMA_VERSION = 3
 FULL_FAMILY = "full"
+_LETTERS = frozenset("1234")
 _PACKED_CHARACTERS = frozenset("1234 ")
 
 
@@ -160,9 +161,9 @@ def _parse_curve(entry: object, index: int) -> Curve:
         raise DocumentError(f"curves[{index}].necklace must be a nonnegative integer")
     if not isinstance(word_text, str) or not word_text:
         raise DocumentError(f"curves[{index}].word must be a nonempty string")
-    if any(ch not in "1234" for ch in word_text):
+    if not set(word_text) <= _LETTERS:
         raise DocumentError(f"curves[{index}].word must use letters 1-4 only")
-    return Curve(necklace, tuple(int(ch) for ch in word_text))
+    return Curve(necklace, tuple(map(int, word_text)))
 
 
 def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[Curve, ...]:

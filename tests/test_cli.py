@@ -324,6 +324,19 @@ def test_argument_errors_exit_4_with_one_line(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "g_range",
+    ["16:1" + "0" * 400 + ":3", "1" + "0" * 400 + ":1" + "0" * 400 + ":2"],
+    ids=["max-1e400", "min-and-max-1e400"],
+)
+def test_g_range_past_the_float_range_exits_4(capsys, g_range):
+    # the grid is log-spaced in floats, which end near 1.8e308
+    assert main(["bounds", "--g-range", g_range, "--alpha", "0/1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --g-range MAX is too large for a log-spaced grid\n"
+
+
 def test_verify_huge_integer_exits_5(tmp_path, capsys):
     # 5,000 digits is past the int-to-str limit json.loads enforces
     out = tmp_path / "g16.json"

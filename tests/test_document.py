@@ -16,6 +16,7 @@ from sparsecurves.curves import (
 )
 from sparsecurves.document import (
     SystemDocument,
+    _parse_curve,
     dumps,
     from_dict,
     load_document,
@@ -119,6 +120,37 @@ def test_rejects_bad_words(listed_system):
     data["curves"][0]["words"] = "105"
     with pytest.raises(DocumentError, match="letters 1-4"):
         from_dict(data)
+
+
+def _parse_word_by_generators(word_text, index):
+    """The schema-1 word check and conversion as first written."""
+    if not isinstance(word_text, str) or not word_text:
+        raise DocumentError(f"curves[{index}].word must be a nonempty string")
+    if any(ch not in "1234" for ch in word_text):
+        raise DocumentError(f"curves[{index}].word must use letters 1-4 only")
+    return Curve(0, tuple(int(ch) for ch in word_text))
+
+
+def _parse_outcome(parse, *args):
+    try:
+        return parse(*args)
+    except DocumentError as exc:
+        return f"DocumentError: {exc}"
+
+
+@given(
+    word_text=st.one_of(
+        st.text(),
+        st.text(alphabet="12345 0\n\u0661\u0663\uff11\uff14\U0001d7d9"),
+        st.sampled_from(["", "\uff11", "1\uff123", "1234", "4" * 50, "12 34", "1\n"]),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_schema1_word_parser_matches_the_generator_form(word_text):
+    # non-ASCII digits such as "\uff11" are digits to int() but not letters
+    assert _parse_outcome(
+        _parse_curve, {"necklace": 0, "word": word_text}, 7
+    ) == _parse_outcome(_parse_word_by_generators, word_text, 7)
 
 
 def test_rejects_inconsistent_surface():

@@ -1,7 +1,9 @@
 """Crossing engine: interleaving rule, analytic closed form, drawing oracle."""
 
+from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from sparsecurves.errors import DomainError
 from sparsecurves.intersections import (
     AnnulusStrand,
     BoundaryPosition,
+    _family_crossings_sorted,
     annulus_family_crossings,
     necklace_family_crossings,
     oracle_crossings_pl,
@@ -114,7 +117,7 @@ def test_explicit_total_g36_is_864():
 @given(data=st.data(), h=st.integers(min_value=2, max_value=6))
 @settings(max_examples=150, deadline=None)
 def test_explicit_total_equals_pairwise_rule_on_subfamilies(data, h):
-    # the histogram counter against the independent pair-by-pair rule
+    # the byte-sweep counter against the independent pair-by-pair rule
     surface = SURFACES[h]
     words = data.draw(st.sets(_word_strategy(h - 1), max_size=40))
     necklaces = data.draw(
@@ -126,6 +129,83 @@ def test_explicit_total_equals_pairwise_rule_on_subfamilies(data, h):
         pair_intersection(a, b, surface) for a, b in combinations(curves, 2)
     )
     assert total_crossings_explicit(system) == by_pairs
+
+
+def _prefix_walk_crossings(words, necklace):
+    """The explicit counter as a prefix-group letter-pair histogram sum, the
+    form the byte sweep replaced: each range of sorted words sharing d
+    letters is split by its letter at d, and for every annulus i >= d each
+    group's histogram of letter pairs is paired with those of earlier groups."""
+    count = len(words)
+    for a in range(count - 1):
+        if words[a] == words[a + 1]:
+            word = "".join(map(str, words[a]))
+            raise DomainError(f"duplicate curve {necklace}:{word}")
+    if count < 2:
+        return 0
+    n = len(words[0])
+    total = 0
+    ranges = [(0, count, 0)]  # words[lo:hi] share their first d letters
+    while ranges:
+        lo, hi, d = ranges.pop()
+        prefix = words[lo][:d]
+        groups = []
+        while lo < hi:  # one group per letter at d
+            end = bisect_left(words, prefix + (words[lo][d] + 1,), lo, hi)
+            groups.append((lo, end))
+            lo = end
+        if d + 2 < n:
+            ranges.extend((a, b, d + 1) for a, b in groups if b - a > 1)
+        if len(groups) < 2:
+            continue
+        for i in range(d, n):
+            j = (i + 1) % n
+            earlier = Counter()
+            for a, b in groups:
+                current = Counter((w[i], w[j]) for w in words[a:b])
+                for (x, y), p in earlier.items():
+                    for (s, t), q in current.items():
+                        if (x <= s) != (y <= t):
+                            total += p * q
+                earlier.update(current)
+    return total
+
+
+def _outcome(count, words):
+    try:
+        return count(words, 3)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=7))
+@settings(max_examples=200, deadline=None)
+def test_byte_sweep_matches_the_prefix_walk(data, n):
+    words = data.draw(st.lists(_word_strategy(n), max_size=300))
+    if words:
+        words += data.draw(st.lists(st.sampled_from(words), max_size=3))
+    words.sort()
+    assert _outcome(_family_crossings_sorted, words) == _outcome(
+        _prefix_walk_crossings, words
+    )
+
+
+@given(data=st.data(), h=st.integers(min_value=2, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_byte_sweep_equals_the_pairwise_sum(data, h):
+    surface = SURFACES[h]
+    words = sorted(data.draw(st.sets(_word_strategy(h - 1), max_size=30)))
+    by_pairs = sum(
+        pair_intersection(Curve(0, u), Curve(0, w), surface)
+        for u, w in combinations(words, 2)
+    )
+    assert _family_crossings_sorted(words, 0) == by_pairs
+
+
+@pytest.mark.parametrize("h", range(2, 9))
+def test_byte_sweep_full_family_matches_the_closed_form(h):
+    words = list(product((1, 2, 3, 4), repeat=h - 1))
+    assert _family_crossings_sorted(words, 0) == necklace_family_crossings(h)
 
 
 @pytest.mark.parametrize("g, h", [(196, 7), (256, 8)])
