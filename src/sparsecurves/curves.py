@@ -7,6 +7,13 @@ necklace is the whole Cartesian power (4**n words); the system on the
 composite surface is that family repeated on each of the h' necklaces, so it
 has h' * 4**(h-1) curves in total.
 
+A system either describes the full family or lists its curves.  A listed
+system holds, for each necklace that carries curves, one sorted `bytes` string
+of N*n letter codes 1-4: word k is the slice [k*n, (k+1)*n), and repeated
+words are kept.  The loader, the counter, the certificate and the document
+writer work on these strings; `Curve` objects are built only for a collision
+witness or when a system's `curves` is read.
+
 A system is f-sparse when its average pairwise crossing number is at most f,
 i.e. cr <= f * C(size, 2).  The verdict is always decided by exact
 cross-multiplied integer comparisons, including for thresholds of the form
@@ -17,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product
-from operator import itemgetter
-from typing import Iterator, NamedTuple
+from functools import cached_property
+from itertools import chain, product
+from operator import eq
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import DomainError, EnumerationCapError
 from .exactint import le_scaled_power
@@ -77,32 +85,73 @@ def generate_necklace_family(h: int, *, cap: int = DEFAULT_WORD_CAP) -> list[Wor
     return list(product(ARC_LABELS, repeat=h - 1))
 
 
-@dataclass(frozen=True)
+def necklace_family_blob(h: int) -> bytes:
+    """The same words packed as one string of letter codes, already sorted."""
+    return bytes(chain.from_iterable(generate_necklace_family(h)))
+
+
+def repeated_word(blob: bytes, n: int) -> Optional[bytes]:
+    """The first word of a sorted packed word string that equals the word after
+    it, or None when its words are distinct."""
+    words = [blob[i : i + n] for i in range(0, len(blob), n)]
+    k = bytes(map(eq, words, words[1:])).find(1)
+    return None if k < 0 else words[k]
+
+
+@dataclass(frozen=True, init=False)
 class CurveSystem:
     """A set of curves on a composite surface.
 
     A `full` system is the generated family, h' necklaces each carrying all
-    4**(h-1) words; it is described rather than listed, so `curves` stays
-    empty.  Any other system lists its curves: each one is checked with
-    `check_curve` when the system is built, and `curves` holds them in
-    canonical (necklace, word) order, whatever order they were given in.
+    4**(h-1) words; it is described rather than listed, so `packed` and
+    `curves` stay empty.  Any other system lists its curves in `packed`: one
+    (necklace, blob) pair per necklace that carries curves, necklaces
+    ascending, where the blob is that necklace's words in ascending order,
+    each as n = h-1 letter codes 1-4, joined into one `bytes` string.
     Repeated curves are kept, for `homology.certify_distinct` to report.
+    Curves given to the constructor are checked with `check_curve` and packed
+    whatever order they were given in; `from_packed` takes strings a caller
+    has already checked and sorted.  `curves` derives the canonical
+    (necklace, word) tuple of `Curve`s on first use.
     """
 
     surface: CompositeSurface
-    curves: tuple[Curve, ...] = ()
-    full: bool = False
+    packed: tuple[tuple[int, bytes], ...]
+    full: bool
 
-    def __post_init__(self) -> None:
-        for curve in self.curves:
-            check_curve(curve, self.surface)
-        object.__setattr__(self, "curves", tuple(sorted(self.curves)))
+    def __init__(
+        self, surface: CompositeSurface, curves: tuple[Curve, ...] = (), full: bool = False
+    ) -> None:
+        for curve in curves:
+            check_curve(curve, surface)
+        groups: dict[int, list[bytes]] = {}
+        for necklace, word in sorted(curves):
+            groups.setdefault(necklace, []).append(bytes(word))
+        packed = tuple((k, b"".join(words)) for k, words in groups.items())
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "full", full)
+
+    @classmethod
+    def from_packed(
+        cls, surface: CompositeSurface, packed: tuple[tuple[int, bytes], ...]
+    ) -> "CurveSystem":
+        """A listed system from per-necklace blobs that are already in range,
+        of whole words, sorted, and in ascending necklace order."""
+        system = cls(surface)
+        object.__setattr__(system, "packed", packed)
+        return system
+
+    @cached_property
+    def curves(self) -> tuple[Curve, ...]:
+        """The listed curves in canonical (necklace, word) order; () for a full family."""
+        return () if self.full else tuple(self.iter_curves())
 
     @property
     def curve_count(self) -> int:
         if self.full:
             return self.surface.h_prime << 2 * (self.surface.h - 1)
-        return len(self.curves)
+        return sum(len(blob) for _, blob in self.packed) // self.surface.piece_count
 
     @property
     def pair_count(self) -> int:
@@ -118,19 +167,20 @@ class CurveSystem:
             return "analytic"
         return "explicit"
 
-    def iter_curves(self) -> Iterator[Curve]:
-        """Every curve in canonical (necklace, word) order; a full family is
-        generated lazily."""
+    def necklace_blobs(self) -> Iterator[tuple[int, bytes]]:
+        """Each necklace that carries curves, ascending, with its packed words;
+        a full family's necklaces all carry the whole generated family."""
         if not self.full:
-            return iter(self.curves)
-        words = generate_necklace_family(self.surface.h)
-        return (Curve(k, w) for k in range(self.surface.h_prime) for w in words)
+            return iter(self.packed)
+        blob = necklace_family_blob(self.surface.h)
+        return ((k, blob) for k in range(self.surface.h_prime))
 
-    def necklace_words(self) -> Iterator[tuple[int, tuple[Word, ...]]]:
-        """Each necklace that carries listed curves, ascending, with its words
-        in ascending order, repeats included."""
-        for necklace, group in groupby(self.curves, key=itemgetter(0)):
-            yield necklace, tuple(word for _, word in group)
+    def iter_curves(self) -> Iterator[Curve]:
+        """Every curve in canonical (necklace, word) order, built lazily."""
+        n = self.surface.piece_count
+        for necklace, blob in self.necklace_blobs():
+            for i in range(0, len(blob), n):
+                yield Curve(necklace, tuple(blob[i : i + n]))
 
 
 def generate_system(surface: CompositeSurface) -> CurveSystem:

@@ -7,17 +7,23 @@ one {"necklace", "words"} object per necklace, necklaces ascending, with the
 necklace's words blank-separated in ascending order.  Older documents still
 load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 1 does too, with the full family as `"analytic": true` and an empty curve
-list.  JSON keeps desk-scale systems inspectable by eye; round-tripping is
-stable field for field, and writes go through a temp file plus rename so
-readers never see a partial document.  Integers are written in decimal, so a
-report whose totals exceed CPython's int-to-str digit limit is refused before
-anything is written."""
+list.  Every listed form loads straight into the system's packed words, one
+sorted string of letter codes per necklace (see `curves.CurveSystem`), and
+schema 3 is written from the same strings.  Schema-1/2 entries are checked
+field by field over the whole list at once; only when a check fails are
+they scanned again one by one, to name the first bad entry.  JSON keeps
+desk-scale systems inspectable by eye; round-tripping is stable field for
+field, and writes go through a temp file plus rename so readers never see a
+partial document.  Integers are written in decimal, so a report whose totals
+exceed CPython's int-to-str digit limit is refused before anything is
+written."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -27,12 +33,14 @@ from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
 from .errors import DocumentError
 from .exactint import DECIMAL_DIGIT_LIMIT, fits_decimal
 from .homology import DistinctnessCertificate
-from .surfaces import CompositeSurface
+from .surfaces import ARC_LABELS, CompositeSurface
 
 SCHEMA_VERSION = 3
 FULL_FAMILY = "full"
 _LETTERS = frozenset("1234")
 _PACKED_CHARACTERS = frozenset("1234 ")
+_CODES = bytes.maketrans(b"1234", bytes(ARC_LABELS))
+_TEXT = bytes.maketrans(bytes(ARC_LABELS), b"1234")
 
 
 @dataclass
@@ -87,21 +95,20 @@ def _certificate_dict(certificate: DistinctnessCertificate) -> dict:
     }
 
 
-def _word_text(word: tuple[int, ...]) -> str:
-    return "".join(map(str, word))
-
-
 def _curve_dict(curve: Curve) -> dict:
-    return {"necklace": curve.necklace, "word": _word_text(curve.word)}
+    return {"necklace": curve.necklace, "word": "".join(map(str, curve.word))}
 
 
 def _packed_curves(system: CurveSystem) -> list[dict]:
     """Listed curves as one entry per necklace, necklaces ascending, with the
     necklace's words blank-separated in ascending order."""
-    return [
-        {"necklace": k, "words": " ".join(map(_word_text, words))}
-        for k, words in system.necklace_words()
-    ]
+    n = system.surface.piece_count
+    entries = []
+    for k, blob in system.packed:
+        text = blob.translate(_TEXT).decode("ascii")
+        words = [text[i : i + n] for i in range(0, len(text), n)]
+        entries.append({"necklace": k, "words": " ".join(words)})
+    return entries
 
 
 def to_dict(doc: SystemDocument) -> dict:
@@ -149,27 +156,73 @@ def _int_field(data: dict, key: str) -> int:
     return _json_int(data[key], key)
 
 
-def _parse_curve(entry: object, index: int) -> Curve:
+def _parse_curve(entry: object, index: int, field: str = "curves") -> Curve:
+    name = f"{field}[{index}]"
     if not isinstance(entry, dict):
-        raise DocumentError(f"curves[{index}] must be an object, got {entry!r}")
+        raise DocumentError(f"{name} must be an object, got {entry!r}")
     try:
         necklace = entry["necklace"]
         word_text = entry["word"]
     except KeyError as exc:
-        raise DocumentError(f"curves[{index}] missing key {exc}") from exc
-    if _json_int(necklace, f"curves[{index}].necklace") < 0:
-        raise DocumentError(f"curves[{index}].necklace must be a nonnegative integer")
+        raise DocumentError(f"{name} missing key {exc}") from exc
+    if _json_int(necklace, f"{name}.necklace") < 0:
+        raise DocumentError(f"{name}.necklace must be a nonnegative integer")
     if not isinstance(word_text, str) or not word_text:
-        raise DocumentError(f"curves[{index}].word must be a nonempty string")
+        raise DocumentError(f"{name}.word must be a nonempty string")
     if not set(word_text) <= _LETTERS:
-        raise DocumentError(f"curves[{index}].word must use letters 1-4 only")
+        raise DocumentError(f"{name}.word must use letters 1-4 only")
     return Curve(necklace, tuple(map(int, word_text)))
 
 
-def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[Curve, ...]:
+def _check_on_surface(curve: Curve, name: str, surface: CompositeSurface) -> None:
+    if len(curve.word) != surface.piece_count:
+        raise DocumentError(
+            f"{name}.word has length {len(curve.word)}, surface needs {surface.piece_count}"
+        )
+    if curve.necklace >= surface.h_prime:
+        raise DocumentError(
+            f"{name}.necklace = {curve.necklace} outside [0, {surface.h_prime})"
+        )
+
+
+def _pack(words: list[str]) -> bytes:
+    """Word strings of letters 1-4 as one sorted string of letter codes."""
+    return "".join(sorted(words)).encode("ascii").translate(_CODES)
+
+
+def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
+    """Schema-1/2 listed curves, {"necklace", "word"} objects in any order,
+    packed per necklace.  Each check runs once over all entries; only when one
+    fails are the entries scanned again in order, so that the error names the
+    first bad entry, its own fields checked before the surface's limits."""
+    try:
+        necklaces = [entry["necklace"] for entry in entries]
+        words = [entry["word"] for entry in entries]
+    except (TypeError, KeyError):  # an entry that is no object, or lacks a key
+        necklaces, words = [None], []  # fails the integer check below
+    necklace_types = set(map(type, necklaces))
+    if (
+        bool in necklace_types
+        or not all(issubclass(t, int) for t in necklace_types)
+        or not all(issubclass(t, str) for t in set(map(type, words)))
+        or not 0 <= min(necklaces, default=0) <= max(necklaces, default=0) < surface.h_prime
+        or not set(map(len, words)) <= {surface.piece_count}
+        or not set("".join(words)) <= _LETTERS
+    ):
+        curves = tuple(_parse_curve(entry, i) for i, entry in enumerate(entries))
+        for i, curve in enumerate(curves):
+            _check_on_surface(curve, f"curves[{i}]", surface)
+        return CurveSystem(surface, curves).packed
+    groups: defaultdict[int, list[str]] = defaultdict(list)
+    for necklace, word in zip(necklaces, words):
+        groups[necklace].append(word)
+    return tuple((k, _pack(groups[k])) for k in sorted(groups))
+
+
+def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
     """Schema-3 listed curves: necklaces strictly ascending and in range, each
     with a nonempty string of blank-separated words of h-1 letters 1-4."""
-    curves: list[Curve] = []
+    packed = []
     previous = -1
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -194,14 +247,15 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[Curve, ...]
             raise DocumentError(
                 f"curves[{i}].words must use letters 1-4 and single blanks only"
             )
-        for word in text.split(" "):
-            if len(word) != surface.piece_count:
-                raise DocumentError(
-                    f"curves[{i}].words holds a word of length {len(word)}, "
-                    f"surface needs {surface.piece_count}"
-                )
-            curves.append(Curve(necklace, tuple(map(int, word))))
-    return tuple(curves)
+        words = text.split(" ")
+        if set(map(len, words)) != {surface.piece_count}:
+            length = next(len(w) for w in words if len(w) != surface.piece_count)
+            raise DocumentError(
+                f"curves[{i}].words holds a word of length {length}, "
+                f"surface needs {surface.piece_count}"
+            )
+        packed.append((necklace, _pack(words)))
+    return tuple(packed)
 
 
 def _parse_threshold(entry: object) -> SparsityThreshold:
@@ -251,20 +305,11 @@ def from_dict(data: object) -> SystemDocument:
     if not full and not isinstance(curves_data, list):
         raise DocumentError(f'curves must be a list or "{FULL_FAMILY}"')
     if full:
-        curves: tuple[Curve, ...] = ()
+        system = CurveSystem(surface, full=True)
     elif version == SCHEMA_VERSION:
-        curves = _parse_packed(curves_data, surface)
+        system = CurveSystem.from_packed(surface, _parse_packed(curves_data, surface))
     else:
-        curves = tuple(_parse_curve(entry, i) for i, entry in enumerate(curves_data))
-        for i, curve in enumerate(curves):
-            if len(curve.word) != surface.h - 1:
-                raise DocumentError(
-                    f"curves[{i}].word has length {len(curve.word)}, surface needs {surface.h - 1}"
-                )
-            if curve.necklace >= surface.h_prime:
-                raise DocumentError(
-                    f"curves[{i}].necklace = {curve.necklace} outside [0, {surface.h_prime})"
-                )
+        system = CurveSystem.from_packed(surface, _parse_listed(curves_data, surface))
 
     report = None
     report_data = data.get("report")
@@ -277,12 +322,16 @@ def from_dict(data: object) -> SystemDocument:
                 pair_count=_int_field(report_data, "pairCount"),
                 threshold=_parse_threshold(report_data["sparsityThreshold"]),
                 is_sparse=_json_bool(report_data["isSparse"], "isSparse"),
-                mode=str(report_data["mode"]),
+                mode=report_data["mode"],
             )
             numerator = _int_field(report_data, "averageNumerator")
             denominator = _int_field(report_data, "averageDenominator")
         except KeyError as exc:
             raise DocumentError(f"report missing key {exc}") from exc
+        if report.mode not in ("explicit", "analytic"):
+            raise DocumentError(
+                f'report.mode must be "explicit" or "analytic", got {report.mode!r}'
+            )
         if denominator == 0:
             raise DocumentError("averageDenominator must be nonzero")
         if numerator * report.pair_count != denominator * report.total_crossings:
@@ -301,21 +350,24 @@ def from_dict(data: object) -> SystemDocument:
         if collision_data is not None:
             if not isinstance(collision_data, list) or len(collision_data) != 2:
                 raise DocumentError("certificate.collision must list two curves")
-            collision = (
-                _parse_curve(collision_data[0], 0),
-                _parse_curve(collision_data[1], 1),
+            collision = tuple(
+                _parse_curve(entry, i, "certificate.collision")
+                for i, entry in enumerate(collision_data)
+            )
+            for i, curve in enumerate(collision):
+                _check_on_surface(curve, f"certificate.collision[{i}]", surface)
+        method = certificate_data.get("method", "exhaustive")
+        if method not in ("exhaustive", "construction"):
+            raise DocumentError(
+                f'certificate.method must be "exhaustive" or "construction", got {method!r}'
             )
         certificate = DistinctnessCertificate(
             distinct=_json_bool(certificate_data.get("distinct", False), "distinct"),
-            method=str(certificate_data.get("method", "exhaustive")),
+            method=method,
             collision=collision,
         )
 
-    return SystemDocument(
-        CurveSystem(surface=surface, curves=curves, full=full),
-        report=report,
-        certificate=certificate,
-    )
+    return SystemDocument(system, report=report, certificate=certificate)
 
 
 def dumps(doc: SystemDocument) -> str:

@@ -16,10 +16,9 @@ The check is sufficient for non-isotopy, not a full isotopy decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import Optional
 
-from .curves import Curve, CurveSystem, check_curve
+from .curves import Curve, CurveSystem, check_curve, repeated_word
 from .surfaces import CompositeSurface
 
 ARC_OFFSETS: dict[int, tuple[int, int]] = {
@@ -61,22 +60,24 @@ class DistinctnessCertificate:
 def certify_distinct(system: CurveSystem) -> DistinctnessCertificate:
     """Check all curve classes pairwise distinct; report the earliest collision.
 
-    Curves are scanned in canonical (necklace, word) order (a full family is
-    generated as it goes), so a failure witness is the first curve that
-    repeats the one before it, paired with that earlier curve.  The system
-    checked its curves when it was built, and no class vector is built: the
-    work is proportional to the words, not to the genus.
+    Each necklace's packed words are scanned in ascending necklace order (a
+    full family is generated as it goes), so a failure witness is the first
+    curve that repeats the one before it, paired with that earlier curve.
+    The system's words were checked when it was built, and no class vector
+    is built: the work is proportional to the words, not to the genus.
     """
     # Classes are compared through the curves themselves.  curve_class writes
     # a curve's arc offsets and its longitude 1 only into the block of its own
     # necklace (2h coordinates at 2h*necklace; the blocks are disjoint since
     # h*h' <= g), and ARC_OFFSETS is injective, so two checked curves have
     # equal classes exactly when they have equal necklaces and equal words,
-    # and in canonical order equal curves are adjacent.
-    for earlier, curve in pairwise(system.iter_curves()):
-        if curve == earlier:
+    # and in sorted packed words equal words are adjacent.
+    for necklace, blob in system.necklace_blobs():
+        word = repeated_word(blob, system.surface.piece_count)
+        if word is not None:
+            curve = Curve(necklace, tuple(word))
             return DistinctnessCertificate(
-                distinct=False, method="exhaustive", collision=(earlier, curve)
+                distinct=False, method="exhaustive", collision=(curve, curve)
             )
     return DistinctnessCertificate(distinct=True, method="exhaustive")
 

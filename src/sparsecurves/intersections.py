@@ -29,7 +29,14 @@ from itertools import accumulate, compress
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .curves import Curve, CurveSystem, Word, generate_necklace_family, validate_word
+from .curves import (
+    Curve,
+    CurveSystem,
+    Word,
+    necklace_family_blob,
+    repeated_word,
+    validate_word,
+)
 from .errors import DegenerateGeometryError, DomainError, SparseCurvesError
 from .surfaces import CompositeSurface
 
@@ -116,9 +123,10 @@ def pair_intersection(c1: Curve, c2: Curve, surface: CompositeSurface) -> int:
 # both ends of every annulus before d and the rule itself gives zero there
 # (the wrapping annulus has i = n-1 >= d).  So each annulus total is the
 # number of pairs, earlier word u before later word w in sorted order, with
-# q_i != q_{i+1}, over all pairs.  Each word gets one of 16 bins
-# for its letter pair, and with the letter columns held as bytes the bins of
-# an annulus are one bytes object.  Per bin b that occurs, C-level passes
+# q_i != q_{i+1}, over all pairs.  Each word gets one of 16 bins for its
+# letter pair.  A necklace's words are one packed string of letter codes
+# (see CurveSystem), so letter column i is the slice blob[i::n] and the bins
+# of an annulus are one bytes object.  Per bin b that occurs, C-level passes
 # translate the bins to 0/1 "an earlier word here crosses bin b", accumulate
 # running counts, keep the counts at the words in bin b and sum them.  That
 # is about 16*N*n byte steps for N words of length n, all exact int
@@ -139,18 +147,17 @@ _CROSSES = {
 _IS = {b: bytes(int(c == b) for c in range(256)) for b in _PAIRS}
 
 
-def _family_crossings_sorted(words: Sequence[Word], necklace: int) -> int:
+def _family_crossings_sorted(blob: bytes, n: int, necklace: int) -> int:
     """Total crossings over all unordered pairs of a sorted, duplicate-free
-    family; a repeated word is reported as a duplicate curve on `necklace`."""
-    count = len(words)
-    for a in range(count - 1):
-        if words[a] == words[a + 1]:
-            word = "".join(map(str, words[a]))
-            raise DomainError(f"duplicate curve {necklace}:{word}")
-    columns = list(map(bytes, zip(*words)))
+    packed family of words of length n; a repeated word is reported as a
+    duplicate curve on `necklace`."""
+    word = repeated_word(blob, n)
+    if word is not None:
+        raise DomainError(f"duplicate curve {necklace}:{''.join(map(str, word))}")
+    columns = [blob[i::n] for i in range(n)]
     total = 0
     for i, column in enumerate(columns):
-        following = columns[(i + 1) % len(columns)]
+        following = columns[(i + 1) % n]
         bins = bytes(map(add, column.translate(_TIMES4), following))
         for b in _PAIRS:
             if b in bins:
@@ -163,22 +170,22 @@ def total_crossings_explicit(system: CurveSystem) -> int:
     """Sum of pair_intersection over all unordered pairs of the system.
 
     Pairs on different necklaces contribute zero, so the sum decomposes into
-    per-necklace totals, read from the system's sorted per-necklace words;
+    per-necklace totals, read from the system's packed per-necklace words;
     necklaces carrying identical word sets are computed once, and a full
     family is counted on one listed necklace.  The first necklace, in
     ascending order, that repeats a word raises DomainError naming that
     curve.  The result is an exact big integer.
     """
+    surface = system.surface
     if system.full:
-        words = generate_necklace_family(system.surface.h)
-        one = CurveSystem(system.surface, tuple(Curve(0, w) for w in words))
-        return system.surface.h_prime * total_crossings_explicit(one)
+        one = CurveSystem.from_packed(surface, ((0, necklace_family_blob(surface.h)),))
+        return surface.h_prime * total_crossings_explicit(one)
     total = 0
-    cache: dict[tuple[Word, ...], int] = {}
-    for necklace, words in system.necklace_words():
-        if words not in cache:
-            cache[words] = _family_crossings_sorted(words, necklace)
-        total += cache[words]
+    cache: dict[bytes, int] = {}
+    for necklace, blob in system.packed:
+        if blob not in cache:
+            cache[blob] = _family_crossings_sorted(blob, surface.piece_count, necklace)
+        total += cache[blob]
     return total
 
 

@@ -432,6 +432,36 @@ def test_verify_malformed_packed_curves_exits_5(
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("report", "mode", "banana", 'report.mode must be "explicit" or "analytic"'),
+        ("certificate", "method", "banana", 'certificate.method must be "exhaustive"'),
+        (
+            "certificate",
+            "collision",
+            [{"necklace": 99, "word": "11"}, {"necklace": 99, "word": "11"}],
+            "certificate.collision[0].necklace = 99 outside [0, 12)",
+        ),
+    ],
+)
+def test_verify_bad_report_or_certificate_field_exits_5(
+    tmp_path, capsys, listed_system, section, key, value, message
+):
+    source = tmp_path / "g36.json"
+    _write_listed(source, listed_system(36))
+    out = tmp_path / "verified.json"
+    assert main(["verify", str(source), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data[section][key] = value
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--out", str(tmp_path / "again.json")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "again.json").exists()
+
+
 def test_plans_past_the_necklace_genus_limit_are_refused(tmp_path, capsys):
     # g=10^12, alpha=1 plans h = 5*10^11: 4**(h-1) alone would hold 10^12 bits
     g = 10 ** 12

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,9 @@ from sparsecurves.document import (
     save_document,
     to_dict,
 )
-from sparsecurves.errors import DocumentError
+from sparsecurves.errors import DocumentError, DomainError
 from sparsecurves.homology import certify_distinct
+from sparsecurves.intersections import pair_intersection, total_crossings_explicit
 from sparsecurves.surfaces import plan_composite
 
 
@@ -176,3 +178,271 @@ def test_save_refuses_totals_past_the_digit_limit(tmp_path):
     with pytest.raises(DocumentError, match="report.totalCrossings has 14285 bits"):
         save_document(doc, path)
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# Listed curves loaded as packed words, against the per-curve loader
+# ----------------------------------------------------------------------
+
+
+def _reference_parse_curve(entry, index):
+    """The schema-1/2 entry parser as it was before curves were packed."""
+    if not isinstance(entry, dict):
+        raise DocumentError(f"curves[{index}] must be an object, got {entry!r}")
+    try:
+        necklace = entry["necklace"]
+        word_text = entry["word"]
+    except KeyError as exc:
+        raise DocumentError(f"curves[{index}] missing key {exc}") from exc
+    if isinstance(necklace, bool) or not isinstance(necklace, int):
+        raise DocumentError(f"curves[{index}].necklace must be an integer, got {necklace!r}")
+    if necklace < 0:
+        raise DocumentError(f"curves[{index}].necklace must be a nonnegative integer")
+    if not isinstance(word_text, str) or not word_text:
+        raise DocumentError(f"curves[{index}].word must be a nonempty string")
+    if not set(word_text) <= frozenset("1234"):
+        raise DocumentError(f"curves[{index}].word must use letters 1-4 only")
+    return Curve(necklace, tuple(map(int, word_text)))
+
+
+def _reference_listed(entries, surface):
+    """The listed branch of from_dict for schemas 1 and 2 before curves were
+    packed: parse every entry, then check lengths and necklace ranges."""
+    curves = tuple(_reference_parse_curve(entry, i) for i, entry in enumerate(entries))
+    for i, curve in enumerate(curves):
+        if len(curve.word) != surface.h - 1:
+            raise DocumentError(
+                f"curves[{i}].word has length {len(curve.word)}, surface needs {surface.h - 1}"
+            )
+        if curve.necklace >= surface.h_prime:
+            raise DocumentError(
+                f"curves[{i}].necklace = {curve.necklace} outside [0, {surface.h_prime})"
+            )
+    return curves
+
+
+def _reference_packed(entries, surface):
+    """The schema-3 parser before curves were packed: one Curve per word."""
+    curves = []
+    previous = -1
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise DocumentError(f"curves[{i}] must be an object, got {entry!r}")
+        try:
+            necklace = entry["necklace"]
+            if isinstance(necklace, bool) or not isinstance(necklace, int):
+                raise DocumentError(
+                    f"curves[{i}].necklace must be an integer, got {necklace!r}"
+                )
+            text = entry["words"]
+        except KeyError as exc:
+            raise DocumentError(f"curves[{i}] missing key {exc}") from exc
+        if not 0 <= necklace < surface.h_prime:
+            raise DocumentError(
+                f"curves[{i}].necklace = {necklace} outside [0, {surface.h_prime})"
+            )
+        if necklace <= previous:
+            raise DocumentError(
+                f"curves[{i}].necklace = {necklace} must exceed the previous necklace {previous}"
+            )
+        previous = necklace
+        if not isinstance(text, str) or not text:
+            raise DocumentError(f"curves[{i}].words must be a nonempty string")
+        if not set(text) <= frozenset("1234 "):
+            raise DocumentError(
+                f"curves[{i}].words must use letters 1-4 and single blanks only"
+            )
+        for word in text.split(" "):
+            if len(word) != surface.piece_count:
+                raise DocumentError(
+                    f"curves[{i}].words holds a word of length {len(word)}, "
+                    f"surface needs {surface.piece_count}"
+                )
+            curves.append(Curve(necklace, tuple(map(int, word))))
+    return tuple(curves)
+
+
+def _reference_outcome(parse, entries, surface):
+    """Sorted curves, certificate witness and counter result as the per-curve
+    path gave them, or the loader's error message."""
+    try:
+        curves = tuple(sorted(parse(entries, surface)))
+    except DocumentError as exc:
+        return f"DocumentError: {exc}"
+    repeat = next((a for a, b in zip(curves, curves[1:]) if a == b), None)
+    if repeat is not None:
+        word = "".join(map(str, repeat.word))
+        return curves, (repeat, repeat), f"DomainError: duplicate curve {repeat.necklace}:{word}"
+    total = sum(
+        pair_intersection(a, b, surface)
+        for i, a in enumerate(curves)
+        for b in curves[i + 1 :]
+    )
+    return curves, None, total
+
+
+def _loaded_outcome(data):
+    try:
+        system = from_dict(data).system
+    except DocumentError as exc:
+        return f"DocumentError: {exc}"
+    assert system == CurveSystem(system.surface, system.curves)
+    assert system.curve_count == len(system.curves)
+    try:
+        total = total_crossings_explicit(system)
+    except DomainError as exc:
+        total = f"DomainError: {exc}"
+    return system.curves, certify_distinct(system).collision, total
+
+
+# g=36, alpha=0: h=3, h'=12, words of two letters
+_SURFACE = plan_composite(36, Fraction(0))
+_WORD_TEXT = st.sampled_from(["".join(w) for w in product("1234", repeat=2)])
+_BAD_TEXT = st.one_of(
+    st.sampled_from(["", "1", "123", "15", "１２", "١٢", "1٣", " 12"]),
+    st.text(alphabet="12345 ١１", max_size=4),
+    st.integers(),
+    st.none(),
+)
+_BAD_NECKLACE = st.one_of(
+    st.sampled_from([-1, 12, 13, 10 ** 30, True, False, 1.0, 0.5, "1", None]),
+    st.integers(),
+)
+
+
+def _schema_document(version, curves):
+    data = to_dict(SystemDocument(CurveSystem(_SURFACE)))
+    return dict(data, schemaVersion=version, curves=curves)
+
+
+@st.composite
+def _listed_entries(draw):
+    """Schema-1/2 entries on four necklaces, with repeats, in any order, and
+    now and then a malformed entry."""
+    entries = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {"necklace": st.integers(min_value=0, max_value=3), "word": _WORD_TEXT}
+            ),
+            max_size=24,
+        )
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        bad = draw(
+            st.one_of(
+                st.fixed_dictionaries({"necklace": _BAD_NECKLACE, "word": _WORD_TEXT}),
+                st.fixed_dictionaries(
+                    {"necklace": st.integers(min_value=0, max_value=3), "word": _BAD_TEXT}
+                ),
+                st.fixed_dictionaries({"necklace": st.integers(min_value=0, max_value=3)}),
+                st.fixed_dictionaries({"word": _WORD_TEXT}),
+                st.sampled_from([None, 3, "12", [0, "12"]]),
+            )
+        )
+        entries.insert(draw(st.integers(min_value=0, max_value=len(entries))), bad)
+    return entries
+
+
+@given(entries=_listed_entries(), version=st.sampled_from([1, 2]))
+@settings(max_examples=400, deadline=None)
+def test_listed_loader_matches_the_per_curve_loader(entries, version):
+    data = _schema_document(version, entries)
+    assert _loaded_outcome(data) == _reference_outcome(_reference_listed, entries, _SURFACE)
+
+
+@st.composite
+def _packed_entries(draw):
+    """Schema-3 entries: ascending necklaces with shuffled, repeated words,
+    and now and then one field replaced by a malformed value."""
+    necklaces = sorted(draw(st.sets(st.integers(min_value=0, max_value=11), max_size=4)))
+    entries = [
+        {
+            "necklace": k,
+            "words": " ".join(draw(st.lists(_WORD_TEXT, min_size=1, max_size=8))),
+        }
+        for k in necklaces
+    ]
+    if entries and draw(st.booleans()):
+        entry = draw(st.sampled_from(entries))
+        key = draw(st.sampled_from(["necklace", "words"]))
+        entry[key] = draw(_BAD_NECKLACE if key == "necklace" else _BAD_TEXT)
+    return entries
+
+
+@given(entries=_packed_entries())
+@settings(max_examples=300, deadline=None)
+def test_packed_loader_matches_the_per_curve_loader(entries):
+    data = _schema_document(3, entries)
+    assert _loaded_outcome(data) == _reference_outcome(_reference_packed, entries, _SURFACE)
+
+
+# ----------------------------------------------------------------------
+# Certificate and report fields
+# ----------------------------------------------------------------------
+
+
+def _certified_document(listed_system):
+    system = listed_system(36)
+    certificate = certify_distinct(system)
+    return to_dict(SystemDocument(system, certificate=certificate))
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        (
+            [{"necklace": 0, "word": "11"}, {"necklace": 0, "word": "15"}],
+            "certificate.collision[1].word must use letters 1-4 only",
+        ),
+        (
+            [{"necklace": 9, "word": "11"}, {"necklace": 12, "word": "11"}],
+            "certificate.collision[1].necklace = 12 outside [0, 12)",
+        ),
+        (
+            [{"necklace": 0, "word": "1"}, {"necklace": 0, "word": "1"}],
+            "certificate.collision[0].word has length 1, surface needs 2",
+        ),
+        (
+            [{"necklace": True, "word": "11"}, {"necklace": 0, "word": "11"}],
+            "certificate.collision[0].necklace must be an integer",
+        ),
+        ([{"necklace": 0}, {"necklace": 0, "word": "11"}], "certificate.collision[0] missing key"),
+    ],
+)
+def test_collision_witness_is_named_and_checked_against_the_surface(
+    listed_system, witness, message
+):
+    data = _certified_document(listed_system)
+    data["certificate"] = {"distinct": False, "method": "exhaustive", "collision": witness}
+    with pytest.raises(DocumentError) as excinfo:
+        from_dict(data)
+    assert str(excinfo.value).startswith(message)
+
+
+def test_collision_witness_on_the_surface_loads(listed_system):
+    data = _certified_document(listed_system)
+    witness = [{"necklace": 11, "word": "44"}, {"necklace": 11, "word": "44"}]
+    data["certificate"] = {"distinct": False, "method": "exhaustive", "collision": witness}
+    assert from_dict(data).certificate.collision == (Curve(11, (4, 4)), Curve(11, (4, 4)))
+
+
+@pytest.mark.parametrize("method", ["banana", "", 0, None])
+def test_unknown_certificate_method_is_refused(listed_system, method):
+    data = _certified_document(listed_system)
+    data["certificate"]["method"] = method
+    with pytest.raises(DocumentError, match="certificate.method must be"):
+        from_dict(data)
+
+
+def test_missing_certificate_method_means_exhaustive(listed_system):
+    data = _certified_document(listed_system)
+    del data["certificate"]["method"]
+    assert from_dict(data).certificate.method == "exhaustive"
+
+
+@pytest.mark.parametrize("mode", ["banana", "Explicit", 1, None])
+def test_unknown_report_mode_is_refused(mode):
+    data = to_dict(_sample_document())
+    data["report"]["mode"] = mode
+    with pytest.raises(DocumentError, match="report.mode must be"):
+        from_dict(data)

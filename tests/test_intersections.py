@@ -171,6 +171,13 @@ def _prefix_walk_crossings(words, necklace):
     return total
 
 
+def _packed_crossings(n):
+    """The byte sweep on words given as tuples, packed as a listed necklace holds them."""
+    return lambda words, necklace: _family_crossings_sorted(
+        b"".join(map(bytes, words)), n, necklace
+    )
+
+
 def _outcome(count, words):
     try:
         return count(words, 3)
@@ -185,7 +192,7 @@ def test_byte_sweep_matches_the_prefix_walk(data, n):
     if words:
         words += data.draw(st.lists(st.sampled_from(words), max_size=3))
     words.sort()
-    assert _outcome(_family_crossings_sorted, words) == _outcome(
+    assert _outcome(_packed_crossings(n), words) == _outcome(
         _prefix_walk_crossings, words
     )
 
@@ -199,13 +206,13 @@ def test_byte_sweep_equals_the_pairwise_sum(data, h):
         pair_intersection(Curve(0, u), Curve(0, w), surface)
         for u, w in combinations(words, 2)
     )
-    assert _family_crossings_sorted(words, 0) == by_pairs
+    assert _packed_crossings(h - 1)(words, 0) == by_pairs
 
 
 @pytest.mark.parametrize("h", range(2, 9))
 def test_byte_sweep_full_family_matches_the_closed_form(h):
     words = list(product((1, 2, 3, 4), repeat=h - 1))
-    assert _family_crossings_sorted(words, 0) == necklace_family_crossings(h)
+    assert _packed_crossings(h - 1)(words, 0) == necklace_family_crossings(h)
 
 
 @pytest.mark.parametrize("g, h", [(196, 7), (256, 8)])
