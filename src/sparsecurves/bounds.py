@@ -89,15 +89,13 @@ def _make_bound(
     )
 
 
-def certified_le(
-    a: BoundValue, b: BoundValue, *, max_digits: int = MAX_DIGITS
-) -> bool:
+def certified_le(a: BoundValue, b: BoundValue) -> bool:
     """Certify a <= b: exactly when both sides are exact, else by enclosures."""
     if a.exact is not None and b.exact is not None:
         return a.exact <= b.exact
     digits = max(a.digits, b.digits)
     try:
-        return certify(a.evaluate, b.evaluate, digits=digits, max_digits=max_digits)[0]
+        return certify(a.evaluate, b.evaluate, digits=digits)[0]
     except PrecisionError as exc:
         raise PrecisionError(f"{a.formula} vs {b.formula}: {exc}") from exc
 
@@ -227,7 +225,6 @@ def crossing_inequality_check(
     cr: int,
     *,
     digits: int = DEFAULT_DIGITS,
-    max_digits: int = MAX_DIGITS,
 ) -> CrossingInequalityVerdict:
     """Gatekeeper for the crossing-number inequality at system size m.
 
@@ -237,7 +234,7 @@ def crossing_inequality_check(
     exact crossing total of any genuine curve system, so HOLDS is the only
     healthy verdict; INCONSISTENT flags an internal error in the caller's cr.
     Both comparisons go through `logspace.certify`; one still undecided at
-    max_digits is reported UNDECIDED.
+    MAX_DIGITS is reported UNDECIDED.
     """
     if not isinstance(g, int) or g < 2:
         raise DomainError(f"genus must be an integer >= 2, got {g!r}")
@@ -288,9 +285,7 @@ def crossing_inequality_check(
 
     try:
         # m versus e**6 * (2g-1); never equal (threshold irrational)
-        below, d = certify(
-            size, threshold, strict=True, digits=digits, max_digits=max_digits
-        )
+        below, d = certify(size, threshold, strict=True, digits=digits)
         if below:
             return verdict(InequalityStatus.NOT_APPLICABLE, d)
         if cr == 0:
@@ -301,14 +296,11 @@ def crossing_inequality_check(
                 lambda d: gap(interval_context(d)),
                 strict=True,
                 digits=d,
-                max_digits=max_digits,
             )
             return verdict(InequalityStatus.INCONSISTENT, d, left)
-        holds, d = certify(
-            left, crossings, strict=True, digits=d, max_digits=max_digits
-        )
-    except PrecisionError:  # raised at max_digits, or at once from above it
-        return verdict(InequalityStatus.UNDECIDED, max(digits, max_digits))
+        holds, d = certify(left, crossings, strict=True, digits=d)
+    except PrecisionError:  # raised at MAX_DIGITS, or at once from above it
+        return verdict(InequalityStatus.UNDECIDED, max(digits, MAX_DIGITS))
     status = InequalityStatus.HOLDS if holds else InequalityStatus.INCONSISTENT
     return verdict(status, d, left, crossings)
 

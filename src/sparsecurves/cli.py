@@ -1,15 +1,19 @@
 """Command-line front end: construct / verify / bounds.
 
 Exit codes: 0 verified sparse, 2 not sparse, 3 certificate failure,
-4 domain error, 5 I/O or parse error.  Identical invocations produce
-byte-identical output: field order is fixed and every logarithm is rendered
-at a fixed precision.
+4 domain error, 5 I/O or parse error.  The commands return 0, 2 or 3 and
+raise every error; `main` alone turns a DocumentError (a document that cannot
+be read, parsed or written) into 5 and any other SparseCurvesError into 4,
+with one `error:` line.  Identical invocations produce byte-identical output:
+field order is fixed and every logarithm is rendered at a fixed precision.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,7 +23,7 @@ from . import document as document_mod
 from .bounds import nstr
 from .curves import CrossingReport, SparsityThreshold, generate_system, verify_sparsity
 from .errors import DocumentError, DomainError, PrecisionError, SparseCurvesError
-from .homology import certify_distinct, certify_generated
+from .homology import certify_distinct
 from .exactint import fits_decimal
 from .logspace import (
     DEFAULT_DIGITS,
@@ -29,7 +33,7 @@ from .logspace import (
     log10_int,
     midpoint,
 )
-from .surfaces import plan_composite
+from .surfaces import MAX_ALPHA_DENOMINATOR, plan_composite
 
 EXIT_OK = 0
 EXIT_NOT_SPARSE = 2
@@ -61,6 +65,17 @@ def _check_precision(digits: int) -> None:
         )
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Any failure to write `path` as a DocumentError naming it.  An OSError
+    is shown by its reason alone: its text names the random temp file."""
+    try:
+        yield
+    except (OSError, DocumentError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise DocumentError(f"cannot write {path}: {reason}") from exc
+
+
 def _int_text(n: int) -> str:
     """n in decimal while it fits DECIMAL_DIGIT_LIMIT digits; past that, one
     whitespace-free token with its exact bit length and its log10."""
@@ -76,17 +91,10 @@ def _int_text(n: int) -> str:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    try:
-        alpha = _parse_fraction_arg(args.alpha, "--alpha")
-        surface = plan_composite(args.g, alpha)
-    except DomainError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
+    surface = plan_composite(args.g, _parse_fraction_arg(args.alpha, "--alpha"))
     system = generate_system(surface)
-    doc = document_mod.SystemDocument(system)
-    try:
-        document_mod.save_document(doc, args.out)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
+    with _writing(args.out):
+        document_mod.save_document(document_mod.SystemDocument(system), args.out)
     print(
         f"curves={_int_text(system.curve_count)} h={surface.h} hPrime={surface.h_prime} "
         f"baseGenus={surface.base_genus} "
@@ -123,27 +131,15 @@ def _print_report(report: CrossingReport) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_precision(args.precision)
-    try:
-        doc = document_mod.load_document(args.document)
-    except DocumentError as exc:
-        return _fail(EXIT_IO, str(exc))
-    system = doc.system
-    try:
-        threshold = _threshold_from_arg(args.f, system.surface.alpha)
-    except DomainError as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
+    system = document_mod.load_document(args.document).system
+    threshold = _threshold_from_arg(args.f, system.surface.alpha)
 
     report: Optional[CrossingReport] = None
-    report_error: Optional[str] = None
     try:
         report = verify_sparsity(system, threshold)
     except DomainError as exc:
-        report_error = str(exc)
-
-    if system.full:
-        certificate = certify_generated(system.surface)
-    else:
-        certificate = certify_distinct(system)
+        report_error = exc
+    certificate = certify_distinct(system)
 
     print(f"curves={_int_text(system.curve_count)}")
     if report is not None:
@@ -187,15 +183,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         annotated = document_mod.SystemDocument(
             system, report=report, certificate=certificate
         )
-        try:
+        with _writing(args.out):
             document_mod.save_document(annotated, args.out)
-        except (OSError, DocumentError) as exc:
-            return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
 
     if not certificate.distinct:
         return EXIT_CERTIFICATE
     if report is None:
-        return _fail(EXIT_DOMAIN, report_error or "crossing report unavailable")
+        raise report_error
     if not report.is_sparse:
         return EXIT_NOT_SPARSE
     return EXIT_OK
@@ -239,31 +233,22 @@ def _parse_g_values(args: argparse.Namespace) -> list[int]:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     _check_precision(args.precision)
-    try:
-        g_values = _parse_g_values(args)
-        alphas = [
-            _parse_fraction_arg(chunk.strip(), "--alpha")
-            for chunk in args.alpha.split(",")
-            if chunk.strip()
-        ]
-        if not alphas:
-            raise DomainError("--alpha needs at least one fraction")
-        rows = bounds_mod.bounds_table(
-            g_values,
-            alphas,
-            digits=args.precision,
-        )
-    except (DomainError, PrecisionError) as exc:
-        return _fail(EXIT_DOMAIN, str(exc))
+    g_values = _parse_g_values(args)
+    alphas = [
+        _parse_fraction_arg(chunk.strip(), "--alpha")
+        for chunk in args.alpha.split(",")
+        if chunk.strip()
+    ]
+    if not alphas:
+        raise DomainError("--alpha needs at least one fraction")
+    rows = bounds_mod.bounds_table(g_values, alphas, digits=args.precision)
     if args.format == "csv":
         text = bounds_mod.render_table_csv(rows)
     else:
         text = bounds_mod.render_table_json(rows)
     if args.out:
-        try:
+        with _writing(args.out):
             document_mod.write_text_atomic(args.out, text)
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -298,7 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_construct.add_argument("--g", type=int, required=True, help="surface genus")
     p_construct.add_argument(
-        "--alpha", required=True, help="threshold exponent as an exact fraction p/q"
+        "--alpha",
+        required=True,
+        help=(
+            "threshold exponent as an exact fraction p/q in (-1, 1], "
+            f"q <= {MAX_ALPHA_DENOMINATOR}"
+        ),
     )
     p_construct.add_argument("--out", required=True, help="output JSON path")
     p_construct.add_argument(
@@ -343,7 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--g-range", help="log-spaced genus grid MIN:MAX:COUNT, e.g. 16:1000000:50"
     )
     p_bounds.add_argument(
-        "--alpha", required=True, help="comma-separated exponents, e.g. 0/1,1/2,1/1"
+        "--alpha",
+        required=True,
+        help=(
+            "comma-separated exponents p/q in (-1, 1], q <= "
+            f"{MAX_ALPHA_DENOMINATOR}, e.g. 0/1,1/2,1/1"
+        ),
     )
     p_bounds.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bounds.add_argument("--out", help="output path (stdout when omitted)")
@@ -368,10 +363,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """argparse reads a value such as -1/3 as an option name; no option here
+    starts with a digit, so after --alpha or --f, whose fractions may be
+    negative, such a value is joined to the option (`--alpha -1/3` becomes
+    `--alpha=-1/3`)."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in ("--alpha", "--f") and re.match(r"-[0-9]", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_negative_values(sys.argv[1:] if argv is None else argv)
+        )
         return args.func(args)
+    except DocumentError as exc:
+        return _fail(EXIT_IO, str(exc))
     except SparseCurvesError as exc:
         return _fail(EXIT_DOMAIN, str(exc))
 

@@ -76,10 +76,10 @@ def generate_necklace_family(h: int, *, cap: int = DEFAULT_WORD_CAP) -> list[Wor
     """All 4**(h-1) arc-words on a genus-h necklace, in lexicographic order."""
     if h < 2:
         raise DomainError(f"necklace genus must be >= 2, got {h}")
-    count = 4 ** (h - 1)
-    if count > cap:
+    # 4**(h-1) > cap exactly when 2*(h-1) reaches the cap's bit length
+    if 2 * (h - 1) >= cap.bit_length():
         raise EnumerationCapError(
-            f"4**(h-1) = {count} words exceed the enumeration cap {cap}; "
+            f"4**(h-1) words exceed the enumeration cap {cap}; "
             "use analytic counting"
         )
     return list(product(ARC_LABELS, repeat=h - 1))
@@ -167,18 +167,15 @@ class CurveSystem:
             return "analytic"
         return "explicit"
 
-    def necklace_blobs(self) -> Iterator[tuple[int, bytes]]:
-        """Each necklace that carries curves, ascending, with its packed words;
-        a full family's necklaces all carry the whole generated family."""
-        if not self.full:
-            return iter(self.packed)
-        blob = necklace_family_blob(self.surface.h)
-        return ((k, blob) for k in range(self.surface.h_prime))
-
     def iter_curves(self) -> Iterator[Curve]:
-        """Every curve in canonical (necklace, word) order, built lazily."""
+        """Every curve in canonical (necklace, word) order, built lazily; a full
+        family's necklaces all carry the whole generated family."""
         n = self.surface.piece_count
-        for necklace, blob in self.necklace_blobs():
+        packed = self.packed
+        if self.full:
+            blob = necklace_family_blob(self.surface.h)
+            packed = ((k, blob) for k in range(self.surface.h_prime))
+        for necklace, blob in packed:
             for i in range(0, len(blob), n):
                 yield Curve(necklace, tuple(blob[i : i + n]))
 

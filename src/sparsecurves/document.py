@@ -16,7 +16,9 @@ desk-scale systems inspectable by eye; round-tripping is stable field for
 field, and writes go through a temp file plus rename so readers never see a
 partial document.  Integers are written in decimal, so a report whose totals
 exceed CPython's int-to-str digit limit is refused before anything is
-written."""
+written.  Every fault of a document being loaded, from unreadable bytes,
+bytes that are not UTF-8 and JSON nested too deeply to parse to a report or
+certificate that contradicts its system, raises DocumentError."""
 
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Optional
 
 from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
-from .errors import DocumentError
+from .errors import DocumentError, DomainError
 from .exactint import DECIMAL_DIGIT_LIMIT, fits_decimal
 from .homology import DistinctnessCertificate
 from .surfaces import ARC_LABELS, CompositeSurface
@@ -174,15 +176,22 @@ def _parse_curve(entry: object, index: int, field: str = "curves") -> Curve:
     return Curve(necklace, tuple(map(int, word_text)))
 
 
-def _check_on_surface(curve: Curve, name: str, surface: CompositeSurface) -> None:
-    if len(curve.word) != surface.piece_count:
-        raise DocumentError(
-            f"{name}.word has length {len(curve.word)}, surface needs {surface.piece_count}"
-        )
-    if curve.necklace >= surface.h_prime:
-        raise DocumentError(
-            f"{name}.necklace = {curve.necklace} outside [0, {surface.h_prime})"
-        )
+def _parse_curves(entries: list, field: str, surface: CompositeSurface) -> tuple[Curve, ...]:
+    """{"necklace", "word"} entries as curves on the surface.  Every entry's
+    own fields are checked first, then every entry against the surface's
+    limits, so an error names the first bad entry of the first failing scan."""
+    curves = tuple(_parse_curve(entry, i, field) for i, entry in enumerate(entries))
+    for i, curve in enumerate(curves):
+        if len(curve.word) != surface.piece_count:
+            raise DocumentError(
+                f"{field}[{i}].word has length {len(curve.word)}, "
+                f"surface needs {surface.piece_count}"
+            )
+        if curve.necklace >= surface.h_prime:
+            raise DocumentError(
+                f"{field}[{i}].necklace = {curve.necklace} outside [0, {surface.h_prime})"
+            )
+    return curves
 
 
 def _pack(words: list[str]) -> bytes:
@@ -193,8 +202,8 @@ def _pack(words: list[str]) -> bytes:
 def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
     """Schema-1/2 listed curves, {"necklace", "word"} objects in any order,
     packed per necklace.  Each check runs once over all entries; only when one
-    fails are the entries scanned again in order, so that the error names the
-    first bad entry, its own fields checked before the surface's limits."""
+    fails are the entries scanned again by `_parse_curves`, to name the first
+    bad entry."""
     try:
         necklaces = [entry["necklace"] for entry in entries]
         words = [entry["word"] for entry in entries]
@@ -209,10 +218,7 @@ def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
         or not set(map(len, words)) <= {surface.piece_count}
         or not set("".join(words)) <= _LETTERS
     ):
-        curves = tuple(_parse_curve(entry, i) for i, entry in enumerate(entries))
-        for i, curve in enumerate(curves):
-            _check_on_surface(curve, f"curves[{i}]", surface)
-        return CurveSystem(surface, curves).packed
+        return CurveSystem(surface, _parse_curves(entries, "curves", surface)).packed
     groups: defaultdict[int, list[str]] = defaultdict(list)
     for necklace, word in zip(necklaces, words):
         groups[necklace].append(word)
@@ -264,13 +270,24 @@ def _parse_threshold(entry: object) -> SparsityThreshold:
     kind = entry["kind"]
     value = _parse_fraction(entry["value"], "sparsityThreshold.value")
     if kind == "rational":
-        return SparsityThreshold.rational(value)
+        try:
+            return SparsityThreshold.rational(value)
+        except DomainError as exc:
+            raise DocumentError(f"sparsityThreshold.value: {exc}") from exc
     if kind == "power":
         return SparsityThreshold.power(value)
     raise DocumentError(f"unknown threshold kind {kind!r}")
 
 
 def from_dict(data: object) -> SystemDocument:
+    """The document a parsed JSON value describes; DocumentError names the
+    first fault.  Every field is checked for its shape first.  Then the report
+    and the certificate are checked against the system: pairCount is
+    C(curves, 2); a listed system has neither an "analytic" report nor a
+    "construction" certificate; and a certificate names a collision exactly
+    when it is not distinct, one curve twice.  A listed system's
+    totalCrossings is not checked, since only the counter can check it and
+    `verify` recounts."""
     if not isinstance(data, dict):
         raise DocumentError(f"document root must be an object, got {type(data).__name__}")
     version = data.get("schemaVersion")
@@ -350,12 +367,7 @@ def from_dict(data: object) -> SystemDocument:
         if collision_data is not None:
             if not isinstance(collision_data, list) or len(collision_data) != 2:
                 raise DocumentError("certificate.collision must list two curves")
-            collision = tuple(
-                _parse_curve(entry, i, "certificate.collision")
-                for i, entry in enumerate(collision_data)
-            )
-            for i, curve in enumerate(collision):
-                _check_on_surface(curve, f"certificate.collision[{i}]", surface)
+            collision = _parse_curves(collision_data, "certificate.collision", surface)
         method = certificate_data.get("method", "exhaustive")
         if method not in ("exhaustive", "construction"):
             raise DocumentError(
@@ -366,6 +378,31 @@ def from_dict(data: object) -> SystemDocument:
             method=method,
             collision=collision,
         )
+
+    # the annotations against the system, once every field has its shape
+    if report is not None:
+        n, pairs = system.curve_count, report.pair_count
+        # n <= 2*pairs + 1 whenever pairs = C(n, 2); it spares the product
+        # for a huge system against a pairCount of at most 4300 digits
+        if not (n <= 2 * pairs + 1 and n * (n - 1) // 2 == pairs):
+            raise DocumentError("report.pairCount differs from C(curves, 2) of the system")
+        if report.mode == "analytic" and not system.full:
+            raise DocumentError(
+                'report.mode "analytic" needs the full family; '
+                "a listed system is counted explicitly"
+            )
+    if certificate is not None:
+        if certificate.method == "construction" and not system.full:
+            raise DocumentError('certificate.method "construction" needs the full family')
+        if certificate.distinct and certificate.collision is not None:
+            raise DocumentError("a distinct certificate must have no collision")
+        if not certificate.distinct and (
+            certificate.collision is None
+            or certificate.collision[0] != certificate.collision[1]
+        ):
+            raise DocumentError(
+                "a certificate that is not distinct must name one curve twice in its collision"
+            )
 
     return SystemDocument(system, report=report, certificate=certificate)
 
@@ -400,7 +437,7 @@ def load_document(path: str | Path) -> SystemDocument:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -408,6 +445,8 @@ def load_document(path: str | Path) -> SystemDocument:
         raise DocumentError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply") from None
     except ValueError as exc:  # an integer past the int-to-str digit limit
         raise DocumentError(f"{path}: {exc}") from exc
     return from_dict(data)

@@ -11,6 +11,9 @@ contributes one longitude generator, so no curve is null-homologous.
 Only injectivity of the arc-offset table matters for the certificate; the
 four arcs are assigned the four distinct offsets (0,0), (1,0), (0,1), (1,1).
 The check is sufficient for non-isotopy, not a full isotopy decision.
+`certify_distinct` takes any system: a full family is certified by its
+construction (method "construction"), a listed one curve by curve (method
+"exhaustive").
 """
 
 from __future__ import annotations
@@ -58,21 +61,25 @@ class DistinctnessCertificate:
 
 
 def certify_distinct(system: CurveSystem) -> DistinctnessCertificate:
-    """Check all curve classes pairwise distinct; report the earliest collision.
+    """Certify that the system's curve classes are pairwise distinct.
 
-    Each necklace's packed words are scanned in ascending necklace order (a
-    full family is generated as it goes), so a failure witness is the first
-    curve that repeats the one before it, paired with that earlier curve.
-    The system's words were checked when it was built, and no class vector
-    is built: the work is proportional to the words, not to the genus.
+    A full family is certified by its construction (`certify_generated`),
+    without listing a curve.  A listed system is checked exhaustively: each
+    necklace's packed words are scanned in ascending necklace order, so a
+    failure witness is the first curve that repeats the one before it,
+    paired with that earlier curve.  The system's words were checked when it
+    was built, and no class vector is built: the work is proportional to the
+    words, not to the genus.
     """
+    if system.full:
+        return certify_generated(system.surface)
     # Classes are compared through the curves themselves.  curve_class writes
     # a curve's arc offsets and its longitude 1 only into the block of its own
     # necklace (2h coordinates at 2h*necklace; the blocks are disjoint since
     # h*h' <= g), and ARC_OFFSETS is injective, so two checked curves have
     # equal classes exactly when they have equal necklaces and equal words,
     # and in sorted packed words equal words are adjacent.
-    for necklace, blob in system.necklace_blobs():
+    for necklace, blob in system.packed:
         word = repeated_word(blob, system.surface.piece_count)
         if word is not None:
             curve = Curve(necklace, tuple(word))

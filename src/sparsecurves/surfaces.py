@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .exactint import floor_scaled_power, genus_admissible, min_admissible_genus
+from .exactint import (
+    DECIMAL_DIGIT_LIMIT,
+    fits_decimal,
+    floor_scaled_power,
+    genus_admissible,
+    min_admissible_genus,
+)
 
 ARC_LABELS = (1, 2, 3, 4)
 
@@ -28,6 +34,31 @@ ARC_LABELS = (1, 2, 3, 4)
 # is refused before anything is computed.  h <= g/2, so every g up to 2*10**8
 # plans at every alpha.
 MAX_NECKLACE_GENUS = 10 ** 8
+
+# Largest denominator q of an alpha = p/q.  Planning raises g to the power
+# p+q and takes 2q-th roots, and a g**alpha sparsity verdict raises the totals
+# to the q-th power, so the cost grows fast with q.  On a 2-core x86 host, at
+# q = 1000 a bounds row at g = 10**6 takes about 0.5 s (1.1 s at worst over 40
+# numerators); at q = 10**4 one plan alone can take a minute.
+MAX_ALPHA_DENOMINATOR = 1000
+
+
+def check_alpha(alpha: Fraction) -> None:
+    """DomainError unless alpha lies in (-1, 1] with a denominator of at most
+    MAX_ALPHA_DENOMINATOR."""
+    q = alpha.denominator
+    if q > MAX_ALPHA_DENOMINATOR:
+        shown = q if fits_decimal(q) else f"one of {q.bit_length()} bits"
+        raise DomainError(
+            f"alpha needs a denominator of at most {MAX_ALPHA_DENOMINATOR}, got {shown}"
+        )
+    if not (Fraction(-1) < alpha <= Fraction(1)):
+        shown = (
+            alpha
+            if fits_decimal(alpha.numerator)
+            else f"a numerator past {DECIMAL_DIGIT_LIMIT} digits"
+        )
+        raise DomainError(f"alpha must lie in (-1, 1], got {shown}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +138,8 @@ class CompositeSurface:
     def piece_count(self) -> int:
         return self.h - 1
 
-    def necklace(self) -> NecklaceSurface:
-        return build_necklace(self.h)
-
     def check_invariants(self) -> None:
+        check_alpha(self.alpha)
         if not (2 <= self.h <= self.g):
             raise DomainError(f"h={self.h} must satisfy 2 <= h <= g={self.g}")
         if self.h > MAX_NECKLACE_GENUS:
@@ -125,11 +154,10 @@ class CompositeSurface:
 
 
 def check_plan_domain(g: int, alpha: Fraction | int | str) -> Fraction:
-    """alpha as a Fraction, once (g, alpha) is known to admit a plan: alpha in
-    (-1, 1] and g a positive integer with g**(1+alpha) >= 16."""
+    """alpha as a Fraction, once (g, alpha) is known to admit a plan: alpha
+    passes `check_alpha` and g is a positive integer with g**(1+alpha) >= 16."""
     alpha = Fraction(alpha)
-    if not (Fraction(-1) < alpha <= Fraction(1)):
-        raise DomainError(f"alpha must lie in (-1, 1], got {alpha}")
+    check_alpha(alpha)
     if not isinstance(g, int) or g < 1:
         raise DomainError(f"genus must be a positive integer, got {g!r}")
     if not genus_admissible(g, alpha):

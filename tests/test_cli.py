@@ -315,6 +315,10 @@ def test_verify_past_the_digit_limit(tmp_path, capsys):
         ["verify"],
         ["bounds", "--g", "16", "--alpha", "0/1", "--format", "xml"],
         ["bounds", "--g", "16", "--alpha", "0/1", "--bogus"],
+        # an option name after --alpha is no value, negative fractions aside
+        ["construct", "--g", "16", "--alpha", "--g", "--out", "x.json"],
+        ["bounds", "--g", "16", "--alpha", "--format", "csv"],
+        ["construct", "--g", "16", "--alpha", "--", "-1/3", "--out", "x.json"],
     ],
 )
 def test_argument_errors_exit_4_with_one_line(tmp_path, capsys, argv):
@@ -460,6 +464,98 @@ def test_verify_bad_report_or_certificate_field_exits_5(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     assert not (tmp_path / "again.json").exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (
+            b"\xff\xfe{}",
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+        (b"[" * 10 ** 5 + b"]" * 10 ** 5, "JSON nested too deeply"),
+    ],
+    ids=["not-utf8", "nested-1e5"],
+)
+def test_verify_unparseable_bytes_exit_5(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["verify", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["0/1", "-1/2"])
+def test_verify_nonpositive_report_threshold_exits_5(tmp_path, capsys, value):
+    doc = tmp_path / "g16.json"
+    annotated = tmp_path / "verified.json"
+    assert main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(doc)]) == 0
+    assert main(["verify", str(doc), "--f", "1/1", "--out", str(annotated)]) == 0
+    data = json.loads(annotated.read_text())
+    data["report"]["sparsityThreshold"] = {"kind": "rational", "value": value}
+    annotated.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(annotated)]) == 5
+    err = capsys.readouterr().err
+    shown = Fraction(value)
+    assert err == f"error: sparsityThreshold.value: threshold must be positive, got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (
+            ["construct", "--g", "1000", "--alpha", "-1/3", "--out", "{out}"],
+            ["construct", "--g", "1000", "--alpha=-1/3", "--out", "{out}"],
+        ),
+        (
+            ["bounds", "--g", "1000", "--alpha", "-1/3,0/1"],
+            ["bounds", "--g", "1000", "--alpha=-1/3,0/1"],
+        ),
+        (
+            ["verify", "{doc}", "--f", "-1/2"],
+            ["verify", "{doc}", "--f=-1/2"],
+        ),
+    ],
+)
+def test_negative_fraction_after_a_space_parses(tmp_path, capsys, spaced, joined):
+    doc = tmp_path / "g16.json"
+    assert main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(doc)]) == 0
+    runs = []
+    for argv, out in ((spaced, "a.json"), (joined, "b.json")):
+        capsys.readouterr()
+        argv = [arg.format(out=tmp_path / out, doc=doc) for arg in argv]
+        runs.append((main(argv), capsys.readouterr()))
+    (code, captured), (joined_code, joined_captured) = runs
+    assert (code, captured.out, captured.err) == (
+        joined_code, joined_captured.out, joined_captured.err
+    )
+    if spaced[0] == "verify":  # the value reaches the threshold check
+        assert code == 4 and captured.err == "error: threshold must be positive, got -1/2\n"
+    else:
+        assert code == 0 and captured.err == ""
+    if spaced[0] == "construct":
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_alpha_denominator_past_the_limit_is_refused(tmp_path, capsys):
+    doc = tmp_path / "g16.json"
+    refusal = "alpha needs a denominator of at most 1000, got 1001"
+    assert main(["construct", "--g", "16", "--alpha", "1/1001", "--out", str(doc)]) == 4
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert not doc.exists()
+    assert main(["bounds", "--g", "16", "--alpha", "0/1,1/1001"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {refusal}\n"
+    # the limit itself is admitted, and a document past it is inconsistent
+    assert main(["construct", "--g", "16", "--alpha", "1/1000", "--out", str(doc)]) == 0
+    data = json.loads(doc.read_text())
+    data["surface"]["alpha"] = "1/1001"
+    doc.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(doc)]) == 5
+    assert capsys.readouterr().err == f"error: inconsistent surface: {refusal}\n"
 
 
 def test_plans_past_the_necklace_genus_limit_are_refused(tmp_path, capsys):
@@ -762,3 +858,37 @@ def test_cli_contract_under_mutated_documents(gate_documents, name, edits, write
     argv = ["verify", "mutated.json"] + (["--out", "out.json"] if write else [])
     with _inside(root):
         _assert_contract(*_run_cli(argv))
+
+
+# Raw-byte edits: bytes that are not UTF-8, a truncated document and an array
+# nested past the parser's recursion limit.  Each is a document fault.
+_INVALID_UTF8 = [b"\xff", b"\xfe\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]
+_DEEP_ARRAY = "[" * 10 ** 5 + "]" * 10 ** 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["small", "listed", "listed2", "collided", "big"]),
+    edit=st.sampled_from(["not-utf8", "truncate", "deep"]),
+    offset=st.integers(min_value=0, max_value=10 ** 6),
+    invalid=st.sampled_from(_INVALID_UTF8),
+    write=st.booleans(),
+)
+def test_cli_contract_under_raw_byte_edits(gate_documents, name, edit, offset, invalid, write):
+    root, documents = gate_documents
+    text = json.dumps(documents[name]).encode("ascii")  # ends with its closing brace
+    if edit == "not-utf8":
+        cut = offset % (len(text) + 1)
+        raw = text[:cut] + invalid + text[cut:]
+    elif edit == "truncate":
+        raw = text[: offset % len(text)]
+    else:
+        mutated = _mutate_document(documents[name], [(offset, "@deep@", False)])
+        raw = mutated.replace('"@deep@"', _DEEP_ARRAY).encode("ascii")
+    (root / "raw.json").write_bytes(raw)
+    argv = ["verify", "raw.json"] + (["--out", "raw-out.json"] if write else [])
+    with _inside(root):
+        code, stderr = _run_cli(argv)
+        assert not os.path.exists("raw-out.json")
+    assert code == 5
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr

@@ -1,5 +1,6 @@
 """Family generation, system assembly, and sparsity verdicts."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,17 @@ def test_family_cap():
         generate_necklace_family(30)
     # explicit override admits the same request
     assert len(generate_necklace_family(5, cap=4 ** 4)) == 256
+
+
+@pytest.mark.parametrize("h", [10 ** 4, 10 ** 8])
+def test_family_cap_is_compared_by_bit_length(h):
+    # 4**(h-1) has 2*10**4 or 2*10**8 bits; it is neither built nor printed
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError, match="exceed the enumeration cap"):
+        generate_necklace_family(h)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(EnumerationCapError):
+        generate_necklace_family(5, cap=4 ** 4 - 1)
 
 
 def test_generate_system_counts():

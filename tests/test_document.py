@@ -446,3 +446,71 @@ def test_unknown_report_mode_is_refused(mode):
     data["report"]["mode"] = mode
     with pytest.raises(DocumentError, match="report.mode must be"):
         from_dict(data)
+
+
+# ----------------------------------------------------------------------
+# Report and certificate against the system they annotate
+# ----------------------------------------------------------------------
+
+
+def _annotated_pair():
+    """A g=36 document of 2 listed curves with its own report and certificate."""
+    system = CurveSystem(plan_composite(36, Fraction(0)), (Curve(0, (1, 1)), Curve(1, (1, 2))))
+    report = verify_sparsity(system, SparsityThreshold.power(Fraction(0)))
+    return to_dict(SystemDocument(system, report=report, certificate=certify_distinct(system)))
+
+
+_TWO_CURVES = [{"necklace": 0, "word": "11"}, {"necklace": 1, "word": "12"}]
+_ONE_CURVE_TWICE = [{"necklace": 0, "word": "11"}, {"necklace": 0, "word": "11"}]
+
+
+@pytest.mark.parametrize(
+    "section, fields, message",
+    [
+        (
+            "report",
+            # the average still agrees with totalCrossings/pairCount
+            {"totalCrossings": 10, "pairCount": 20, "averageNumerator": 1, "averageDenominator": 2},
+            "report.pairCount differs from C(curves, 2) of the system",
+        ),
+        ("report", {"mode": "analytic"}, 'report.mode "analytic" needs the full family'),
+        (
+            "certificate",
+            {"method": "construction"},
+            'certificate.method "construction" needs the full family',
+        ),
+        (
+            "certificate",
+            {"distinct": True, "collision": _TWO_CURVES},
+            "a distinct certificate must have no collision",
+        ),
+        (
+            "certificate",
+            {"distinct": False, "collision": _TWO_CURVES},
+            "a certificate that is not distinct must name one curve twice",
+        ),
+        (
+            "certificate",
+            {"distinct": False, "collision": None},
+            "a certificate that is not distinct must name one curve twice",
+        ),
+    ],
+)
+def test_annotations_must_agree_with_their_system(section, fields, message):
+    data = _annotated_pair()
+    from_dict(data)
+    data[section].update(fields)
+    with pytest.raises(DocumentError) as excinfo:
+        from_dict(data)
+    assert str(excinfo.value).startswith(message)
+
+
+def test_annotations_that_agree_with_their_system_load():
+    data = _annotated_pair()
+    data["certificate"].update({"distinct": False, "collision": _ONE_CURVE_TWICE})
+    assert from_dict(data).certificate.collision == (Curve(0, (1, 1)), Curve(0, (1, 1)))
+    # a full family's mode is not checked: both routes count it
+    full = to_dict(_sample_document())
+    assert full["report"]["mode"] == "explicit"
+    full["report"]["mode"] = "analytic"
+    assert from_dict(full).report.mode == "analytic"

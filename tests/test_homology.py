@@ -109,6 +109,15 @@ def test_certify_generated_shortcut():
     assert certificate.method == "construction"
 
 
+@pytest.mark.parametrize("g, alpha", [(196, 0), (10 ** 6, 1)])
+def test_certify_distinct_certifies_a_full_family_by_its_construction(g, alpha):
+    # g = 10**6 at alpha = 1 has 4**499999 words per necklace: none is listed
+    surface = plan_composite(g, Fraction(alpha))
+    certificate = certify_distinct(generate_system(surface))
+    assert certificate == certify_generated(surface)
+    assert certificate.method == "construction"
+
+
 def _dense_certificate(surface, curves) -> DistinctnessCertificate:
     """The certificate keyed on each curve's full 2g-length class vector,
     scanned in (necklace, word) order."""

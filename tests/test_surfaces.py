@@ -107,3 +107,26 @@ def test_plans_past_the_necklace_genus_limit_are_refused():
     for g in (2 * MAX_NECKLACE_GENUS + 2, 10 ** 12):
         with pytest.raises(DomainError, match="cannot be held"):
             plan_composite(g, Fraction(1))
+
+
+def test_alpha_denominator_is_bounded():
+    from sparsecurves.surfaces import MAX_ALPHA_DENOMINATOR
+
+    assert plan_composite(16, Fraction(1, MAX_ALPHA_DENOMINATOR)).h == 2
+    with pytest.raises(DomainError, match="denominator of at most 1000, got 1001$"):
+        plan_composite(16, Fraction(1, MAX_ALPHA_DENOMINATOR + 1))
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (Fraction(1, 10 ** 5000), "denominator of at most 1000, got one of 16610 bits"),
+        (Fraction(10 ** 5000), r"lie in \(-1, 1\], got a numerator past 4300 digits"),
+        (Fraction(2), r"lie in \(-1, 1\], got 2$"),
+    ],
+)
+def test_alpha_check_names_values_past_the_digit_limit(alpha, message):
+    from sparsecurves.surfaces import check_alpha
+
+    with pytest.raises(DomainError, match=message):
+        check_alpha(alpha)
