@@ -27,10 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Optional, Sequence
-
-import mpmath
-from mpmath import mp
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .curves import SparsityThreshold, generate_system
 from .errors import DomainError, PrecisionError
@@ -52,6 +49,9 @@ from .logspace import (
     power_ln,
 )
 from .surfaces import check_plan_domain, plan_composite
+
+if TYPE_CHECKING:  # mpmath is imported where an interval is first evaluated
+    import mpmath
 
 # Exact values are materialized only below this bit size; larger ones are
 # carried purely in log space.
@@ -368,6 +368,8 @@ class TableRow:
 
 def nstr(x: mpmath.mpf) -> str:
     """x at the 15 significant digits every printed log10 uses."""
+    import mpmath
+
     return mpmath.nstr(x, 15)
 
 
@@ -392,6 +394,9 @@ def render_ratio(crossings: int, pairs: int) -> str:
         return f"{reduced[0]}/{reduced[1]}"
     num_shift = max(0, crossings.bit_length() - _RATIO_DECIMAL_BITS)
     den_shift = max(0, pairs.bit_length() - _RATIO_DECIMAL_BITS)
+    import mpmath
+    from mpmath import mp
+
     with mp.workdps(30):
         value = mp.mpf(crossings >> num_shift) / mp.mpf(pairs >> den_shift)
         return mpmath.nstr(mpmath.ldexp(value, num_shift - den_shift), 12)

@@ -24,7 +24,7 @@ from .bounds import nstr
 from .curves import CrossingReport, SparsityThreshold, generate_system, verify_sparsity
 from .errors import DocumentError, DomainError, PrecisionError, SparseCurvesError
 from .homology import certify_distinct
-from .exactint import fits_decimal
+from .exactint import fits_decimal, parse_fraction
 from .logspace import (
     DEFAULT_DIGITS,
     MAX_DIGITS,
@@ -49,7 +49,7 @@ def _fail(code: int, message: str) -> int:
 
 def _parse_fraction_arg(text: str, name: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"{name} must be an exact fraction like 1/2, got {text!r}: {exc}")
 

@@ -41,7 +41,7 @@ DEFAULT_WORD_CAP = 2 ** 24
 
 # A full family with at most this many words per necklace is also counted by
 # the explicit counter, as a cross-check of the closed form.  The counter
-# takes about 16*N*n byte steps for N words of length n, so each step up (4x
+# takes about N*n C-level steps for N words of length n, so each step up (4x
 # the words) costs every bounds-table row of that size over 4x the time.
 EXPLICIT_WORD_LIMIT = 4096
 
@@ -155,6 +155,10 @@ class CurveSystem:
 
     @property
     def pair_count(self) -> int:
+        if self.full:
+            # C(n, 2) for n = h' * 4**(h-1), as shifts: no multi-million-bit product
+            h_prime, e = self.surface.h_prime, 2 * (self.surface.h - 1)
+            return ((h_prime * h_prime) << (2 * e - 1)) - (h_prime << (e - 1))
         n = self.curve_count
         return n * (n - 1) // 2
 

@@ -33,7 +33,7 @@ from typing import Optional
 
 from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
 from .errors import DocumentError, DomainError
-from .exactint import DECIMAL_DIGIT_LIMIT, fits_decimal
+from .exactint import DECIMAL_DIGIT_LIMIT, fits_decimal, parse_fraction
 from .homology import DistinctnessCertificate
 from .surfaces import ARC_LABELS, CompositeSurface
 
@@ -135,7 +135,7 @@ def _parse_fraction(text: object, field: str) -> Fraction:
     if not isinstance(text, str):
         raise DocumentError(f"{field} must be a 'p/q' string, got {text!r}")
     try:
-        return Fraction(text)
+        return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{field}: {exc}") from exc
 
@@ -197,6 +197,15 @@ def _parse_curves(entries: list, field: str, surface: CompositeSurface) -> tuple
 def _pack(words: list[str]) -> bytes:
     """Word strings of letters 1-4 as one sorted string of letter codes."""
     return "".join(sorted(words)).encode("ascii").translate(_CODES)
+
+
+def _holds_word(blob: bytes, word: bytes) -> bool:
+    """True iff `word` is one of the words of the packed string `blob`."""
+    n = len(word)
+    i = blob.find(word)
+    while i >= 0 and i % n:
+        i = blob.find(word, i + 1)
+    return i >= 0
 
 
 def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
@@ -285,7 +294,7 @@ def from_dict(data: object) -> SystemDocument:
     and the certificate are checked against the system: pairCount is
     C(curves, 2); a listed system has neither an "analytic" report nor a
     "construction" certificate; and a certificate names a collision exactly
-    when it is not distinct, one curve twice.  A listed system's
+    when it is not distinct, one curve of the system twice.  A listed system's
     totalCrossings is not checked, since only the counter can check it and
     `verify` recounts."""
     if not isinstance(data, dict):
@@ -403,6 +412,14 @@ def from_dict(data: object) -> SystemDocument:
             raise DocumentError(
                 "a certificate that is not distinct must name one curve twice in its collision"
             )
+        if certificate.collision is not None and not system.full:
+            blobs = dict(system.packed)
+            for i, (necklace, word) in enumerate(certificate.collision):
+                if not _holds_word(blobs.get(necklace, b""), bytes(word)):
+                    raise DocumentError(
+                        f"certificate.collision[{i}] = {necklace}:{''.join(map(str, word))} "
+                        "is not a curve of the system"
+                    )
 
     return SystemDocument(system, report=report, certificate=certificate)
 

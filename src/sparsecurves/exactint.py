@@ -11,6 +11,7 @@ is brought to lowest terms without a gcd, and only while that form is small.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 # Integers print in decimal up to this many digits, CPython's default int<->str
@@ -18,10 +19,25 @@ from fractions import Fraction
 DECIMAL_DIGIT_LIMIT = 4300
 _DECIMAL_BOUND = 10 ** DECIMAL_DIGIT_LIMIT
 
+# the decimal exponent of a Fraction text such as "1.5e-7", as Fraction reads it
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
 
 def fits_decimal(n: int) -> bool:
     """True iff n has at most DECIMAL_DIGIT_LIMIT decimal digits."""
     return -_DECIMAL_BOUND < n < _DECIMAL_BOUND
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing with ValueError a decimal exponent beyond
+    DECIMAL_DIGIT_LIMIT in absolute value before Fraction builds 10**exponent.
+    The int<->str limit already bounds the digits of every other part."""
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(DECIMAL_DIGIT_LIMIT)) or int(digits or 0) > DECIMAL_DIGIT_LIMIT:
+            raise ValueError(f"decimal exponent beyond {DECIMAL_DIGIT_LIMIT} in absolute value")
+    return Fraction(text)
 
 
 def lowest_terms_within(num: int, den: int, bits: int) -> tuple[int, int] | None:

@@ -12,8 +12,8 @@ Three routes to the same totals:
 
   * pair_intersection / total_crossings_explicit - the interleaving rule,
     summed over annuli for one pair, and totalled over a whole sorted word
-    set by one sweep per annulus over its letter-pair bins, about 16*N*n
-    byte steps for N words of length n, not pair by pair;
+    set by one packed prefix count per annulus over its letter-pair bins,
+    about N*n C-level steps for N words of length n, not pair by pair;
   * total_crossings_analytic - a closed form for the full 4**(h-1) family,
     obtained by classifying ordered pairs by their first differing letter;
   * oracle_crossings_pl - an actual piecewise-linear drawing in a planar net
@@ -25,8 +25,8 @@ Three routes to the same totals:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import add
+from itertools import accumulate, repeat
+from operator import and_, rshift
 from typing import NamedTuple, Sequence
 
 from .curves import (
@@ -125,16 +125,22 @@ def pair_intersection(c1: Curve, c2: Curve, surface: CompositeSurface) -> int:
 # number of pairs, earlier word u before later word w in sorted order, with
 # q_i != q_{i+1}, over all pairs.  Each word gets one of 16 bins for its
 # letter pair.  A necklace's words are one packed string of letter codes
-# (see CurveSystem), so letter column i is the slice blob[i::n] and the bins
-# of an annulus are one bytes object.  Per bin b that occurs, C-level passes
-# translate the bins to 0/1 "an earlier word here crosses bin b", accumulate
-# running counts, keep the counts at the words in bin b and sum them.  That
-# is about 16*N*n byte steps for N words of length n, all exact int
-# arithmetic, instead of the O(N*n**2) Python steps of a prefix-group
-# histogram walk or the O(N**2*n) of a pair scan.
+# (see CurveSystem), so letter column i is the slice blob[i::n]; read as a
+# big-endian integer, the bins of an annulus are 4*column_i + column_{i+1},
+# one byte per word, since no byte exceeds 4*4 + 4.  Each bin owns a 16-bit
+# field of one Python int, and _ROW[c] counts an earlier word in bin c in the
+# field of every bin it crosses, so one C-level `accumulate` over the bins
+# gives every word its count of earlier crossing words for all 16 bins at
+# once; each word then reads its own field.  A field holds the counts of at
+# most 0xFFFF words, so a longer necklace is counted in blocks of that many
+# words, the earlier blocks carried in by their bin histograms.  Annulus
+# (0, 1) needs no pass: sorted words with equal first letters have ordered
+# second letters, so its crossing pairs are exactly those with u[0] < w[0]
+# and u[1] > w[1], a sum over bin histograms.  That is one pass of about
+# N*n small-int steps for N words of length n, all exact int arithmetic,
+# instead of the O(N*n**2) Python steps of a prefix-group histogram walk or
+# the O(N**2*n) of a pair scan.
 
-# letter x -> 4x, so the letter pair (x, y) is the bin 4x + y, from 5 to 20
-_TIMES4 = bytes(4 * x % 256 for x in range(256))
 _PAIRS = {4 * x + y: (x, y) for x in range(1, 5) for y in range(1, 5)}
 # _CROSSES[b][c] = 1 iff an earlier word in bin c crosses a later one in bin b
 _CROSSES = {
@@ -144,7 +150,21 @@ _CROSSES = {
     )
     for b, (s, t) in _PAIRS.items()
 }
-_IS = {b: bytes(int(c == b) for c in range(256)) for b in _PAIRS}
+# bin b owns the 16-bit field at bit _SHIFT[b] of a packed count
+_SHIFT = bytes(16 * (c - 5) if c in _PAIRS else 0 for c in range(256))
+_ROW = [sum(_CROSSES[b][c] << _SHIFT[b] for b in _PAIRS) for c in range(256)]
+_FIELD = 0xFFFF
+# (earlier bin, later bin) pairs that cross, and those of them that sorted
+# words can form in annulus (0, 1)
+_CROSSING = [(c, b) for b in _PAIRS for c in _PAIRS if _CROSSES[b][c]]
+_DISCORDANT = [(c, b) for c, b in _CROSSING if _PAIRS[c][0] < _PAIRS[b][0]]
+
+
+def _block_crossings(bins: bytes) -> int:
+    """Crossing pairs, earlier word before later word, of at most _FIELD bins."""
+    prefix = accumulate(map(_ROW.__getitem__, bins))
+    fields = map(rshift, prefix, bins.translate(_SHIFT))
+    return sum(map(and_, fields, repeat(_FIELD)))
 
 
 def _family_crossings_sorted(blob: bytes, n: int, necklace: int) -> int:
@@ -154,15 +174,21 @@ def _family_crossings_sorted(blob: bytes, n: int, necklace: int) -> int:
     word = repeated_word(blob, n)
     if word is not None:
         raise DomainError(f"duplicate curve {necklace}:{''.join(map(str, word))}")
-    columns = [blob[i::n] for i in range(n)]
-    total = 0
-    for i, column in enumerate(columns):
-        following = columns[(i + 1) % n]
-        bins = bytes(map(add, column.translate(_TIMES4), following))
-        for b in _PAIRS:
-            if b in bins:
-                crosses = accumulate(bins.translate(_CROSSES[b]))
-                total += sum(compress(crosses, bins.translate(_IS[b])))
+    count = len(blob) // n
+    columns = [int.from_bytes(blob[i::n], "big") for i in range(n)]
+    bins = ((columns[0] << 2) + columns[1 % n]).to_bytes(count, "big")
+    hist = {b: bins.count(b) for b in _PAIRS}
+    total = sum(hist[c] * hist[b] for c, b in _DISCORDANT)
+    for i in range(1, n):
+        bins = ((columns[i] << 2) + columns[(i + 1) % n]).to_bytes(count, "big")
+        before = dict.fromkeys(_PAIRS, 0)  # bin histogram of the earlier blocks
+        for start in range(0, count, _FIELD):
+            block = bins[start : start + _FIELD]
+            total += _block_crossings(block)
+            if count > _FIELD:  # pairs across blocks
+                hist = {b: block.count(b) for b in _PAIRS}
+                total += sum(before[c] * hist[b] for c, b in _CROSSING)
+                before = {b: before[b] + hist[b] for b in _PAIRS}
     return total
 
 

@@ -11,19 +11,20 @@ comparison goes through one kernel,
 hard cap, and raises PrecisionError if they still overlap there.  Precision
 starts at `digits >= 1` (doubling 0 never moves).  All formula inequalities
 we certify are strict with room, so the cap is only ever reached for
-genuinely equal quantities.
+genuinely equal quantities.  mpmath is imported by the functions that build
+or read an interval, so a run that evaluates none never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
-
-import mpmath
-from mpmath import mp
-from mpmath.ctx_iv import MPIntervalContext
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, PrecisionError
+
+if TYPE_CHECKING:
+    import mpmath
+    from mpmath.ctx_iv import MPIntervalContext
 
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 1000
@@ -50,6 +51,8 @@ def interval_context(digits: int) -> MPIntervalContext:
     """
     ctx = _CONTEXTS.get(digits)
     if ctx is None:
+        from mpmath.ctx_iv import MPIntervalContext
+
         ctx = MPIntervalContext()
         ctx.dps = digits + _GUARD_DIGITS
         _CONTEXTS[digits] = ctx
@@ -62,6 +65,8 @@ def endpoints(x) -> tuple[mpmath.mpf, mpmath.mpf]:
     The raw libmp tuples are converted without rounding, so the returned
     endpoints are the enclosure itself, not an approximation of it.
     """
+    from mpmath import mp
+
     lo_raw, hi_raw = x._mpi_
     return mp.make_mpf(lo_raw), mp.make_mpf(hi_raw)
 
@@ -88,6 +93,8 @@ def power_ln(ctx: MPIntervalContext, g: int, exponent: Fraction):
 
 def midpoint(x, digits: int) -> mpmath.mpf:
     """Midpoint of the enclosure x, as reported for a value evaluated at `digits`."""
+    from mpmath import mp
+
     lo, hi = endpoints(x)
     with mp.workdps(digits + _GUARD_DIGITS):
         return (lo + hi) / 2
@@ -127,10 +134,12 @@ def certify(
         if b_hi < a_lo or (b_hi == a_lo and strict):
             return False, d
         if d >= max_digits:
+            from mpmath import nstr
+
             raise PrecisionError(
                 f"comparison undecidable at {d} digits "
-                f"(a in [{mpmath.nstr(a_lo, 25)}, {mpmath.nstr(a_hi, 25)}], "
-                f"b in [{mpmath.nstr(b_lo, 25)}, {mpmath.nstr(b_hi, 25)}])"
+                f"(a in [{nstr(a_lo, 25)}, {nstr(a_hi, 25)}], "
+                f"b in [{nstr(b_lo, 25)}, {nstr(b_hi, 25)}])"
             )
         d = min(2 * d, max_digits)
 

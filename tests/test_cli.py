@@ -7,8 +7,12 @@ import math
 import os
 import random
 import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,8 @@ from sparsecurves.cli import main
 from sparsecurves.curves import Curve, CurveSystem
 from sparsecurves.document import SystemDocument, load_document, save_document
 from sparsecurves.surfaces import plan_composite
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_listed(path, system):
@@ -892,3 +898,52 @@ def test_cli_contract_under_raw_byte_edits(gate_documents, name, edit, offset, i
         assert not os.path.exists("raw-out.json")
     assert code == 5
     assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+
+
+_EXPONENT_REFUSAL = "decimal exponent beyond 4300 in absolute value"
+
+
+def test_exponent_past_the_digit_limit_is_refused(tmp_path, capsys):
+    doc = tmp_path / "g16.json"
+    assert main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(doc)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(doc), "--f", "1e-5000"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --f must be an exact fraction like 1/2, got '1e-5000': {_EXPONENT_REFUSAL}\n"
+    )
+    # refused before Fraction builds 10**N, which at this size would never end
+    started = time.perf_counter()
+    assert main(["construct", "--g", "16", "--alpha", "1e99999999999", "--out", "x.json"]) == 4
+    assert time.perf_counter() - started < 5
+    assert capsys.readouterr().err.count("\n") == 1
+    data = json.loads(doc.read_text())
+    data["surface"]["alpha"] = "1e-5000"
+    doc.write_text(json.dumps(data))
+    assert main(["verify", str(doc)]) == 5
+    assert capsys.readouterr().err == f"error: surface.alpha: {_EXPONENT_REFUSAL}\n"
+
+
+_REPORTS_MPMATH = (
+    "import sys; from sparsecurves import cli; code = cli.main(sys.argv[1:]); "
+    "print(code, 'mpmath' in sys.modules)"
+)
+
+
+def test_mpmath_is_loaded_only_where_an_interval_is_evaluated(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    loaded = {}
+    for argv in (
+        ["construct", "--g", "196", "--alpha", "0/1", "--out", "g196.json"],
+        ["verify", "g196.json"],
+        ["bounds", "--g", "196", "--alpha", "0/1"],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", _REPORTS_MPMATH, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded[argv[0]] = result.stdout.splitlines()[-1]
+    assert loaded == {"construct": "0 False", "verify": "0 True", "bounds": "0 True"}

@@ -19,7 +19,7 @@ from sparsecurves.curves import (
 )
 from sparsecurves.errors import DomainError, EnumerationCapError
 from sparsecurves.homology import certify_distinct, certify_generated
-from sparsecurves.surfaces import plan_composite
+from sparsecurves.surfaces import CompositeSurface, plan_composite
 
 
 def _small_families():
@@ -185,3 +185,12 @@ def test_full_family_count_and_mode_match_powers_of_4(h):
         expected = "analytic" if 4 ** (h - 1) > EXPLICIT_WORD_LIMIT else "explicit"
         assert system.mode == expected
     assert (system.mode == "explicit") == (h <= 7)
+
+
+@given(h=st.integers(min_value=2, max_value=3000), h_prime=st.integers(1, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_full_family_pair_count_by_shifts_matches_the_product(h, h_prime):
+    surface = CompositeSurface(g=h * h_prime, alpha=Fraction(0), h=h, h_prime=h_prime, base_genus=0)
+    system = generate_system(surface)
+    n = system.curve_count
+    assert system.pair_count == n * (n - 1) // 2

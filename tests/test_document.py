@@ -494,6 +494,11 @@ _ONE_CURVE_TWICE = [{"necklace": 0, "word": "11"}, {"necklace": 0, "word": "11"}
             {"distinct": False, "collision": None},
             "a certificate that is not distinct must name one curve twice",
         ),
+        (
+            "certificate",
+            {"distinct": False, "collision": [{"necklace": 5, "word": "44"}] * 2},
+            "certificate.collision[0] = 5:44 is not a curve of the system",
+        ),
     ],
 )
 def test_annotations_must_agree_with_their_system(section, fields, message):
@@ -514,3 +519,20 @@ def test_annotations_that_agree_with_their_system_load():
     assert full["report"]["mode"] == "explicit"
     full["report"]["mode"] = "analytic"
     assert from_dict(full).report.mode == "analytic"
+
+
+@pytest.mark.parametrize(
+    "witness, refused",
+    [("21", False), ("12", False), ("22", True), ("11", True)],
+)
+def test_collision_witness_must_be_a_whole_listed_word(witness, refused):
+    # necklace 0 packs 12 21 21: "22" occurs in the string, but across two words
+    curves = (Curve(0, (1, 2)), Curve(0, (2, 1)), Curve(0, (2, 1)))
+    system = CurveSystem(plan_composite(36, Fraction(0)), curves)
+    data = to_dict(SystemDocument(system, certificate=certify_distinct(system)))
+    data["certificate"]["collision"] = [{"necklace": 0, "word": witness}] * 2
+    if refused:
+        with pytest.raises(DocumentError, match=rf"^certificate.collision\[0\] = 0:{witness} is not"):
+            from_dict(data)
+    else:
+        assert from_dict(data).certificate.collision[0] == Curve(0, tuple(map(int, witness)))

@@ -4,13 +4,16 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsecurves import intersections
 from sparsecurves.curves import Curve, CurveSystem, generate_necklace_family, generate_system
 from sparsecurves.errors import DomainError
+from sparsecurves.homology import certify_distinct
 from sparsecurves.intersections import (
     AnnulusStrand,
     BoundaryPosition,
@@ -117,7 +120,7 @@ def test_explicit_total_g36_is_864():
 @given(data=st.data(), h=st.integers(min_value=2, max_value=6))
 @settings(max_examples=150, deadline=None)
 def test_explicit_total_equals_pairwise_rule_on_subfamilies(data, h):
-    # the byte-sweep counter against the independent pair-by-pair rule
+    # the packed prefix counter against the independent pair-by-pair rule
     surface = SURFACES[h]
     words = data.draw(st.sets(_word_strategy(h - 1), max_size=40))
     necklaces = data.draw(
@@ -132,10 +135,11 @@ def test_explicit_total_equals_pairwise_rule_on_subfamilies(data, h):
 
 
 def _prefix_walk_crossings(words, necklace):
-    """The explicit counter as a prefix-group letter-pair histogram sum, the
-    form the byte sweep replaced: each range of sorted words sharing d
-    letters is split by its letter at d, and for every annulus i >= d each
-    group's histogram of letter pairs is paired with those of earlier groups."""
+    """The explicit counter as a prefix-group letter-pair histogram sum, an
+    independent form of the packed prefix count: each range of sorted words
+    sharing d letters is split by its letter at d, and for every annulus
+    i >= d each group's histogram of letter pairs is paired with those of
+    earlier groups."""
     count = len(words)
     for a in range(count - 1):
         if words[a] == words[a + 1]:
@@ -172,7 +176,7 @@ def _prefix_walk_crossings(words, necklace):
 
 
 def _packed_crossings(n):
-    """The byte sweep on words given as tuples, packed as a listed necklace holds them."""
+    """The counter on words given as tuples, packed as a listed necklace holds them."""
     return lambda words, necklace: _family_crossings_sorted(
         b"".join(map(bytes, words)), n, necklace
     )
@@ -185,16 +189,22 @@ def _outcome(count, words):
         return f"DomainError: {exc}"
 
 
-@given(data=st.data(), n=st.integers(min_value=1, max_value=7))
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=7),
+    # a block of 2**k - 1 words fits k-bit fields, so small blocks run the
+    # carry between blocks that only necklaces past 0xFFFF words reach
+    field=st.sampled_from([0xFFFF, 1, 3, 7, 31]),
+)
 @settings(max_examples=200, deadline=None)
-def test_byte_sweep_matches_the_prefix_walk(data, n):
+def test_packed_prefix_count_matches_the_prefix_walk(data, n, field):
     words = data.draw(st.lists(_word_strategy(n), max_size=300))
     if words:
         words += data.draw(st.lists(st.sampled_from(words), max_size=3))
     words.sort()
-    assert _outcome(_packed_crossings(n), words) == _outcome(
-        _prefix_walk_crossings, words
-    )
+    with mock.patch.object(intersections, "_FIELD", field):
+        packed = _outcome(_packed_crossings(n), words)
+    assert packed == _outcome(_prefix_walk_crossings, words)
 
 
 @given(data=st.data(), h=st.integers(min_value=2, max_value=6))
@@ -213,6 +223,22 @@ def test_byte_sweep_equals_the_pairwise_sum(data, h):
 def test_byte_sweep_full_family_matches_the_closed_form(h):
     words = list(product((1, 2, 3, 4), repeat=h - 1))
     assert _packed_crossings(h - 1)(words, 0) == necklace_family_crossings(h)
+
+
+def test_packed_prefix_count_spans_blocks_on_the_full_h10_family():
+    # 262,144 words: five blocks of at most 0xFFFF words per annulus
+    words = list(product((1, 2, 3, 4), repeat=9))
+    assert len(words) > 4 * intersections._FIELD
+    assert _packed_crossings(9)(words, 0) == necklace_family_crossings(10)
+
+
+def test_counter_and_certificate_name_the_same_repeated_word():
+    surface = plan_composite(36, Fraction(0))
+    curves = (Curve(2, (3, 2)), Curve(5, (1, 4)), Curve(5, (1, 4)), Curve(5, (4, 1)))
+    system = CurveSystem(surface, curves)
+    with pytest.raises(DomainError, match=r"^duplicate curve 5:14$"):
+        total_crossings_explicit(system)
+    assert certify_distinct(system).collision == (Curve(5, (1, 4)), Curve(5, (1, 4)))
 
 
 @pytest.mark.parametrize("g, h", [(196, 7), (256, 8)])
