@@ -23,12 +23,10 @@ from .bounds import (
     upper_bound,
 )
 from .curves import (
-    DEFAULT_WORD_CAP,
     CrossingReport,
     Curve,
     CurveSystem,
     SparsityThreshold,
-    generate_necklace_family,
     generate_system,
     sparsity_chain_check,
     verify_sparsity,
@@ -38,7 +36,6 @@ from .errors import (
     DegenerateGeometryError,
     DocumentError,
     DomainError,
-    EnumerationCapError,
     PrecisionError,
     SparseCurvesError,
 )

@@ -35,6 +35,7 @@ from .exactint import (
     floor_scaled_power,
     is_exact_power,
     lowest_terms_within,
+    parse_fraction,
 )
 from .intersections import total_crossings
 from .logspace import (
@@ -157,7 +158,7 @@ class SizeUpperBound:
 def _as_threshold(f: SparsityThreshold | Fraction | int | str) -> SparsityThreshold:
     if isinstance(f, SparsityThreshold):
         return f
-    return SparsityThreshold.rational(Fraction(f))
+    return SparsityThreshold.rational(f)
 
 
 def upper_bound(
@@ -322,7 +323,7 @@ def linear_regime_bound(
     sqrt(128), so the ceiling is at most g times twice the constant
     e**(sqrt(128)+6); at alpha = -1 it equals 2g * e**(sqrt(128)+6) exactly.
     """
-    alpha = Fraction(alpha)
+    alpha = parse_fraction(alpha)
     if alpha > -1:
         raise DomainError(f"linear regime needs alpha <= -1, got {alpha}")
     if not isinstance(g, int) or g < 2:
@@ -404,7 +405,7 @@ def render_ratio(crossings: int, pairs: int) -> str:
 
 def bounds_table(
     g_values: Sequence[int],
-    alphas: Sequence[Fraction],
+    alphas: Sequence[Fraction | int | str],
     *,
     digits: int = DEFAULT_DIGITS,
 ) -> list[TableRow]:
@@ -417,7 +418,7 @@ def bounds_table(
     """
     rows: list[TableRow] = []
     for g in sorted(set(g_values)):
-        for alpha in sorted(set(Fraction(a) for a in alphas)):
+        for alpha in sorted(set(map(parse_fraction, alphas))):
             surface = plan_composite(g, alpha)
             lower = lower_bound(g, alpha, digits=digits)
             count = construction_count(g, alpha, digits=digits)

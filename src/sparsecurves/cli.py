@@ -149,10 +149,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     collision = ""
     if certificate.collision is not None:
         first, second = certificate.collision
-        collision = (
-            f" collision={first.necklace}:{''.join(map(str, first.word))}"
-            f"/{second.necklace}:{''.join(map(str, second.word))}"
-        )
+        collision = f" collision={first}/{second}"
     print(
         f"certificate: distinct={'true' if certificate.distinct else 'false'} "
         f"method={certificate.method}{collision}"

@@ -10,9 +10,12 @@ has h' * 4**(h-1) curves in total.
 A system either describes the full family or lists its curves.  A listed
 system holds, for each necklace that carries curves, one sorted `bytes` string
 of N*n letter codes 1-4: word k is the slice [k*n, (k+1)*n), and repeated
-words are kept.  The loader, the counter, the certificate and the document
-writer work on these strings; `Curve` objects are built only for a collision
-witness or when a system's `curves` is read.
+words are kept.  `CurveSystem` alone reads words out of these strings: its
+first repeated curve, whether it holds a curve, and its curves in order.  The
+counter reads them only as letter columns and the document writer only copies
+them; `Curve` objects are built only for a repeat, a membership test or when
+a system's curves are read.  A full family is listed, when it is, lazily from
+the Cartesian power.
 
 A system is f-sparse when its average pairwise crossing number is at most f,
 i.e. cr <= f * C(size, 2).  The verdict is always decided by exact
@@ -25,24 +28,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from operator import eq
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import DomainError, EnumerationCapError
-from .exactint import le_scaled_power
+from .errors import DomainError
+from .exactint import le_scaled_power, parse_fraction
 from .surfaces import ARC_LABELS, CompositeSurface
 
 Word = tuple[int, ...]
 
-# Beyond this many words per necklace generate_necklace_family refuses to
-# list a family; a full family is still described and counted in closed form.
-DEFAULT_WORD_CAP = 2 ** 24
-
 # A full family with at most this many words per necklace is also counted by
-# the explicit counter, as a cross-check of the closed form.  The counter
-# takes about N*n C-level steps for N words of length n, so each step up (4x
-# the words) costs every bounds-table row of that size over 4x the time.
+# the explicit counter, as a cross-check of the closed form; a larger one is
+# refused by the counter before a word is listed.  The counter takes about
+# N*n C-level steps for N words of length n, so each step up (4x the words)
+# costs every bounds-table row of that size over 4x the time.
 EXPLICIT_WORD_LIMIT = 4096
 
 
@@ -51,6 +51,10 @@ class Curve(NamedTuple):
 
     necklace: int
     word: Word
+
+    def __str__(self) -> str:
+        """The curve as `necklace:word`, e.g. 3:4333."""
+        return f"{self.necklace}:{''.join(map(str, self.word))}"
 
 
 def validate_word(word: Word, piece_count: int) -> None:
@@ -72,32 +76,6 @@ def check_curve(curve: Curve, surface: CompositeSurface) -> None:
         )
 
 
-def generate_necklace_family(h: int, *, cap: int = DEFAULT_WORD_CAP) -> list[Word]:
-    """All 4**(h-1) arc-words on a genus-h necklace, in lexicographic order."""
-    if h < 2:
-        raise DomainError(f"necklace genus must be >= 2, got {h}")
-    # 4**(h-1) > cap exactly when 2*(h-1) reaches the cap's bit length
-    if 2 * (h - 1) >= cap.bit_length():
-        raise EnumerationCapError(
-            f"4**(h-1) words exceed the enumeration cap {cap}; "
-            "use analytic counting"
-        )
-    return list(product(ARC_LABELS, repeat=h - 1))
-
-
-def necklace_family_blob(h: int) -> bytes:
-    """The same words packed as one string of letter codes, already sorted."""
-    return bytes(chain.from_iterable(generate_necklace_family(h)))
-
-
-def repeated_word(blob: bytes, n: int) -> Optional[bytes]:
-    """The first word of a sorted packed word string that equals the word after
-    it, or None when its words are distinct."""
-    words = [blob[i : i + n] for i in range(0, len(blob), n)]
-    k = bytes(map(eq, words, words[1:])).find(1)
-    return None if k < 0 else words[k]
-
-
 @dataclass(frozen=True, init=False)
 class CurveSystem:
     """A set of curves on a composite surface.
@@ -108,11 +86,12 @@ class CurveSystem:
     (necklace, blob) pair per necklace that carries curves, necklaces
     ascending, where the blob is that necklace's words in ascending order,
     each as n = h-1 letter codes 1-4, joined into one `bytes` string.
-    Repeated curves are kept, for `homology.certify_distinct` to report.
+    Repeated curves are kept, and `first_repeat` names the first of them.
     Curves given to the constructor are checked with `check_curve` and packed
     whatever order they were given in; `from_packed` takes strings a caller
-    has already checked and sorted.  `curves` derives the canonical
-    (necklace, word) tuple of `Curve`s on first use.
+    has already checked and sorted.  This class alone reads words out of the
+    packed strings (`first_repeat`, `holds`, `iter_curves`).  `curves`
+    derives the canonical (necklace, word) tuple of `Curve`s on first use.
     """
 
     surface: CompositeSurface
@@ -171,17 +150,49 @@ class CurveSystem:
             return "analytic"
         return "explicit"
 
-    def iter_curves(self) -> Iterator[Curve]:
-        """Every curve in canonical (necklace, word) order, built lazily; a full
-        family's necklaces all carry the whole generated family."""
+    @cached_property
+    def first_repeat(self) -> Optional[Curve]:
+        """The first curve, in (necklace, word) order, that is listed twice, or
+        None when the curves are distinct; a full family has no repeat."""
         n = self.surface.piece_count
-        packed = self.packed
+        for necklace, blob in self.packed:
+            words = [blob[i : i + n] for i in range(0, len(blob), n)]
+            k = bytes(map(eq, words, words[1:])).find(1)
+            if k >= 0:
+                return Curve(necklace, tuple(words[k]))
+        return None
+
+    def holds(self, curve: Curve) -> bool:
+        """True iff `curve` is a curve of the system: any checked curve of a
+        full family, or one of the words listed on its necklace."""
+        try:
+            check_curve(curve, self.surface)
+        except DomainError:
+            return False
         if self.full:
-            blob = necklace_family_blob(self.surface.h)
-            packed = ((k, blob) for k in range(self.surface.h_prime))
-        for necklace, blob in packed:
-            for i in range(0, len(blob), n):
-                yield Curve(necklace, tuple(blob[i : i + n]))
+            return True
+        n, word = self.surface.piece_count, bytes(curve.word)
+        blob = dict(self.packed).get(curve.necklace, b"")
+        i = blob.find(word)
+        while i >= 0 and i % n:  # a match straddling two words
+            i = blob.find(word, i + 1)
+        return i >= 0
+
+    def iter_curves(self) -> Iterator[Curve]:
+        """Every curve in canonical (necklace, word) order, built lazily; each
+        necklace of a full family carries the whole Cartesian power."""
+        n = self.surface.piece_count
+        if self.full:
+            return (
+                Curve(k, word)
+                for k in range(self.surface.h_prime)
+                for word in product(ARC_LABELS, repeat=n)
+            )
+        return (
+            Curve(k, tuple(blob[i : i + n]))
+            for k, blob in self.packed
+            for i in range(0, len(blob), n)
+        )
 
 
 def generate_system(surface: CompositeSurface) -> CurveSystem:
@@ -198,14 +209,14 @@ class SparsityThreshold:
 
     @staticmethod
     def rational(value: Fraction | int | str) -> "SparsityThreshold":
-        value = Fraction(value)
+        value = parse_fraction(value)
         if value <= 0:
             raise DomainError(f"threshold must be positive, got {value}")
         return SparsityThreshold("rational", value)
 
     @staticmethod
     def power(alpha: Fraction | int | str) -> "SparsityThreshold":
-        return SparsityThreshold("power", Fraction(alpha))
+        return SparsityThreshold("power", parse_fraction(alpha))
 
     def admits(self, crossings: int, pair_count: int, g: int) -> bool:
         """Decide crossings <= f(g) * pair_count exactly."""

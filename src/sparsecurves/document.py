@@ -199,20 +199,11 @@ def _pack(words: list[str]) -> bytes:
     return "".join(sorted(words)).encode("ascii").translate(_CODES)
 
 
-def _holds_word(blob: bytes, word: bytes) -> bool:
-    """True iff `word` is one of the words of the packed string `blob`."""
-    n = len(word)
-    i = blob.find(word)
-    while i >= 0 and i % n:
-        i = blob.find(word, i + 1)
-    return i >= 0
-
-
 def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
     """Schema-1/2 listed curves, {"necklace", "word"} objects in any order,
     packed per necklace.  Each check runs once over all entries; only when one
-    fails are the entries scanned again by `_parse_curves`, to name the first
-    bad entry."""
+    fails are the entries scanned again by `_parse_curves`, which raises
+    naming the first bad entry: every bulk check has a per-entry one."""
     try:
         necklaces = [entry["necklace"] for entry in entries]
         words = [entry["word"] for entry in entries]
@@ -227,7 +218,8 @@ def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
         or not set(map(len, words)) <= {surface.piece_count}
         or not set("".join(words)) <= _LETTERS
     ):
-        return CurveSystem(surface, _parse_curves(entries, "curves", surface)).packed
+        _parse_curves(entries, "curves", surface)
+        raise AssertionError("a bulk check failed that no entry check repeats")
     groups: defaultdict[int, list[str]] = defaultdict(list)
     for necklace, word in zip(necklaces, words):
         groups[necklace].append(word)
@@ -412,14 +404,11 @@ def from_dict(data: object) -> SystemDocument:
             raise DocumentError(
                 "a certificate that is not distinct must name one curve twice in its collision"
             )
-        if certificate.collision is not None and not system.full:
-            blobs = dict(system.packed)
-            for i, (necklace, word) in enumerate(certificate.collision):
-                if not _holds_word(blobs.get(necklace, b""), bytes(word)):
-                    raise DocumentError(
-                        f"certificate.collision[{i}] = {necklace}:{''.join(map(str, word))} "
-                        "is not a curve of the system"
-                    )
+        for i, curve in enumerate(certificate.collision or ()):
+            if not system.holds(curve):
+                raise DocumentError(
+                    f"certificate.collision[{i}] = {curve} is not a curve of the system"
+                )
 
     return SystemDocument(system, report=report, certificate=certificate)
 

@@ -9,14 +9,6 @@ class DomainError(SparseCurvesError, ValueError):
     """A parameter lies outside the admissible domain (bad alpha, genus too small, ...)."""
 
 
-class EnumerationCapError(SparseCurvesError):
-    """Listing a necklace family would exceed the configured word cap.
-
-    A full family never needs listing: `generate_system` describes it, and its
-    totals come from the closed form.
-    """
-
-
 class PrecisionError(SparseCurvesError):
     """A certified comparison stayed undecidable at the maximum working precision."""
 

@@ -28,16 +28,17 @@ def fits_decimal(n: int) -> bool:
     return -_DECIMAL_BOUND < n < _DECIMAL_BOUND
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Fraction(text), refusing with ValueError a decimal exponent beyond
-    DECIMAL_DIGIT_LIMIT in absolute value before Fraction builds 10**exponent.
-    The int<->str limit already bounds the digits of every other part."""
-    match = _EXPONENT.search(text)
+def parse_fraction(value: Fraction | int | str) -> Fraction:
+    """Fraction(value), refusing with ValueError a text whose decimal exponent
+    is beyond DECIMAL_DIGIT_LIMIT in absolute value before Fraction builds
+    10**exponent.  The int<->str limit already bounds the digits of every
+    other part of a text; a Fraction or an int is taken as it is."""
+    match = _EXPONENT.search(value) if isinstance(value, str) else None
     if match:
         digits = match.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(DECIMAL_DIGIT_LIMIT)) or int(digits or 0) > DECIMAL_DIGIT_LIMIT:
             raise ValueError(f"decimal exponent beyond {DECIMAL_DIGIT_LIMIT} in absolute value")
-    return Fraction(text)
+    return Fraction(value)
 
 
 def lowest_terms_within(num: int, den: int, bits: int) -> tuple[int, int] | None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .curves import Curve, CurveSystem, check_curve, repeated_word
+from .curves import Curve, CurveSystem, check_curve
 from .surfaces import CompositeSurface
 
 ARC_OFFSETS: dict[int, tuple[int, int]] = {
@@ -64,12 +64,12 @@ def certify_distinct(system: CurveSystem) -> DistinctnessCertificate:
     """Certify that the system's curve classes are pairwise distinct.
 
     A full family is certified by its construction (`certify_generated`),
-    without listing a curve.  A listed system is checked exhaustively: each
-    necklace's packed words are scanned in ascending necklace order, so a
-    failure witness is the first curve that repeats the one before it,
-    paired with that earlier curve.  The system's words were checked when it
-    was built, and no class vector is built: the work is proportional to the
-    words, not to the genus.
+    without listing a curve.  A listed system is checked exhaustively: a
+    failure witness is the system's `first_repeat`, the first curve in
+    (necklace, word) order that is listed twice, paired with itself.  The
+    system's words were checked when it was built, and no class vector is
+    built: the work is proportional to the words, not to the genus, and is
+    shared with the explicit counter, which scans for the same repeat.
     """
     if system.full:
         return certify_generated(system.surface)
@@ -77,15 +77,12 @@ def certify_distinct(system: CurveSystem) -> DistinctnessCertificate:
     # a curve's arc offsets and its longitude 1 only into the block of its own
     # necklace (2h coordinates at 2h*necklace; the blocks are disjoint since
     # h*h' <= g), and ARC_OFFSETS is injective, so two checked curves have
-    # equal classes exactly when they have equal necklaces and equal words,
-    # and in sorted packed words equal words are adjacent.
-    for necklace, blob in system.packed:
-        word = repeated_word(blob, system.surface.piece_count)
-        if word is not None:
-            curve = Curve(necklace, tuple(word))
-            return DistinctnessCertificate(
-                distinct=False, method="exhaustive", collision=(curve, curve)
-            )
+    # equal classes exactly when they have equal necklaces and equal words.
+    curve = system.first_repeat
+    if curve is not None:
+        return DistinctnessCertificate(
+            distinct=False, method="exhaustive", collision=(curve, curve)
+        )
     return DistinctnessCertificate(distinct=True, method="exhaustive")
 
 

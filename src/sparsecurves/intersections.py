@@ -25,20 +25,13 @@ Three routes to the same totals:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import and_, rshift
 from typing import NamedTuple, Sequence
 
-from .curves import (
-    Curve,
-    CurveSystem,
-    Word,
-    necklace_family_blob,
-    repeated_word,
-    validate_word,
-)
+from .curves import EXPLICIT_WORD_LIMIT, Curve, CurveSystem, Word, validate_word
 from .errors import DegenerateGeometryError, DomainError, SparseCurvesError
-from .surfaces import CompositeSurface
+from .surfaces import ARC_LABELS, CompositeSurface
 
 
 class BoundaryPosition(NamedTuple):
@@ -77,23 +70,26 @@ def _pair_ranks(u: Word, w: Word, piece: int) -> tuple[int, int]:
     return (0, 1) if u < w else (1, 0)
 
 
+def _check_pair(c1: Curve, c2: Curve, surface: CompositeSurface, caller: str) -> int:
+    """The piece count n, once both words have n arc labels and the curves
+    differ; DomainError says that `caller` needs two distinct curves."""
+    n = surface.piece_count
+    validate_word(c1.word, n)
+    validate_word(c2.word, n)
+    if c1 == c2:
+        raise DomainError(f"{caller} needs two distinct curves")
+    return n
+
+
 def pair_intersection(c1: Curve, c2: Curve, surface: CompositeSurface) -> int:
     """Crossing number of two distinct curves in the drawn (minimal) position.
 
     Zero when the curves live on different necklaces; otherwise the sum over
     the h-1 annuli of the interleaving test, hence always at most h-1.
     """
-    n = surface.piece_count
-    validate_word(c1.word, n)
-    validate_word(c2.word, n)
-    if c1 == c2:
-        raise DomainError("pair_intersection needs two distinct curves")
+    n = _check_pair(c1, c2, surface, "pair_intersection")
     if c1.necklace != c2.necklace:
         return 0
-    if c1.word == c2.word:
-        raise DomainError(
-            "curves on one necklace with identical words are the same curve"
-        )
     total = 0
     for i in range(n):
         j = (i + 1) % n
@@ -167,13 +163,9 @@ def _block_crossings(bins: bytes) -> int:
     return sum(map(and_, fields, repeat(_FIELD)))
 
 
-def _family_crossings_sorted(blob: bytes, n: int, necklace: int) -> int:
+def _family_crossings_sorted(blob: bytes, n: int) -> int:
     """Total crossings over all unordered pairs of a sorted, duplicate-free
-    packed family of words of length n; a repeated word is reported as a
-    duplicate curve on `necklace`."""
-    word = repeated_word(blob, n)
-    if word is not None:
-        raise DomainError(f"duplicate curve {necklace}:{''.join(map(str, word))}")
+    packed family of words of length n."""
     count = len(blob) // n
     columns = [int.from_bytes(blob[i::n], "big") for i in range(n)]
     bins = ((columns[0] << 2) + columns[1 % n]).to_bytes(count, "big")
@@ -197,20 +189,30 @@ def total_crossings_explicit(system: CurveSystem) -> int:
 
     Pairs on different necklaces contribute zero, so the sum decomposes into
     per-necklace totals, read from the system's packed per-necklace words;
-    necklaces carrying identical word sets are computed once, and a full
-    family is counted on one listed necklace.  The first necklace, in
-    ascending order, that repeats a word raises DomainError naming that
-    curve.  The result is an exact big integer.
+    necklaces carrying identical word sets are computed once.  A full family
+    is counted on one listed necklace, packed from the Cartesian power, and
+    refused before listing when it exceeds EXPLICIT_WORD_LIMIT words per
+    necklace (`mode` "analytic").  A system's first repeated curve raises
+    DomainError naming it.  The result is an exact big integer.
     """
     surface = system.surface
     if system.full:
-        one = CurveSystem.from_packed(surface, ((0, necklace_family_blob(surface.h)),))
+        if system.mode == "analytic":
+            raise DomainError(
+                f"a full family of 4**{surface.piece_count} words per necklace "
+                f"exceeds the explicit limit of {EXPLICIT_WORD_LIMIT}; "
+                "it is counted in closed form"
+            )
+        words = product(ARC_LABELS, repeat=surface.piece_count)
+        one = CurveSystem.from_packed(surface, ((0, bytes(chain.from_iterable(words))),))
         return surface.h_prime * total_crossings_explicit(one)
+    if system.first_repeat is not None:
+        raise DomainError(f"duplicate curve {system.first_repeat}")
     total = 0
     cache: dict[bytes, int] = {}
-    for necklace, blob in system.packed:
+    for _, blob in system.packed:
         if blob not in cache:
-            cache[blob] = _family_crossings_sorted(blob, surface.piece_count, necklace)
+            cache[blob] = _family_crossings_sorted(blob, surface.piece_count)
         total += cache[blob]
     return total
 
@@ -401,17 +403,9 @@ def oracle_crossings_pl(
     """
     if resolution < 4:
         raise DomainError(f"resolution must be >= 4 sample points, got {resolution}")
-    n = surface.piece_count
-    validate_word(c1.word, n)
-    validate_word(c2.word, n)
-    if c1 == c2:
-        raise DomainError("oracle needs two distinct curves")
+    n = _check_pair(c1, c2, surface, "oracle")
     if c1.necklace != c2.necklace:
         raise DomainError("oracle compares curves on the same necklace")
-    if c1.word == c2.word:
-        raise DomainError(
-            "curves on one necklace with identical words are the same curve"
-        )
     steps = resolution - 1
     ranks1 = []
     ranks2 = []

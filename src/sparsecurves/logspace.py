@@ -142,13 +142,3 @@ def certify(
                 f"b in [{nstr(b_lo, 25)}, {nstr(b_hi, 25)}])"
             )
         d = min(2 * d, max_digits)
-
-
-def certified_le(eval_a: Evaluator, eval_b: Evaluator, **limits) -> bool:
-    """Certify a <= b; limits are certify's digits and max_digits."""
-    return certify(eval_a, eval_b, **limits)[0]
-
-
-def certified_lt(eval_a: Evaluator, eval_b: Evaluator, **limits) -> bool:
-    """Certify a < b; limits are certify's digits and max_digits."""
-    return certify(eval_a, eval_b, strict=True, **limits)[0]

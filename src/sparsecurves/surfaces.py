@@ -24,6 +24,7 @@ from .exactint import (
     floor_scaled_power,
     genus_admissible,
     min_admissible_genus,
+    parse_fraction,
 )
 
 ARC_LABELS = (1, 2, 3, 4)
@@ -156,7 +157,7 @@ class CompositeSurface:
 def check_plan_domain(g: int, alpha: Fraction | int | str) -> Fraction:
     """alpha as a Fraction, once (g, alpha) is known to admit a plan: alpha
     passes `check_alpha` and g is a positive integer with g**(1+alpha) >= 16."""
-    alpha = Fraction(alpha)
+    alpha = parse_fraction(alpha)
     check_alpha(alpha)
     if not isinstance(g, int) or g < 1:
         raise DomainError(f"genus must be a positive integer, got {g!r}")

@@ -16,6 +16,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 from mpmath import mp
 
@@ -32,7 +33,6 @@ from sparsecurves.curves import (
     Curve,
     CurveSystem,
     SparsityThreshold,
-    generate_necklace_family,
     generate_system,
     sparsity_chain_check,
     verify_sparsity,
@@ -44,8 +44,7 @@ from sparsecurves.intersections import (
     pair_intersection,
     total_crossings_explicit,
 )
-from sparsecurves.logspace import certified_le as log_le
-from sparsecurves.logspace import endpoints, interval_context, log10_int
+from sparsecurves.logspace import certify, endpoints, interval_context, log10_int
 from sparsecurves.surfaces import plan_composite
 
 CASES = ((16, 2, 8), (36, 3, 12), (64, 4, 16), (100, 5, 20))
@@ -116,7 +115,7 @@ def test_criterion_03_oracle_equivalence():
     trials = 0
     for h in range(2, 7):
         surface = plan_composite(4 * h * h, Fraction(0))
-        words = generate_necklace_family(h)
+        words = list(product((1, 2, 3, 4), repeat=h - 1))
         for _ in range(2000):
             u, w = rng.sample(words, 2)
             c1, c2 = Curve(0, u), Curve(0, w)
@@ -128,7 +127,7 @@ def test_criterion_03_oracle_equivalence():
         surface = plan_composite(4 * h * h, Fraction(0))
         family = CurveSystem(
             surface=surface,
-            curves=tuple(Curve(0, w) for w in generate_necklace_family(h)),
+            curves=tuple(Curve(0, w) for w in product((1, 2, 3, 4), repeat=h - 1)),
         )
         analytic_ok = analytic_ok and (
             total_crossings_explicit(family) == necklace_family_crossings(h)
@@ -157,7 +156,7 @@ def test_criterion_05_homology_certificate():
     injective = True
     for h in range(2, 7):
         surface = plan_composite(4 * h * h, Fraction(0))
-        words = generate_necklace_family(h)
+        words = list(product((1, 2, 3, 4), repeat=h - 1))
         classes = {curve_class(Curve(0, w), surface).coefficients for w in words}
         injective = injective and len(classes) == 4 ** (h - 1)
     ok = certified and injective
@@ -215,8 +214,8 @@ def test_criterion_07_simplified_display():
                 + 6 / ln10
             )
 
-        lower_ok = log_le(rhs_lower, lower.evaluate)
-        upper_ok = log_le(upper.rounded.evaluate, rhs_upper)
+        lower_ok = certify(rhs_lower, lower.evaluate)[0]
+        upper_ok = certify(upper.rounded.evaluate, rhs_upper)[0]
         ok = ok and lower_ok and upper_ok
         assert lower_ok, f"lower display fails at g={g}"
         assert upper_ok, f"upper display fails at g={g}"
@@ -268,7 +267,7 @@ def test_criterion_08_inequality_trivial_regime():
         return log10_int(ctx, 2 * g) + 6 / ctx.log(ctx.mpf(10))
 
     upper = upper_bound(g, 1)
-    chain = log_le(thr, mid) and log_le(mid, upper.rounded.evaluate)
+    chain = certify(thr, mid)[0] and certify(mid, upper.rounded.evaluate)[0]
     ok = not_applicable and chain
     _line("8 inequality trivial regime", ok, f"status={verdict.status.value}")
     assert not_applicable
@@ -297,10 +296,10 @@ def test_criterion_09_linear_regime():
             )
         shape_ok = shape_ok and identity_gap < mp.mpf("1e-30")
         # and the rigorous per-g domination in log space
-        shape_ok = shape_ok and log_le(
+        shape_ok = shape_ok and certify(
             lambda d, t=3 * g - 3: log10_int(interval_context(d), t),
             bound.value.evaluate,
-        )
+        )[0]
     ok = dominate and shape_ok
     _line("9 linear regime", ok, "alpha=-1, g in {2..10^4}")
     assert dominate

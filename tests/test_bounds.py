@@ -30,8 +30,7 @@ from sparsecurves.bounds import (
 from sparsecurves.curves import SparsityThreshold, generate_system
 from sparsecurves.errors import DomainError
 from sparsecurves.intersections import total_crossings
-from sparsecurves.logspace import certified_le as log_certified_le
-from sparsecurves.logspace import MAX_DIGITS, _GUARD_DIGITS, interval_context, log10_int
+from sparsecurves.logspace import MAX_DIGITS, _GUARD_DIGITS, certify, interval_context, log10_int
 from sparsecurves.surfaces import check_plan_domain, plan_composite
 
 
@@ -175,10 +174,10 @@ def test_linear_regime_dominates_disjoint_maximum_samples():
         target = 3 * g - 3
         if target == 0:
             continue
-        assert log_certified_le(
+        assert certify(
             lambda d, t=target: log10_int(interval_context(d), t),
             bound.value.evaluate,
-        )
+        )[0]
 
 
 def test_construction_count_monotone_where_parameters_are():

@@ -2,6 +2,8 @@
 
 import time
 from fractions import Fraction
+from itertools import islice, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,18 @@ from sparsecurves.curves import (
     Curve,
     CurveSystem,
     SparsityThreshold,
-    generate_necklace_family,
     generate_system,
     sparsity_chain_check,
     verify_sparsity,
 )
-from sparsecurves.errors import DomainError, EnumerationCapError
+from sparsecurves import intersections
+from sparsecurves.errors import DomainError
 from sparsecurves.homology import certify_distinct, certify_generated
+from sparsecurves.intersections import (
+    necklace_family_crossings,
+    total_crossings,
+    total_crossings_explicit,
+)
 from sparsecurves.surfaces import CompositeSurface, plan_composite
 
 
@@ -41,34 +48,103 @@ SMALL_FAMILIES = _small_families()
 
 
 def test_family_h2_is_alphabet():
-    assert generate_necklace_family(2) == [(1,), (2,), (3,), (4,)]
+    system = generate_system(plan_composite(16, Fraction(0)))  # h = 2, h' = 8
+    assert list(system.iter_curves()) == [
+        Curve(k, (a,)) for k in range(8) for a in (1, 2, 3, 4)
+    ]
 
 
 def test_family_h3_is_cartesian_square():
-    family = generate_necklace_family(3)
-    assert len(family) == 16
+    system = generate_system(plan_composite(36, Fraction(0)))  # h = 3
+    family = [c.word for c in islice(system.iter_curves(), 16)]
     assert family[0] == (1, 1)
     assert family[-1] == (4, 4)
-    assert family == sorted(family)
-    assert len(set(family)) == 16
+    assert family == sorted(family) == list(product((1, 2, 3, 4), repeat=2))
 
 
 def test_family_cap():
-    with pytest.raises(EnumerationCapError):
-        generate_necklace_family(30)
-    # explicit override admits the same request
-    assert len(generate_necklace_family(5, cap=4 ** 4)) == 256
+    # the explicit counter refuses a full family past EXPLICIT_WORD_LIMIT
+    # words per necklace before listing one, and counts one at the limit
+    surface = plan_composite(256, Fraction(0))  # h = 8: 16,384 words
+    with mock.patch.object(intersections, "product", side_effect=AssertionError):
+        with pytest.raises(DomainError, match="exceeds the explicit limit of 4096"):
+            total_crossings_explicit(generate_system(surface))
+    surface = plan_composite(196, Fraction(0))  # h = 7: 4,096 words
+    assert total_crossings_explicit(generate_system(surface)) == (
+        surface.h_prime * necklace_family_crossings(7)
+    )
 
 
 @pytest.mark.parametrize("h", [10 ** 4, 10 ** 8])
 def test_family_cap_is_compared_by_bit_length(h):
     # 4**(h-1) has 2*10**4 or 2*10**8 bits; it is neither built nor printed
+    surface = plan_composite(2 * h, Fraction(1))
+    assert surface.h == h
     start = time.perf_counter()
-    with pytest.raises(EnumerationCapError, match="exceed the enumeration cap"):
-        generate_necklace_family(h)
+    with pytest.raises(DomainError, match="exceeds the explicit limit"):
+        total_crossings_explicit(generate_system(surface))
     assert time.perf_counter() - start < 0.5
-    with pytest.raises(EnumerationCapError):
-        generate_necklace_family(5, cap=4 ** 4 - 1)
+
+
+def test_full_family_is_listed_lazily():
+    system = generate_system(plan_composite(64, Fraction(1)))  # 4**31 words a necklace
+    assert next(system.iter_curves()) == Curve(0, (1,) * 31)
+
+
+@st.composite
+def _repeating_systems(draw):
+    """Listed systems on four necklaces of the g=100 plan, with repeats, given
+    in any order."""
+    surface = plan_composite(100, Fraction(0))  # h = 5: words of 4 letters
+    curves = draw(
+        st.lists(
+            st.builds(
+                Curve,
+                st.integers(min_value=0, max_value=3),
+                st.tuples(*[st.integers(min_value=1, max_value=4)] * 4),
+            ),
+            max_size=24,
+        )
+    )
+    curves += draw(st.lists(st.sampled_from(curves), max_size=3)) if curves else []
+    return CurveSystem(surface, tuple(draw(st.permutations(curves))))
+
+
+@given(system=_repeating_systems(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_first_repeat_and_holds_match_the_sorted_curves(system, data):
+    curves = sorted(system.curves)
+    repeats = [u for u, w in zip(curves, curves[1:]) if u == w]
+    assert system.first_repeat == (repeats[0] if repeats else None)
+    listed = set(system.curves)
+    probes = [Curve(k, w) for k, w in product(range(5), [(1, 1, 1, 1), (4, 4, 4, 4)])]
+    for necklace, blob in system.packed:
+        if len(blob) >= 8:  # a word straddling the first two packed words
+            probes.append(Curve(necklace, tuple(blob[2:6])))
+    probes += data.draw(st.lists(st.sampled_from(curves), max_size=3)) if curves else []
+    probes += [Curve(0, (1, 2)), Curve(0, (1, 2, 3, 5))]  # not curves of the surface
+    for curve in probes:
+        assert system.holds(curve) == (curve in listed)
+
+
+def test_a_repeat_is_found_once_for_the_counter_and_the_certificate():
+    surface = plan_composite(100, Fraction(0))
+    curves = (Curve(3, (4, 3, 3, 3)), Curve(1, (1, 2, 3, 4)), Curve(3, (4, 3, 3, 3)))
+    system = CurveSystem(surface, curves)
+    with pytest.raises(DomainError, match=r"^duplicate curve 3:4333$"):
+        total_crossings(system)
+    assert "first_repeat" in vars(system)
+    repeat = vars(system)["first_repeat"]
+    assert certify_distinct(system).collision == (repeat, repeat)
+    assert str(repeat) == "3:4333"
+
+
+def test_full_family_holds_exactly_the_curves_of_its_surface():
+    system = generate_system(plan_composite(36, Fraction(0)))  # h = 3, h' = 12
+    assert system.holds(Curve(11, (4, 1)))
+    assert not system.holds(Curve(12, (4, 1)))
+    assert not system.holds(Curve(0, (4, 5)))
+    assert system.first_repeat is None
 
 
 def test_generate_system_counts():

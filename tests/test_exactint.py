@@ -1,12 +1,15 @@
 """Integer root extraction and exact rational-power comparisons."""
 
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsecurves import bounds
+from sparsecurves.curves import SparsityThreshold
 from sparsecurves.exactint import (
     DECIMAL_DIGIT_LIMIT,
     fits_decimal,
@@ -17,7 +20,9 @@ from sparsecurves.exactint import (
     le_scaled_power,
     lowest_terms_within,
     min_admissible_genus,
+    parse_fraction,
 )
+from sparsecurves.surfaces import check_plan_domain, plan_composite
 
 
 def test_nth_root_small_cases():
@@ -176,3 +181,30 @@ def test_fits_decimal_is_the_int_to_str_limit():
     assert not fits_decimal(largest + 1)
     with pytest.raises(ValueError):
         str(largest + 1)
+
+
+_PARSE_ENTRY_POINTS = {
+    "SparsityThreshold.rational": SparsityThreshold.rational,
+    "SparsityThreshold.power": SparsityThreshold.power,
+    "check_plan_domain": lambda text: check_plan_domain(16, text),
+    "plan_composite": lambda text: plan_composite(16, text),
+    "upper_bound": lambda text: bounds.upper_bound(16, text),
+    "bounds_table": lambda text: bounds.bounds_table([16], [text]),
+    "linear_regime_bound": lambda text: bounds.linear_regime_bound(16, text),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARSE_ENTRY_POINTS))
+def test_library_parses_refuse_a_huge_exponent_at_once(name):
+    # Fraction("1e-10000000") alone builds 10**10000000, about 30 s
+    entry = _PARSE_ENTRY_POINTS[name]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="decimal exponent beyond 4300"):
+        entry("1e-10000000")
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_fraction_takes_numbers_as_they_are():
+    assert parse_fraction(Fraction(3, 7)) == Fraction(3, 7)
+    assert parse_fraction(-2) == Fraction(-2) and type(parse_fraction(5)) is Fraction
+    assert parse_fraction("1e-3") == Fraction(1, 1000)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecurves import intersections
-from sparsecurves.curves import Curve, CurveSystem, generate_necklace_family, generate_system
+from sparsecurves.curves import Curve, CurveSystem, generate_system
 from sparsecurves.errors import DomainError
 from sparsecurves.homology import certify_distinct
 from sparsecurves.intersections import (
@@ -102,7 +102,7 @@ def test_pair_intersection_symmetry_and_localization(data, h):
 
 def test_explicit_total_equals_pairwise_sum_g36():
     surface = SURFACES[3]
-    words = generate_necklace_family(3)
+    words = list(product((1, 2, 3, 4), repeat=2))
     curves = tuple(Curve(k, w) for k in range(2) for w in words)
     system = CurveSystem(surface=surface, curves=curves)
     total = total_crossings_explicit(system)
@@ -176,10 +176,16 @@ def _prefix_walk_crossings(words, necklace):
 
 
 def _packed_crossings(n):
-    """The counter on words given as tuples, packed as a listed necklace holds them."""
-    return lambda words, necklace: _family_crossings_sorted(
-        b"".join(map(bytes, words)), n, necklace
-    )
+    """The counter on sorted words given as tuples, packed as a listed necklace
+    holds them, after the check for an adjacent repeat that its caller makes."""
+
+    def count(words, necklace):
+        for u, w in zip(words, words[1:]):
+            if u == w:
+                raise DomainError(f"duplicate curve {Curve(necklace, u)}")
+        return _family_crossings_sorted(b"".join(map(bytes, words)), n)
+
+    return count
 
 
 def _outcome(count, words):
@@ -246,7 +252,7 @@ def test_explicit_total_full_family_large(g, h):
     # 4,096 and 16,384 words on one necklace, against the closed form
     surface = plan_composite(g, Fraction(0))
     assert surface.h == h
-    curves = tuple(Curve(0, w) for w in generate_necklace_family(h))
+    curves = tuple(Curve(0, w) for w in product((1, 2, 3, 4), repeat=h - 1))
     system = CurveSystem(surface=surface, curves=curves)
     assert total_crossings_explicit(system) == necklace_family_crossings(h)
 
@@ -275,7 +281,7 @@ def test_two_curves_distinct_necklaces_zero():
 
 @pytest.mark.parametrize("h", range(2, 7))
 def test_analytic_equals_explicit_one_necklace(h):
-    words = generate_necklace_family(h)
+    words = list(product((1, 2, 3, 4), repeat=h - 1))
     surface = SURFACES[h]
     curves = tuple(Curve(0, w) for w in words)
     system = CurveSystem(surface=surface, curves=curves)
@@ -370,7 +376,7 @@ def test_oracle_agrees_with_rule(data, h):
 
 def test_oracle_exhaustive_h3():
     surface = SURFACES[3]
-    words = generate_necklace_family(3)
+    words = list(product((1, 2, 3, 4), repeat=2))
     for u, w in combinations(words, 2):
         c1, c2 = Curve(0, u), Curve(0, w)
         assert oracle_crossings_pl(c1, c2, surface) == pair_intersection(
@@ -382,7 +388,7 @@ def test_frozen_family_totals_via_oracle():
     # per-necklace totals pinned by summing the drawing oracle over all pairs
     for h, expected in ((2, 0), (3, 72)):
         surface = SURFACES[h]
-        words = generate_necklace_family(h)
+        words = list(product((1, 2, 3, 4), repeat=h - 1))
         total = sum(
             oracle_crossings_pl(Curve(0, u), Curve(0, w), surface)
             for u, w in combinations(words, 2)
@@ -411,7 +417,7 @@ def test_oracle_perturbation_retry():
 def test_oracle_exhaustive_h3_low_resolution():
     # resolution 4 maximizes sample-vertex collisions; every pair still agrees
     surface = SURFACES[3]
-    words = generate_necklace_family(3)
+    words = list(product((1, 2, 3, 4), repeat=2))
     for u, w in combinations(words, 2):
         c1, c2 = Curve(0, u), Curve(0, w)
         assert oracle_crossings_pl(c1, c2, surface, resolution=4) == pair_intersection(

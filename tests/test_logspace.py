@@ -9,8 +9,6 @@ from sparsecurves.errors import PrecisionError
 from sparsecurves.logspace import (
     _GUARD_DIGITS,
     certify,
-    certified_le,
-    certified_lt,
     endpoints,
     interval_context,
     iv_fraction,
@@ -34,19 +32,19 @@ def test_endpoints_enclose_and_order():
 
 
 def test_certified_le_both_directions():
-    assert certified_le(_log_of(2), _log_of(3))
-    assert not certified_le(_log_of(3), _log_of(2))
-    assert certified_lt(_log_of(999), _log_of(1000))
-    assert not certified_lt(_log_of(1000), _log_of(999))
+    assert certify(_log_of(2), _log_of(3))[0]
+    assert not certify(_log_of(3), _log_of(2))[0]
+    assert certify(_log_of(999), _log_of(1000), strict=True)[0]
+    assert not certify(_log_of(1000), _log_of(999), strict=True)[0]
 
 
 def test_certified_le_huge_separation():
-    assert certified_le(_log_of(10 ** 500), _log_of(10 ** 501))
+    assert certify(_log_of(10 ** 500), _log_of(10 ** 501))[0]
 
 
 def test_equal_quantities_hit_precision_cap():
     with pytest.raises(PrecisionError):
-        certified_le(_log_of(7), _log_of(7), max_digits=120)
+        certify(_log_of(7), _log_of(7), max_digits=120)
 
 
 def test_power_ln_matches_exact_integer_powers():
