@@ -155,6 +155,11 @@ class SizeUpperBound:
     rounded: BoundValue
 
 
+def _check_genus(g: int) -> None:
+    if not isinstance(g, int) or g < 2:
+        raise DomainError(f"genus must be an integer >= 2, got {g!r}")
+
+
 def _as_threshold(f: SparsityThreshold | Fraction | int | str) -> SparsityThreshold:
     if isinstance(f, SparsityThreshold):
         return f
@@ -173,8 +178,7 @@ def upper_bound(
     form 2g*e**(sqrt(128*g*f(g))+6), both as log enclosures; f may be an
     exact rational or the power g**alpha.
     """
-    if not isinstance(g, int) or g < 2:
-        raise DomainError(f"genus must be an integer >= 2, got {g!r}")
+    _check_genus(g)
     threshold = _as_threshold(f)
 
     def scaled_f(ctx, scale: int):
@@ -237,8 +241,7 @@ def crossing_inequality_check(
     Both comparisons go through `logspace.certify`; one still undecided at
     MAX_DIGITS is reported UNDECIDED.
     """
-    if not isinstance(g, int) or g < 2:
-        raise DomainError(f"genus must be an integer >= 2, got {g!r}")
+    _check_genus(g)
     if not isinstance(m, int) or m < 2:
         raise DomainError(f"system size must be an integer >= 2, got {m!r}")
     if cr < 0:
@@ -326,8 +329,7 @@ def linear_regime_bound(
     alpha = parse_fraction(alpha)
     if alpha > -1:
         raise DomainError(f"linear regime needs alpha <= -1, got {alpha}")
-    if not isinstance(g, int) or g < 2:
-        raise DomainError(f"genus must be an integer >= 2, got {g!r}")
+    _check_genus(g)
 
     def eval_value(d: int):
         ctx = interval_context(d)
@@ -417,8 +419,9 @@ def bounds_table(
     `intersections.total_crossings`; the mode column is the system's mode.
     """
     rows: list[TableRow] = []
+    alpha_values = sorted(set(map(parse_fraction, alphas)))
     for g in sorted(set(g_values)):
-        for alpha in sorted(set(map(parse_fraction, alphas))):
+        for alpha in alpha_values:
             surface = plan_composite(g, alpha)
             lower = lower_bound(g, alpha, digits=digits)
             count = construction_count(g, alpha, digits=digits)

@@ -22,7 +22,7 @@ from . import bounds as bounds_mod
 from . import document as document_mod
 from .bounds import nstr
 from .curves import CrossingReport, SparsityThreshold, generate_system, verify_sparsity
-from .errors import DocumentError, DomainError, PrecisionError, SparseCurvesError
+from .errors import DocumentError, DomainError, SparseCurvesError
 from .homology import certify_distinct
 from .exactint import fits_decimal, parse_fraction
 from .logspace import (
@@ -156,25 +156,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
 
     if report is not None:
-        try:
-            verdict = bounds_mod.crossing_inequality_check(
-                system.surface.g,
-                system.curve_count,
-                report.total_crossings,
-                digits=args.precision,
-            )
-            parts = [
-                f"inequality: status={verdict.status.value}",
-                f"size_log10={nstr(verdict.size_log10)}",
-                f"threshold_log10={nstr(verdict.threshold_log10)}",
-            ]
-            if verdict.left_log10 is not None:
-                parts.append(f"left_log10={nstr(verdict.left_log10)}")
-            if verdict.crossings_log10 is not None:
-                parts.append(f"crossings_log10={nstr(verdict.crossings_log10)}")
-            print(" ".join(parts))
-        except (DomainError, PrecisionError) as exc:
-            print(f"inequality: unavailable ({exc})")
+        verdict = bounds_mod.crossing_inequality_check(
+            system.surface.g,
+            system.curve_count,
+            report.total_crossings,
+            digits=args.precision,
+        )
+        parts = [
+            f"inequality: status={verdict.status.value}",
+            f"size_log10={nstr(verdict.size_log10)}",
+            f"threshold_log10={nstr(verdict.threshold_log10)}",
+        ]
+        if verdict.left_log10 is not None:
+            parts.append(f"left_log10={nstr(verdict.left_log10)}")
+        if verdict.crossings_log10 is not None:
+            parts.append(f"crossings_log10={nstr(verdict.crossings_log10)}")
+        print(" ".join(parts))
 
     if args.out:
         annotated = document_mod.SystemDocument(
@@ -197,11 +194,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _parse_g_values(args: argparse.Namespace) -> list[int]:
-    values: list[int] = []
+# --g-range COUNT above this exits 4 before any grid point is computed, so
+# listing a grid stays under a second; its points are rounded to integers,
+# and a denser grid mostly repeats genera.
+MAX_GRID_COUNT = 10**6
+
+
+def _parse_g_values(args: argparse.Namespace) -> set[int]:
+    values: set[int] = set()
     if args.g:
         try:
-            values.extend(int(chunk) for chunk in args.g.split(",") if chunk.strip())
+            values.update(int(chunk) for chunk in args.g.split(",") if chunk.strip())
         except ValueError as exc:
             raise DomainError(f"--g must list integers, got {args.g!r}") from exc
     if args.g_range:
@@ -211,13 +214,15 @@ def _parse_g_values(args: argparse.Namespace) -> list[int]:
         except ValueError as exc:
             raise DomainError(f"--g-range must be MIN:MAX:COUNT, got {args.g_range!r}") from exc
         if lo < 1 or hi < lo or count < 1:
-            raise DomainError(f"--g-range needs 1 <= MIN <= MAX and COUNT >= 1")
+            raise DomainError("--g-range needs 1 <= MIN <= MAX and COUNT >= 1")
+        if count > MAX_GRID_COUNT:
+            raise DomainError(f"--g-range COUNT must be at most {MAX_GRID_COUNT}, got {count}")
         if count == 1:
-            values.append(lo)
+            values.add(lo)
         else:
             span = math.log(hi) - math.log(lo)
             try:
-                values.extend(
+                values.update(
                     round(math.exp(math.log(lo) + span * i / (count - 1)))
                     for i in range(count)
                 )
@@ -225,7 +230,7 @@ def _parse_g_values(args: argparse.Namespace) -> list[int]:
                 raise DomainError("--g-range MAX is too large for a log-spaced grid") from None
     if not values:
         raise DomainError("bounds needs --g and/or --g-range")
-    return sorted(set(values))
+    return values
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -264,6 +269,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+_IGNORED = "accepted and ignored, so older scripts still parse"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="sparse-curves",
@@ -288,16 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_construct.add_argument("--out", required=True, help="output JSON path")
-    p_construct.add_argument(
-        "--analytic",
-        action="store_true",
-        help="accepted and ignored, so older scripts still parse",
-    )
-    p_construct.add_argument(
-        "--cap",
-        type=int,
-        help="accepted and ignored, so older scripts still parse",
-    )
+    p_construct.add_argument("--analytic", action="store_true", help=_IGNORED)
     p_construct.set_defaults(func=_cmd_construct)
 
     p_verify = sub.add_parser(
@@ -308,18 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--f",
         default="gpow",
         help="sparsity threshold: an exact fraction p/q, or 'gpow' for g**alpha",
-    )
-    p_verify.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted and ignored, so older scripts still parse",
-    )
-    p_verify.add_argument(
-        "--precision",
-        type=int,
-        default=DEFAULT_DIGITS,
-        help=f"log-space digits, from 1 to {MAX_DIGITS}",
     )
     p_verify.add_argument("--out", help="write the annotated document here")
     p_verify.set_defaults(func=_cmd_verify)
@@ -339,24 +326,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bounds.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bounds.add_argument("--out", help="output path (stdout when omitted)")
-    p_bounds.add_argument(
-        "--precision",
-        type=int,
-        default=DEFAULT_DIGITS,
-        help=f"log-space digits, from 1 to {MAX_DIGITS}",
-    )
-    p_bounds.add_argument(
-        "--cap",
-        type=int,
-        help="accepted and ignored, so older scripts still parse",
-    )
-    p_bounds.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted and ignored, so older scripts still parse",
-    )
     p_bounds.set_defaults(func=_cmd_bounds)
+
+    # options that more than one command takes
+    for p_command in (p_verify, p_bounds):
+        p_command.add_argument(
+            "--precision",
+            type=int,
+            default=DEFAULT_DIGITS,
+            help=f"log-space digits, from 1 to {MAX_DIGITS}",
+        )
+        p_command.add_argument("--threads", type=int, default=1, help=_IGNORED)
+    for p_command in (p_construct, p_bounds):
+        p_command.add_argument("--cap", type=int, help=_IGNORED)
     return parser
 
 

@@ -31,14 +31,21 @@ def fits_decimal(n: int) -> bool:
 def parse_fraction(value: Fraction | int | str) -> Fraction:
     """Fraction(value), refusing with ValueError a text whose decimal exponent
     is beyond DECIMAL_DIGIT_LIMIT in absolute value before Fraction builds
-    10**exponent.  The int<->str limit already bounds the digits of every
-    other part of a text; a Fraction or an int is taken as it is."""
-    match = _EXPONENT.search(value) if isinstance(value, str) else None
+    10**exponent, and a text whose numerator or denominator has more than
+    DECIMAL_DIGIT_LIMIT digits, which could not be printed back.  The
+    int<->str limit already bounds the digits of every other part of a text;
+    a Fraction or an int is taken as it is."""
+    if not isinstance(value, str):
+        return Fraction(value)
+    match = _EXPONENT.search(value)
     if match:
         digits = match.group(1).replace("_", "").lstrip("0")
         if len(digits) > len(str(DECIMAL_DIGIT_LIMIT)) or int(digits or 0) > DECIMAL_DIGIT_LIMIT:
             raise ValueError(f"decimal exponent beyond {DECIMAL_DIGIT_LIMIT} in absolute value")
-    return Fraction(value)
+    result = Fraction(value)
+    if not (fits_decimal(result.numerator) and fits_decimal(result.denominator)):
+        raise ValueError(f"value has more than {DECIMAL_DIGIT_LIMIT} decimal digits")
+    return result
 
 
 def lowest_terms_within(num: int, den: int, bits: int) -> tuple[int, int] | None:

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -20,12 +21,13 @@ from hypothesis import strategies as st
 
 from sparsecurves import intersections
 from sparsecurves.bounds import render_ratio
-from sparsecurves.cli import main
+from sparsecurves.cli import MAX_GRID_COUNT, main
 from sparsecurves.curves import Curve, CurveSystem
 from sparsecurves.document import SystemDocument, load_document, save_document
 from sparsecurves.surfaces import plan_composite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def _write_listed(path, system):
@@ -653,6 +655,16 @@ def test_bounds_g_range_grid(capsys):
     assert gs[0] == 16 and gs[-1] == 256
 
 
+def test_g_range_count_past_the_limit_exits_4_at_once(capsys):
+    count = MAX_GRID_COUNT + 1
+    started = time.perf_counter()
+    assert main(["bounds", "--g-range", f"16:1000:{count}", "--alpha", "0/1"]) == 4
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --g-range COUNT must be at most {MAX_GRID_COUNT}, got {count}\n"
+
+
 def test_bounds_requires_g(capsys):
     assert main(["bounds", "--alpha", "0/1"]) == 4
     assert "--g" in capsys.readouterr().err
@@ -714,7 +726,8 @@ def test_bad_alpha_fraction(tmp_path, capsys):
 _HOSTILE_ARGS = [
     "abc", "", "-1", "0", "1.5", "1/0", "2/1", "-1/1", "1/2", "16", "16,zz",
     "0/1,abc", "x:y:z", "256:16:3", "gpow", "json", "--bogus", "--g", "--out",
-    "1001", "1" * 5000,
+    "1001", "1" * 5000, "1e4300", "1e-4300", "99e4299", "1e4299",
+    f"16:1000:{MAX_GRID_COUNT + 1}",
 ]
 _BASE_ARGVS = [
     ["construct", "--g", "36", "--alpha", "0/1", "--out", "c.json"],
@@ -923,6 +936,65 @@ def test_exponent_past_the_digit_limit_is_refused(tmp_path, capsys):
     doc.write_text(json.dumps(data))
     assert main(["verify", str(doc)]) == 5
     assert capsys.readouterr().err == f"error: surface.alpha: {_EXPONENT_REFUSAL}\n"
+
+
+_DIGITS_REFUSAL = "value has more than 4300 decimal digits"
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "99e4299"])
+def test_fraction_past_the_digit_limit_is_refused(tmp_path, capsys, text):
+    # each parses to a numerator or denominator of 4,301 digits, which could
+    # not be printed back in the report's threshold= field
+    doc = tmp_path / "g16.json"
+    annotated = tmp_path / "verified.json"
+    assert main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(doc)]) == 0
+    assert main(["verify", str(doc), "--out", str(annotated)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(doc), "--f", text]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --f must be an exact fraction like 1/2, got {text!r}: {_DIGITS_REFUSAL}\n"
+    )
+    data = json.loads(annotated.read_text())
+    data["report"]["sparsityThreshold"] = {"kind": "rational", "value": text}
+    annotated.write_text(json.dumps(data))
+    assert main(["verify", str(annotated)]) == 5
+    assert capsys.readouterr().err == f"error: sparsityThreshold.value: {_DIGITS_REFUSAL}\n"
+    data = json.loads(doc.read_text())
+    data["surface"]["alpha"] = text
+    doc.write_text(json.dumps(data))
+    assert main(["verify", str(doc)]) == 5
+    assert capsys.readouterr().err == f"error: surface.alpha: {_DIGITS_REFUSAL}\n"
+
+
+def test_fraction_at_the_digit_limit_is_read(tmp_path, capsys):
+    doc = tmp_path / "g16.json"
+    assert main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(doc)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(doc), "--f", "1e4299"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"threshold={10 ** 4299} " in captured.out
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The argv of every `sparse-curves ...` line in README's "Command line" block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("sparse-curves ")
+    ]
+
+
+def test_readme_command_lines_exit_0(tmp_path):
+    argvs = _readme_command_lines()
+    assert argvs
+    with _inside(tmp_path):
+        for argv in argvs:
+            assert _run_cli(argv) == (0, ""), argv
 
 
 _REPORTS_MPMATH = (

@@ -204,7 +204,29 @@ def test_library_parses_refuse_a_huge_exponent_at_once(name):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("name", sorted(_PARSE_ENTRY_POINTS))
+def test_library_parses_refuse_a_text_past_the_digit_limit(name):
+    # 99 * 10**4299 has 4,301 digits: read, it could not be printed back
+    with pytest.raises(ValueError, match="more than 4300 decimal digits"):
+        _PARSE_ENTRY_POINTS[name]("99e4299")
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "99e4299", "-1e4300"])
+def test_parse_fraction_refuses_a_text_past_the_digit_limit(text):
+    with pytest.raises(ValueError, match="more than 4300 decimal digits"):
+        parse_fraction(text)
+
+
+def test_parse_fraction_reads_a_text_at_the_digit_limit():
+    assert parse_fraction("1e4299") == 10 ** 4299
+    assert parse_fraction("-1e-4299") == Fraction(-1, 10 ** 4299)
+    assert parse_fraction("9" * 4300) == 10 ** 4300 - 1
+
+
 def test_parse_fraction_takes_numbers_as_they_are():
     assert parse_fraction(Fraction(3, 7)) == Fraction(3, 7)
     assert parse_fraction(-2) == Fraction(-2) and type(parse_fraction(5)) is Fraction
     assert parse_fraction("1e-3") == Fraction(1, 1000)
+    # only a text is held to the digit limit
+    assert parse_fraction(10 ** 4300) == 10 ** 4300
+    assert parse_fraction(Fraction(1, 10 ** 4300)) == Fraction(1, 10 ** 4300)
