@@ -23,11 +23,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .curves import SparsityThreshold, generate_system
 from .errors import DomainError, PrecisionError
@@ -59,8 +58,7 @@ if TYPE_CHECKING:  # mpmath is imported where an interval is first evaluated
 MAX_EXACT_BITS = 8_000_000
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """A bound's value: always a log10 enclosure, exact rational when it exists."""
 
     formula: str
@@ -147,8 +145,7 @@ def construction_count(
     return _make_bound("construction_count", evaluate, digits, exact)
 
 
-@dataclass(frozen=True)
-class SizeUpperBound:
+class SizeUpperBound(NamedTuple):
     """Both shapes of the size ceiling; tight <= rounded always."""
 
     tight: BoundValue
@@ -214,8 +211,7 @@ class InequalityStatus(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class CrossingInequalityVerdict:
+class CrossingInequalityVerdict(NamedTuple):
     status: InequalityStatus
     threshold_log10: mpmath.mpf
     size_log10: mpmath.mpf
@@ -309,8 +305,7 @@ def crossing_inequality_check(
     return verdict(status, d, left, crossings)
 
 
-@dataclass(frozen=True)
-class LinearRegimeBound:
+class LinearRegimeBound(NamedTuple):
     """The ceiling 2g * e**(sqrt(128 * g**(1+alpha)) + 6) and its linear coefficient."""
 
     value: BoundValue
@@ -350,8 +345,7 @@ def linear_regime_bound(
 # Comparison tables
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     g: int
     alpha: Fraction
     h: int

@@ -25,7 +25,6 @@ g**alpha with irrational value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -76,7 +75,6 @@ def check_curve(curve: Curve, surface: CompositeSurface) -> None:
         )
 
 
-@dataclass(frozen=True, init=False)
 class CurveSystem:
     """A set of curves on a composite surface.
 
@@ -92,6 +90,8 @@ class CurveSystem:
     has already checked and sorted.  This class alone reads words out of the
     packed strings (`first_repeat`, `holds`, `iter_curves`).  `curves`
     derives the canonical (necklace, word) tuple of `Curve`s on first use.
+    Systems are equal when their surface, packed words and `full` flag are;
+    they refuse attribute assignment.
     """
 
     surface: CompositeSurface
@@ -120,6 +120,29 @@ class CurveSystem:
         system = cls(surface)
         object.__setattr__(system, "packed", packed)
         return system
+
+    def _key(self) -> tuple:
+        return self.surface, self.packed, self.full
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"CurveSystem(surface={self.surface!r}, packed={self.packed!r}, "
+            f"full={self.full!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def curves(self) -> tuple[Curve, ...]:
@@ -200,8 +223,7 @@ def generate_system(surface: CompositeSurface) -> CurveSystem:
     return CurveSystem(surface=surface, full=True)
 
 
-@dataclass(frozen=True)
-class SparsityThreshold:
+class SparsityThreshold(NamedTuple):
     """Average-crossing threshold: an exact rational f, or the power g**alpha."""
 
     kind: str  # "rational" | "power"
@@ -233,8 +255,7 @@ class SparsityThreshold:
         return f"g^{self.value}"
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     """Exact crossing totals of a system together with its sparsity verdict.
 
     The average is not stored: reducing multi-million-bit totals costs

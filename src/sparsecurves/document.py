@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import stat
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
 from .errors import DocumentError, DomainError
@@ -45,8 +44,7 @@ _CODES = bytes.maketrans(b"1234", bytes(ARC_LABELS))
 _TEXT = bytes.maketrans(bytes(ARC_LABELS), b"1234")
 
 
-@dataclass
-class SystemDocument:
+class SystemDocument(NamedTuple):
     """A curve system, with the crossing report and certificate found for it."""
 
     system: CurveSystem
@@ -418,13 +416,25 @@ def dumps(doc: SystemDocument) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so partial files never appear."""
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent or "."
-    )
+    """Write via a sibling temp file and rename, so partial files never appear.
+
+    A symlink is followed and its target written.  An existing target that is
+    not a regular file (a FIFO, a device, a directory) raises DocumentError
+    and is left as it is.  A replaced file keeps its mode; a new one gets
+    0o666 less the umask, as `open` would give it."""
+    path = Path(os.path.realpath(path))
+    try:
+        target = os.stat(path)
+    except FileNotFoundError:
+        target = None
+    if target is not None and not stat.S_ISREG(target.st_mode):
+        raise DocumentError("not a regular file")
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            if target is not None:
+                os.fchmod(fd, stat.S_IMODE(target.st_mode))
             handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:

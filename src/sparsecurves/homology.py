@@ -18,8 +18,7 @@ construction (method "construction"), a listed one curve by curve (method
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curves import Curve, CurveSystem, check_curve
 from .surfaces import CompositeSurface
@@ -32,8 +31,7 @@ ARC_OFFSETS: dict[int, tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(NamedTuple):
     """Integer coordinates of a curve's class, length 2g."""
 
     coefficients: tuple[int, ...]
@@ -53,8 +51,7 @@ def curve_class(curve: Curve, surface: CompositeSurface) -> HomologyClass:
     return HomologyClass(tuple(coords))
 
 
-@dataclass(frozen=True)
-class DistinctnessCertificate:
+class DistinctnessCertificate(NamedTuple):
     distinct: bool
     method: str  # "exhaustive" | "construction"
     collision: Optional[tuple[Curve, Curve]] = None

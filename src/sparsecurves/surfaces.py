@@ -14,8 +14,8 @@ gluing combinatorics play no role in any count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 from .exactint import (
@@ -62,8 +62,7 @@ def check_alpha(alpha: Fraction) -> None:
         raise DomainError(f"alpha must lie in (-1, 1], got {shown}")
 
 
-@dataclass(frozen=True)
-class NecklaceSurface:
+class NecklaceSurface(NamedTuple):
     """Closed genus-h surface made of h-1 pieces and h-1 annuli in a cycle."""
 
     h: int
@@ -125,8 +124,7 @@ def build_necklace(h: int) -> NecklaceSurface:
     return surface
 
 
-@dataclass(frozen=True)
-class CompositeSurface:
+class CompositeSurface(NamedTuple):
     """Genus-g surface carrying h' necklaces of genus h plus a genus-(g-h*h') base."""
 
     g: int

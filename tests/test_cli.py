@@ -8,6 +8,7 @@ import os
 import random
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import time
@@ -312,6 +313,42 @@ def test_verify_past_the_digit_limit(tmp_path, capsys):
     assert captured.err.startswith(f"error: cannot write {annotated}: report.totalCrossings")
     assert captured.err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+# every command that writes, its --out path to be appended
+_WRITING_ARGVS = {
+    "construct": ["construct", "--g", "16", "--alpha", "0/1", "--out"],
+    "verify": ["verify", "g16.json", "--out"],
+    "bounds": ["bounds", "--g", "16", "--alpha", "0/1", "--out"],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("command", sorted(_WRITING_ARGVS))
+def test_out_to_a_fifo_exits_5_and_leaves_it(tmp_path, command):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with _inside(tmp_path):
+        assert _run_cli(_WRITING_ARGVS["construct"] + ["g16.json"]) == (0, "")
+        assert _run_cli(_WRITING_ARGVS[command] + [str(fifo)]) == (
+            5, f"error: cannot write {fifo}: not a regular file\n"
+        )
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "g16.json"]
+
+
+@pytest.mark.parametrize("command", sorted(_WRITING_ARGVS))
+def test_out_through_a_symlink_writes_its_target(tmp_path, command):
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_text("old")
+    link.symlink_to(target)
+    with _inside(tmp_path):
+        assert _run_cli(_WRITING_ARGVS["construct"] + ["g16.json"]) == (0, "")
+        assert _run_cli(_WRITING_ARGVS[command] + ["direct"]) == (0, "")
+        assert _run_cli(_WRITING_ARGVS[command] + [str(link)]) == (0, "")
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == (tmp_path / "direct").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["direct", "g16.json", "link", "target"]
 
 
 @pytest.mark.parametrize(
@@ -726,8 +763,8 @@ def test_bad_alpha_fraction(tmp_path, capsys):
 _HOSTILE_ARGS = [
     "abc", "", "-1", "0", "1.5", "1/0", "2/1", "-1/1", "1/2", "16", "16,zz",
     "0/1,abc", "x:y:z", "256:16:3", "gpow", "json", "--bogus", "--g", "--out",
-    "1001", "1" * 5000, "1e4300", "1e-4300", "99e4299", "1e4299",
-    f"16:1000:{MAX_GRID_COUNT + 1}",
+    "1", "1000", "1001", "1/1000", "1/1001", "-999/1000", "1" * 5000, "1e4300",
+    "1e-4300", "99e4299", "1e4299", f"16:1000:{MAX_GRID_COUNT + 1}",
 ]
 _BASE_ARGVS = [
     ["construct", "--g", "36", "--alpha", "0/1", "--out", "c.json"],
@@ -997,13 +1034,17 @@ def test_readme_command_lines_exit_0(tmp_path):
             assert _run_cli(argv) == (0, ""), argv
 
 
-_REPORTS_MPMATH = (
+# exit code, then whether mpmath, dataclasses and inspect are loaded
+_REPORTS_IMPORTS = (
     "import sys; from sparsecurves import cli; code = cli.main(sys.argv[1:]); "
-    "print(code, 'mpmath' in sys.modules)"
+    "print(code, *(name in sys.modules for name in ('mpmath', 'dataclasses', 'inspect')))"
 )
 
 
-def test_mpmath_is_loaded_only_where_an_interval_is_evaluated(tmp_path):
+@pytest.fixture(scope="module")
+def cli_imports(tmp_path_factory):
+    """What each command leaves loaded, each run in a fresh interpreter."""
+    work = tmp_path_factory.mktemp("imports")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     loaded = {}
@@ -1013,9 +1054,23 @@ def test_mpmath_is_loaded_only_where_an_interval_is_evaluated(tmp_path):
         ["bounds", "--g", "196", "--alpha", "0/1"],
     ):
         result = subprocess.run(
-            [sys.executable, "-c", _REPORTS_MPMATH, *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", _REPORTS_IMPORTS, *argv],
+            cwd=work, env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        loaded[argv[0]] = result.stdout.splitlines()[-1]
-    assert loaded == {"construct": "0 False", "verify": "0 True", "bounds": "0 True"}
+        code, *flags = result.stdout.splitlines()[-1].split()
+        loaded[argv[0]] = (int(code), *(flag == "True" for flag in flags))
+    return loaded
+
+
+def test_mpmath_is_loaded_only_where_an_interval_is_evaluated(cli_imports):
+    assert {command: loaded[:2] for command, loaded in cli_imports.items()} == {
+        "construct": (0, False), "verify": (0, True), "bounds": (0, True),
+    }
+
+
+def test_no_command_loads_dataclasses_or_inspect(cli_imports):
+    # each costs tens of milliseconds of start-up in every CLI process
+    assert {command: loaded[2:] for command, loaded in cli_imports.items()} == {
+        "construct": (False, False), "verify": (False, False), "bounds": (False, False),
+    }

@@ -1,6 +1,7 @@
 """System document serialization, parsing, atomic writes."""
 
-from dataclasses import replace
+import os
+import stat
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +24,7 @@ from sparsecurves.document import (
     load_document,
     save_document,
     to_dict,
+    write_text_atomic,
 )
 from sparsecurves.errors import DocumentError, DomainError
 from sparsecurves.homology import certify_distinct
@@ -173,11 +175,28 @@ def test_duplicate_curves_parse_but_fail_certification(listed_system):
 def test_save_refuses_totals_past_the_digit_limit(tmp_path):
     doc = _sample_document()
     big = 10 ** 4300
-    doc.report = replace(doc.report, total_crossings=big, pair_count=big + 1)
+    doc = doc._replace(report=doc.report._replace(total_crossings=big, pair_count=big + 1))
     path = tmp_path / "big.json"
     with pytest.raises(DocumentError, match="report.totalCrossings has 14285 bits"):
         save_document(doc, path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_modes(tmp_path):
+    """A new file gets 0o666 less the umask, as `open` gives it; a replaced
+    file keeps its own mode."""
+    new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
+    umask = os.umask(0o027)
+    try:
+        write_text_atomic(new, "new")
+    finally:
+        os.umask(umask)
+    kept.write_text("old")
+    kept.chmod(0o604)
+    write_text_atomic(kept, "kept")
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640 and new.read_text() == "new"
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604 and kept.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "new.txt"]
 
 
 # ----------------------------------------------------------------------
