@@ -27,6 +27,7 @@ from sparsecurves.bounds import (
     render_table_json,
     upper_bound,
 )
+from sparsecurves.cli import main
 from sparsecurves.curves import SparsityThreshold, generate_system
 from sparsecurves.errors import DomainError
 from sparsecurves.intersections import total_crossings
@@ -367,3 +368,205 @@ def test_shared_contexts_give_the_fresh_context_endpoints(
     with patch.object(bounds_module, "interval_context", _fresh_context):
         fresh = outcomes()
     assert shared == fresh
+
+
+# The bytes of `bounds --g 64,100,12345 --alpha -1/3,0/1,1/1`: both modes,
+# exact and 12-digit decimal ratios, blank count/crossings cells past 200
+# bits, and a negative alpha.
+_PINNED_ARGV = ["bounds", "--g", "64,100,12345", "--alpha", "-1/3,0/1,1/1"]
+
+_PINNED_CSV = """\
+g,alpha,h,hPrime,baseGenus,count,count_log10,lower_log10,upper_tight_log10,upper_rounded_log10,crossings,ratio,mode,lower_le_count,lower_le_upper
+64,-1/3,2,32,0,128,2.10720996964787,1.50514997831991,24.209344487357,24.3669015449514,0,0/1,explicit,true,true
+64,0/1,4,16,0,1024,3.01029995663981,2.40823996531185,43.7091183623386,44.0208262288354,34560,45/682,explicit,true,true
+64,1/1,32,2,0,9223372036854775808,18.9648897268308,18.3628297355029,316.705952612081,319.175771803212,301734755043175903146858359674424524800,130856590772877131775/18446744073709551614,analytic,true,true
+100,-1/3,2,43,14,172,2.23552844690755,1.8266059393801,27.5966609946274,27.7131562244291,0,0/1,explicit,true,true
+100,0/1,5,20,0,5120,3.70926996097583,3.10720996964787,53.7931403435899,54.0416085967935,1002240,783/10238,explicit,true,true
+100,1/1,50,2,0,633825300114114700748351602688,29.8019695707341,29.1999095794062,493.789823725436,496.254913984184,,11.3125,analytic,true,true
+12345,-1/3,11,1068,597,1119879168,9.04917116597216,8.78174176207868,120.552174483434,120.55679153919,2550385660133376,9109503/2239758334,analytic,true,true
+12345,0/1,55,222,135,72043118912170733345860636567928832,34.8575925061606,34.5890904612692,552.90349737895,552.925626690334,,0.112471846847,analytic,true,true
+12345,1/1,6172,2,1,,3715.61323648052,3715.31220648486,60661.4665356889,60663.9233436184,,1446.15625,analytic,true,true
+"""
+
+_PINNED_JSON = """\
+{
+  "columns": [
+    "g",
+    "alpha",
+    "h",
+    "hPrime",
+    "baseGenus",
+    "count",
+    "count_log10",
+    "lower_log10",
+    "upper_tight_log10",
+    "upper_rounded_log10",
+    "crossings",
+    "ratio",
+    "mode",
+    "lower_le_count",
+    "lower_le_upper"
+  ],
+  "rows": [
+    {
+      "g": 64,
+      "alpha": "-1/3",
+      "h": 2,
+      "hPrime": 32,
+      "baseGenus": 0,
+      "count": "128",
+      "count_log10": "2.10720996964787",
+      "lower_log10": "1.50514997831991",
+      "upper_tight_log10": "24.209344487357",
+      "upper_rounded_log10": "24.3669015449514",
+      "crossings": "0",
+      "ratio": "0/1",
+      "mode": "explicit",
+      "lower_le_count": "true",
+      "lower_le_upper": "true"
+    },
+    {
+      "g": 64,
+      "alpha": "0/1",
+      "h": 4,
+      "hPrime": 16,
+      "baseGenus": 0,
+      "count": "1024",
+      "count_log10": "3.01029995663981",
+      "lower_log10": "2.40823996531185",
+      "upper_tight_log10": "43.7091183623386",
+      "upper_rounded_log10": "44.0208262288354",
+      "crossings": "34560",
+      "ratio": "45/682",
+      "mode": "explicit",
+      "lower_le_count": "true",
+      "lower_le_upper": "true"
+    },
+    {
+      "g": 64,
+      "alpha": "1/1",
+      "h": 32,
+      "hPrime": 2,
+      "baseGenus": 0,
+      "count": "9223372036854775808",
+      "count_log10": "18.9648897268308",
+      "lower_log10": "18.3628297355029",
+      "upper_tight_log10": "316.705952612081",
+      "upper_rounded_log10": "319.175771803212",
+      "crossings": "301734755043175903146858359674424524800",
+      "ratio": "130856590772877131775/18446744073709551614",
+      "mode": "analytic",
+      "lower_le_count": "true",
+      "lower_le_upper": "true"
+    },
+    {
+      "g": 100,
+      "alpha": "-1/3",
+      "h": 2,
+      "hPrime": 43,
+      "baseGenus": 14,
+      "count": "172",
+      "count_log10": "2.23552844690755",
+      "lower_log10": "1.8266059393801",
+      "upper_tight_log10": "27.5966609946274",
+      "upper_rounded_log10": "27.7131562244291",
+      "crossings": "0",
+      "ratio": "0/1",
+      "mode": "explicit",
+      "lower_le_count": "true",
+      "lower_le_upper": "true"
+    },
+    {
+      "g": 100,
+      "alpha": "0/1",
+      "h": 5,
+      "hPrime": 20,
+      "baseGenus": 0,
+      "count": "5120",
+      "count_log10": "3.70926996097583",
+      "lower_log10": "3.10720996964787",
+      "upper_tight_log10": "53.7931403435899",
+      "upper_rounded_log10": "54.0416085967935",
+      "crossings": "1002240",
+      "ratio": "783/10238",
+      "mode": "explicit",
+      "lower_le_count": "true",
+      "lower_le_upper": "true"
+    },
+    {
+      "g": 100,
+      "alpha": "1/1",
+      "h": 50,
+      "hPrime": 2,
+      "baseGenus": 0,
+      "count": "633825300114114700748351602688",
+      "count_log10": "29.8019695707341",
+      "lower_log10": "29.1999095794062",
+      "upper_tight_log10": "493.789823725436",
+      "upper_rounded_log10": "496.254913984184",
+      "crossings": "",
+      "ratio": "11.3125",
+      "mode": "analytic",
+      "lower_le_count": "true",
+      "lower_le_upper": "true"
+    },
+    {
+      "g": 12345,
+      "alpha": "-1/3",
+      "h": 11,
+      "hPrime": 1068,
+      "baseGenus": 597,
+      "count": "1119879168",
+      "count_log10": "9.04917116597216",
+      "lower_log10": "8.78174176207868",
+      "upper_tight_log10": "120.552174483434",
+      "upper_rounded_log10": "120.55679153919",
+      "crossings": "2550385660133376",
+      "ratio": "9109503/2239758334",
+      "mode": "analytic",
+      "lower_le_count": "true",
+      "lower_le_upper": "true"
+    },
+    {
+      "g": 12345,
+      "alpha": "0/1",
+      "h": 55,
+      "hPrime": 222,
+      "baseGenus": 135,
+      "count": "72043118912170733345860636567928832",
+      "count_log10": "34.8575925061606",
+      "lower_log10": "34.5890904612692",
+      "upper_tight_log10": "552.90349737895",
+      "upper_rounded_log10": "552.925626690334",
+      "crossings": "",
+      "ratio": "0.112471846847",
+      "mode": "analytic",
+      "lower_le_count": "true",
+      "lower_le_upper": "true"
+    },
+    {
+      "g": 12345,
+      "alpha": "1/1",
+      "h": 6172,
+      "hPrime": 2,
+      "baseGenus": 1,
+      "count": "",
+      "count_log10": "3715.61323648052",
+      "lower_log10": "3715.31220648486",
+      "upper_tight_log10": "60661.4665356889",
+      "upper_rounded_log10": "60663.9233436184",
+      "crossings": "",
+      "ratio": "1446.15625",
+      "mode": "analytic",
+      "lower_le_count": "true",
+      "lower_le_upper": "true"
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, expected", [("csv", _PINNED_CSV), ("json", _PINNED_JSON)])
+def test_table_output_is_pinned_byte_for_byte(capsys, fmt, expected):
+    assert main([*_PINNED_ARGV, "--format", fmt]) == 0
+    assert capsys.readouterr() == (expected, "")
