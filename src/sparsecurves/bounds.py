@@ -145,6 +145,18 @@ def construction_count(
     return _make_bound("construction_count", evaluate, digits, exact)
 
 
+def _ceiling(lead: int, radicand: Callable[[object], object]) -> Callable[[int], object]:
+    """digits -> enclosure of log10(lead * e**(sqrt(X) + 6)), X = radicand(ctx):
+    the shape of every size ceiling, its linear coefficient and the
+    inequality gate's threshold."""
+
+    def evaluate(d: int):
+        ctx = interval_context(d)
+        return log10_int(ctx, lead) + (ctx.sqrt(radicand(ctx)) + 6) / ctx.ln10
+
+    return evaluate
+
+
 class SizeUpperBound(NamedTuple):
     """Both shapes of the size ceiling; tight <= rounded always."""
 
@@ -155,12 +167,6 @@ class SizeUpperBound(NamedTuple):
 def _check_genus(g: int) -> None:
     if not isinstance(g, int) or g < 2:
         raise DomainError(f"genus must be an integer >= 2, got {g!r}")
-
-
-def _as_threshold(f: SparsityThreshold | Fraction | int | str) -> SparsityThreshold:
-    if isinstance(f, SparsityThreshold):
-        return f
-    return SparsityThreshold.rational(f)
 
 
 def upper_bound(
@@ -176,31 +182,19 @@ def upper_bound(
     exact rational or the power g**alpha.
     """
     _check_genus(g)
-    threshold = _as_threshold(f)
+    threshold = f if isinstance(f, SparsityThreshold) else SparsityThreshold.rational(f)
 
-    def scaled_f(ctx, scale: int):
+    def scaled_f(scale: int):
         # scale already carries its g factors; f(g) = g**alpha multiplies in whole
         if threshold.kind == "rational":
-            return iv_fraction(ctx, scale * threshold.value)
-        return ctx.mpf(scale) * power_ln(ctx, g, threshold.value)
+            return lambda ctx: iv_fraction(ctx, scale * threshold.value)
+        return lambda ctx: ctx.mpf(scale) * power_ln(ctx, g, threshold.value)
 
-    def eval_tight(d: int):
-        ctx = interval_context(d)
-        return (
-            log10_int(ctx, 2 * g - 1)
-            + (ctx.sqrt(scaled_f(ctx, 64 * (2 * g - 2))) + 6) / ctx.ln10
-        )
-
-    def eval_rounded(d: int):
-        ctx = interval_context(d)
-        return (
-            log10_int(ctx, 2 * g)
-            + (ctx.sqrt(scaled_f(ctx, 128 * g)) + 6) / ctx.ln10
-        )
-
+    tight = _ceiling(2 * g - 1, scaled_f(64 * (2 * g - 2)))
+    rounded = _ceiling(2 * g, scaled_f(128 * g))
     return SizeUpperBound(
-        tight=_make_bound("size_upper_bound_tight", eval_tight, digits),
-        rounded=_make_bound("size_upper_bound", eval_rounded, digits),
+        tight=_make_bound("size_upper_bound_tight", tight, digits),
+        rounded=_make_bound("size_upper_bound", rounded, digits),
     )
 
 
@@ -244,10 +238,7 @@ def crossing_inequality_check(
         raise DomainError(f"crossing total must be >= 0, got {cr}")
 
     # memoised, so that verdict reuses the enclosures certify settled on
-    @cache
-    def threshold(d: int):  # log10(e**6 * (2g-1))
-        ctx = interval_context(d)
-        return log10_int(ctx, 2 * g - 1) + 6 / ctx.ln10
+    threshold = cache(_ceiling(2 * g - 1, lambda ctx: ctx.mpf(0)))  # e**6 * (2g-1)
 
     @cache
     def size(d: int):
@@ -326,18 +317,11 @@ def linear_regime_bound(
         raise DomainError(f"linear regime needs alpha <= -1, got {alpha}")
     _check_genus(g)
 
-    def eval_value(d: int):
-        ctx = interval_context(d)
-        inner = ctx.mpf(128) * power_ln(ctx, g, 1 + alpha)
-        return log10_int(ctx, 2 * g) + (ctx.sqrt(inner) + 6) / ctx.ln10
-
-    def eval_coeff(d: int):
-        ctx = interval_context(d)
-        return (ctx.sqrt(ctx.mpf(128)) + 6) / ctx.ln10
-
+    value = _ceiling(2 * g, lambda ctx: ctx.mpf(128) * power_ln(ctx, g, 1 + alpha))
+    coefficient = _ceiling(1, lambda ctx: ctx.mpf(128))
     return LinearRegimeBound(
-        value=_make_bound("linear_regime_bound", eval_value, digits),
-        coefficient=_make_bound("linear_regime_coefficient", eval_coeff, digits),
+        value=_make_bound("linear_regime_bound", value, digits),
+        coefficient=_make_bound("linear_regime_coefficient", coefficient, digits),
     )
 
 
@@ -449,50 +433,27 @@ def bounds_table(
     return rows
 
 
-_TABLE_COLUMNS = (
-    "g",
-    "alpha",
-    "h",
-    "hPrime",
-    "baseGenus",
-    "count",
-    "count_log10",
-    "lower_log10",
-    "upper_tight_log10",
-    "upper_rounded_log10",
-    "crossings",
-    "ratio",
-    "mode",
-    "lower_le_count",
-    "lower_le_upper",
+# TableRow's fields, with the surface parameters spelled as in documents
+_TABLE_COLUMNS = tuple(
+    {"h_prime": "hPrime", "base_genus": "baseGenus"}.get(name, name)
+    for name in TableRow._fields
 )
 
 
-def _int_cell(value: Optional[int]) -> str:
-    if value is None or value.bit_length() > 200:  # ~60 decimal digits
-        return ""
-    return str(value)
+def _cell(field: str, value: object) -> object:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if field in ("count", "crossings"):  # blank when unknown or past ~60 digits
+        return "" if value is None or value.bit_length() > 200 else str(value)
+    return value
 
 
 def _row_cells(row: TableRow) -> dict[str, object]:
-    count_text = _int_cell(row.count)
-    crossings_text = _int_cell(row.crossings)
     return {
-        "g": row.g,
-        "alpha": f"{row.alpha.numerator}/{row.alpha.denominator}",
-        "h": row.h,
-        "hPrime": row.h_prime,
-        "baseGenus": row.base_genus,
-        "count": count_text,
-        "count_log10": row.count_log10,
-        "lower_log10": row.lower_log10,
-        "upper_tight_log10": row.upper_tight_log10,
-        "upper_rounded_log10": row.upper_rounded_log10,
-        "crossings": crossings_text,
-        "ratio": row.ratio,
-        "mode": row.mode,
-        "lower_le_count": "true" if row.lower_le_count else "false",
-        "lower_le_upper": "true" if row.lower_le_upper else "false",
+        column: _cell(field, value)
+        for column, field, value in zip(_TABLE_COLUMNS, TableRow._fields, row)
     }
 
 

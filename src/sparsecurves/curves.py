@@ -86,10 +86,11 @@ class CurveSystem:
     each as n = h-1 letter codes 1-4, joined into one `bytes` string.
     Repeated curves are kept, and `first_repeat` names the first of them.
     Curves given to the constructor are checked with `check_curve` and packed
-    whatever order they were given in; `from_packed` takes strings a caller
-    has already checked and sorted.  This class alone reads words out of the
-    packed strings (`first_repeat`, `holds`, `iter_curves`).  `curves`
-    derives the canonical (necklace, word) tuple of `Curve`s on first use.
+    whatever order they were given in; a `full` system refuses them.
+    `from_packed` takes strings a caller has already checked and sorted.
+    This class alone reads words out of the packed strings (`first_repeat`,
+    `holds`, `iter_curves`).  `curves` derives the canonical
+    (necklace, word) tuple of `Curve`s on first use.
     Systems are equal when their surface, packed words and `full` flag are;
     they refuse attribute assignment.
     """
@@ -101,6 +102,8 @@ class CurveSystem:
     def __init__(
         self, surface: CompositeSurface, curves: tuple[Curve, ...] = (), full: bool = False
     ) -> None:
+        if full and curves:
+            raise DomainError("a full system describes its curves; it takes no list")
         for curve in curves:
             check_curve(curve, surface)
         groups: dict[int, list[bytes]] = {}

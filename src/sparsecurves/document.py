@@ -450,9 +450,19 @@ def save_document(doc: SystemDocument, path: str | Path) -> None:
 
 
 def load_document(path: str | Path) -> SystemDocument:
+    """The document at path.  A path that is not a regular file (a FIFO, a
+    device node, a directory) raises DocumentError before anything is read;
+    it is opened non-blocking, so a FIFO without a writer does not wait."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                raise DocumentError(f"{path}: not a regular file")
+            with open(fd, encoding="utf-8", closefd=False) as handle:
+                text = handle.read()
+        finally:
+            os.close(fd)
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
     try:

@@ -4,9 +4,10 @@ Quantities of the form floor(c * g**(r/s)) decide how many pieces and how
 many necklaces a construction gets, and for large g a one-ULP floating-point
 error flips the floor and changes the curve count by a factor of four.
 Everything here therefore stays in integer arithmetic: k <= c * g**(r/s) is
-decided by raising both sides to the s-th power, and floors are obtained from
-an integer root.  Crossing totals run to millions of bits, so a ratio of them
-is brought to lowest terms without a gcd, and only while that form is small.
+decided by raising both sides to the s-th power (their leading bits first,
+which usually settle it), and floors are obtained from an integer root.
+Crossing totals run to millions of bits, so a ratio of them is brought to
+lowest terms without a gcd, and only while that form is small.
 """
 
 from __future__ import annotations
@@ -129,20 +130,40 @@ def floor_scaled_power(coeff: Fraction, g: int, exponent: Fraction) -> int:
     return integer_nth_root(a ** s * g ** r, s) // b
 
 
+# Leading bits of the larger side that `le_scaled_power` tries first.
+_LEADING_BITS = 128
+
+
 def le_scaled_power(lhs: int, rhs: int, g: int, alpha: Fraction) -> bool:
     """Decide lhs <= rhs * g**alpha exactly, for integers lhs, rhs >= 0 and g >= 1.
 
-    alpha may be negative; both sides are cross-raised to the q-th power
-    (alpha = p/q) so only integer comparisons remain.
+    With alpha = p/q (p may be negative) this is (lhs/rhs)**q <= g**p, decided
+    on q-th powers cross-multiplied so only integer comparisons remain.  The
+    leading bits decide first: with a = lhs >> s and b = rhs >> s, where s
+    leaves the larger side _LEADING_BITS bits, lhs/rhs lies in
+    [a/(b+1), (a+1)/b], and the q-th powers of these small bounds settle the
+    verdict unless they straddle g**p.  Only then are the totals themselves,
+    which run to millions of bits, raised to the q-th power.
     """
     if lhs < 0 or rhs < 0:
         raise ValueError("comparison sides must be nonnegative")
     if g < 1:
         raise ValueError(f"base must be >= 1, got {g}")
     p, q = alpha.numerator, alpha.denominator
-    if p >= 0:
-        return lhs ** q <= rhs ** q * g ** p
-    return lhs ** q * g ** (-p) <= rhs ** q
+
+    def ratio_le(num: int, den: int) -> bool:  # (num/den)**q <= g**p
+        if p >= 0:
+            return num ** q <= den ** q * g ** p
+        return num ** q * g ** (-p) <= den ** q
+
+    shift = max(lhs, rhs).bit_length() - _LEADING_BITS
+    if shift > 0:
+        a, b = lhs >> shift, rhs >> shift
+        if ratio_le(a + 1, b):  # lhs/rhs < (a+1)/b
+            return True
+        if not ratio_le(a, b + 1):  # lhs/rhs >= a/(b+1)
+            return False
+    return ratio_le(lhs, rhs)
 
 
 def is_exact_power(g: int, exponent: Fraction) -> int | None:

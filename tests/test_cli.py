@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import resource
 import shlex
 import stat
 import subprocess
@@ -335,6 +336,43 @@ def test_out_to_a_fifo_exits_5_and_leaves_it(tmp_path, command):
         )
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "g16.json"]
+
+
+# a child's address-space cap: a read that grows without end fails at it
+_CHILD_ADDRESS_SPACE = 256 << 20
+
+
+def _verify_in_a_capped_child(path) -> subprocess.CompletedProcess:
+    """`verify path` in a fresh interpreter capped in memory and time, so that a
+    read that blocks or grows fails the test instead of taking the run down."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sparsecurves.cli", "verify", str(path)],
+        env=env, capture_output=True, text=True, timeout=15, preexec_fn=cap,
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("kind", ["fifo", "device", "directory"])
+def test_verify_of_a_path_that_is_not_a_regular_file_exits_5(tmp_path, kind):
+    if kind == "fifo":
+        path = tmp_path / "fifo"
+        os.mkfifo(path)  # no writer: a blocking open would wait forever
+    elif kind == "device":
+        path = Path("/dev/zero")  # endless zero bytes
+        if not path.exists():
+            pytest.skip(f"{path} is absent")
+    else:
+        path = tmp_path
+    result = _verify_in_a_capped_child(path)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        5, "", f"error: {path}: not a regular file\n"
+    )
 
 
 @pytest.mark.parametrize("command", sorted(_WRITING_ARGVS))
@@ -765,6 +803,9 @@ _HOSTILE_ARGS = [
     "0/1,abc", "x:y:z", "256:16:3", "gpow", "json", "--bogus", "--g", "--out",
     "1", "1000", "1001", "1/1000", "1/1001", "-999/1000", "1" * 5000, "1e4300",
     "1e-4300", "99e4299", "1e4299", f"16:1000:{MAX_GRID_COUNT + 1}",
+    # a genus every alpha refuses at planning; one between 2*10**8 and this
+    # would plan within the limits and cost seconds
+    "1" + "0" * 30,
 ]
 _BASE_ARGVS = [
     ["construct", "--g", "36", "--alpha", "0/1", "--out", "c.json"],
@@ -948,6 +989,17 @@ def test_cli_contract_under_raw_byte_edits(gate_documents, name, edit, offset, i
         assert not os.path.exists("raw-out.json")
     assert code == 5
     assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+
+
+def test_verify_decides_a_large_denominator_verdict_in_seconds(tmp_path, capsys):
+    # g**(999/1000) against totals of about 80,000 bits, whose 1,000th powers
+    # take most of a minute; their leading bits decide it in milliseconds
+    doc = tmp_path / "g40000.json"
+    assert main(["construct", "--g", "40000", "--alpha", "999/1000", "--out", str(doc)]) == 0
+    started = time.perf_counter()
+    assert main(["verify", str(doc)]) == 0
+    assert time.perf_counter() - started < 5
+    assert "average=4662.25 threshold=g^999/1000 sparse=true" in capsys.readouterr().out
 
 
 _EXPONENT_REFUSAL = "decimal exponent beyond 4300 in absolute value"

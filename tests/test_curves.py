@@ -147,6 +147,14 @@ def test_full_family_holds_exactly_the_curves_of_its_surface():
     assert system.first_repeat is None
 
 
+def test_a_full_system_refuses_a_curve_list():
+    # a full system is written as "curves": "full", which would drop the list
+    surface = plan_composite(36, Fraction(0))
+    with pytest.raises(DomainError, match="full system"):
+        CurveSystem(surface, (Curve(0, (1, 2)),), full=True)
+    assert CurveSystem(surface, (), full=True) == generate_system(surface)
+
+
 def test_generate_system_counts():
     for g, expected in ((16, 32), (36, 192), (64, 1024)):
         surface = plan_composite(g, Fraction(0))

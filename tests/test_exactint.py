@@ -4,9 +4,11 @@ import hashlib
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from sparsecurves import bounds
 from sparsecurves.curves import SparsityThreshold
@@ -89,6 +91,42 @@ def test_le_scaled_power_matches_fractions(lhs, rhs, g, p, q):
     # independent check via exact Fraction arithmetic on the q-th powers
     expected = Fraction(lhs) ** q * Fraction(g) ** max(-p, 0) <= Fraction(rhs) ** q * Fraction(g) ** max(p, 0)
     assert got == expected
+
+
+def _plain_le_scaled_power(lhs, rhs, g, alpha):
+    """lhs <= rhs * g**alpha by the q-th powers of the whole sides alone."""
+    p, q = alpha.numerator, alpha.denominator
+    if p >= 0:
+        return lhs ** q <= rhs ** q * g ** p
+    return lhs ** q * g ** (-p) <= rhs ** q
+
+
+# integers of each bit length up to 400, so that most exceed the leading bits
+_SIZED = st.integers(min_value=0, max_value=400).flatmap(
+    lambda n: st.integers(min_value=2 ** n // 2, max_value=2 ** n)
+)
+
+
+@given(
+    rhs=_SIZED,
+    g=st.integers(min_value=1, max_value=10 ** 6),
+    p=st.integers(min_value=-2000, max_value=2000),
+    q=st.integers(min_value=1, max_value=1000),
+    near=st.booleans(),
+    other=_SIZED,
+    delta=st.integers(min_value=-3, max_value=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_le_scaled_power_matches_the_plain_power_comparison(rhs, g, p, q, near, other, delta):
+    alpha = Fraction(p, q)
+    if near:
+        # within a few units of rhs * g**alpha, where the leading bits often cannot decide
+        bits = rhs.bit_length() + abs(alpha.numerator) * g.bit_length() // alpha.denominator
+        with mp.workdps(bits // 3 + 30):
+            lhs = max(0, int(mpmath.floor(rhs * mpmath.power(g, mpmath.mpf(p) / q))) + delta)
+    else:
+        lhs = other
+    assert le_scaled_power(lhs, rhs, g, alpha) == _plain_le_scaled_power(lhs, rhs, g, alpha)
 
 
 def test_is_exact_power():
