@@ -23,10 +23,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .curves import SparsityThreshold, generate_system
 from .errors import DomainError, PrecisionError
@@ -40,18 +41,20 @@ from .intersections import total_crossings
 from .logspace import (
     DEFAULT_DIGITS,
     MAX_DIGITS,
+    PRINT_DIGITS,
+    Interval,
+    IntervalContext,
     certify,
     endpoints,
     interval_context,
     iv_fraction,
+    ln_int,
     log10_int,
     midpoint,
+    nstr,
     power_ln,
 )
 from .surfaces import check_plan_domain, plan_composite
-
-if TYPE_CHECKING:  # mpmath is imported where an interval is first evaluated
-    import mpmath
 
 # Exact values are materialized only below this bit size; larger ones are
 # carried purely in log space.
@@ -62,18 +65,18 @@ class BoundValue(NamedTuple):
     """A bound's value: always a log10 enclosure, exact rational when it exists."""
 
     formula: str
-    log10: mpmath.mpf  # midpoint of the enclosure at `digits`
+    log10: Decimal  # midpoint of the enclosure at `digits`
     exact: Optional[Fraction]
     digits: int
-    evaluate: Callable[[int], object]  # digits -> enclosure of log10(value), memoised
+    evaluate: Callable[[int], Interval]  # digits -> enclosure of log10(value), memoised
 
-    def enclosure(self, digits: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    def enclosure(self, digits: int) -> tuple[Decimal, Decimal]:
         return endpoints(self.evaluate(digits))
 
 
 def _make_bound(
     formula: str,
-    evaluator: Callable[[int], object],
+    evaluator: Callable[[int], Interval],
     digits: int,
     exact: Optional[Fraction] = None,
 ) -> BoundValue:
@@ -122,7 +125,7 @@ def lower_bound(
         return (
             log10_int(ctx, prefactor)
             - log10_int(ctx, 16)
-            + power * ctx.log(ctx.mpf(2)) / ctx.ln10
+            + power * ctx.ln2 / ctx.ln10
         )
 
     return _make_bound("count_lower_bound", evaluate, digits, exact)
@@ -145,7 +148,9 @@ def construction_count(
     return _make_bound("construction_count", evaluate, digits, exact)
 
 
-def _ceiling(lead: int, radicand: Callable[[object], object]) -> Callable[[int], object]:
+def _ceiling(
+    lead: int, radicand: Callable[[IntervalContext], Interval]
+) -> Callable[[int], Interval]:
     """digits -> enclosure of log10(lead * e**(sqrt(X) + 6)), X = radicand(ctx):
     the shape of every size ceiling, its linear coefficient and the
     inequality gate's threshold."""
@@ -188,7 +193,7 @@ def upper_bound(
         # scale already carries its g factors; f(g) = g**alpha multiplies in whole
         if threshold.kind == "rational":
             return lambda ctx: iv_fraction(ctx, scale * threshold.value)
-        return lambda ctx: ctx.mpf(scale) * power_ln(ctx, g, threshold.value)
+        return lambda ctx: power_ln(ctx, g, threshold.value) * scale
 
     tight = _ceiling(2 * g - 1, scaled_f(64 * (2 * g - 2)))
     rounded = _ceiling(2 * g, scaled_f(128 * g))
@@ -207,10 +212,10 @@ class InequalityStatus(Enum):
 
 class CrossingInequalityVerdict(NamedTuple):
     status: InequalityStatus
-    threshold_log10: mpmath.mpf
-    size_log10: mpmath.mpf
-    left_log10: Optional[mpmath.mpf]
-    crossings_log10: Optional[mpmath.mpf]
+    threshold_log10: Decimal
+    size_log10: Decimal
+    left_log10: Optional[Decimal]
+    crossings_log10: Optional[Decimal]
     digits: int
 
 
@@ -238,14 +243,14 @@ def crossing_inequality_check(
         raise DomainError(f"crossing total must be >= 0, got {cr}")
 
     # memoised, so that verdict reuses the enclosures certify settled on
-    threshold = cache(_ceiling(2 * g - 1, lambda ctx: ctx.mpf(0)))  # e**6 * (2g-1)
+    threshold = cache(_ceiling(2 * g - 1, lambda ctx: ctx.point(0)))  # e**6 * (2g-1)
 
     @cache
     def size(d: int):
         return log10_int(interval_context(d), m)
 
     def gap(ctx):  # ln(m / ((2g-1) * e**6)), positive exactly in the applicable regime
-        return ctx.log(ctx.mpf(m)) - ctx.log(ctx.mpf(2 * g - 1)) - 6
+        return ln_int(ctx, m) - ln_int(ctx, 2 * g - 1) - 6
 
     @cache
     def left(d: int):
@@ -254,9 +259,9 @@ def crossing_inequality_check(
         if endpoints(gap_iv)[0] <= 0:
             # log(gap) is undefined until the gap is certified positive; the
             # whole real line overlaps every enclosure, so certify retries
-            return ctx.mpf(["-inf", "inf"])
+            return Interval(Decimal("-Infinity"), Decimal("Infinity"), ctx)
         return (
-            2 * (log10_int(ctx, m) + ctx.log(gap_iv) / ctx.ln10)
+            2 * (log10_int(ctx, m) + ctx.ln(gap_iv) / ctx.ln10)
             - log10_int(ctx, 128 * (2 * g - 2))
         )
 
@@ -283,7 +288,7 @@ def crossing_inequality_check(
             # the left side is a square, never below zero crossings; the gap
             # is certified positive only so that the left side can be reported
             _, d = certify(
-                lambda d: interval_context(d).mpf(0),
+                lambda d: interval_context(d).point(0),
                 lambda d: gap(interval_context(d)),
                 strict=True,
                 digits=d,
@@ -317,8 +322,8 @@ def linear_regime_bound(
         raise DomainError(f"linear regime needs alpha <= -1, got {alpha}")
     _check_genus(g)
 
-    value = _ceiling(2 * g, lambda ctx: ctx.mpf(128) * power_ln(ctx, g, 1 + alpha))
-    coefficient = _ceiling(1, lambda ctx: ctx.mpf(128))
+    value = _ceiling(2 * g, lambda ctx: power_ln(ctx, g, 1 + alpha) * 128)
+    coefficient = _ceiling(1, lambda ctx: ctx.point(128))
     return LinearRegimeBound(
         value=_make_bound("linear_regime_bound", value, digits),
         coefficient=_make_bound("linear_regime_coefficient", coefficient, digits),
@@ -347,18 +352,13 @@ class TableRow(NamedTuple):
     lower_le_upper: bool
 
 
-def nstr(x: mpmath.mpf) -> str:
-    """x at the 15 significant digits every printed log10 uses."""
-    import mpmath
-
-    return mpmath.nstr(x, 15)
-
-
 # A ratio cell is exact p/q while its lowest terms fit in this many bits.
 RATIO_EXACT_BITS = 133
 
-# Significant bits kept of each side of a ratio shown as a 12-digit decimal.
+# Significant bits kept of each side of a ratio shown as a 12-digit decimal,
+# and the digits its quotient is taken to.
 _RATIO_DECIMAL_BITS = 256
+_RATIO_CONTEXT = Context(prec=30, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def render_ratio(crossings: int, pairs: int) -> str:
@@ -375,12 +375,9 @@ def render_ratio(crossings: int, pairs: int) -> str:
         return f"{reduced[0]}/{reduced[1]}"
     num_shift = max(0, crossings.bit_length() - _RATIO_DECIMAL_BITS)
     den_shift = max(0, pairs.bit_length() - _RATIO_DECIMAL_BITS)
-    import mpmath
-    from mpmath import mp
-
-    with mp.workdps(30):
-        value = mp.mpf(crossings >> num_shift) / mp.mpf(pairs >> den_shift)
-        return mpmath.nstr(mpmath.ldexp(value, num_shift - den_shift), 12)
+    value = _RATIO_CONTEXT.divide(crossings >> num_shift, pairs >> den_shift)
+    scale = _RATIO_CONTEXT.power(2, num_shift - den_shift)
+    return nstr(_RATIO_CONTEXT.multiply(value, scale), 12)
 
 
 def bounds_table(
@@ -419,10 +416,10 @@ def bounds_table(
                     h_prime=surface.h_prime,
                     base_genus=surface.base_genus,
                     count=count_int,
-                    count_log10=nstr(count.log10),
-                    lower_log10=nstr(lower.log10),
-                    upper_tight_log10=nstr(upper.tight.log10),
-                    upper_rounded_log10=nstr(upper.rounded.log10),
+                    count_log10=nstr(count.log10, PRINT_DIGITS),
+                    lower_log10=nstr(lower.log10, PRINT_DIGITS),
+                    upper_tight_log10=nstr(upper.tight.log10, PRINT_DIGITS),
+                    upper_rounded_log10=nstr(upper.rounded.log10, PRINT_DIGITS),
                     crossings=crossings,
                     ratio=render_ratio(crossings, system.pair_count),
                     mode=system.mode,

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import document as document_mod
-from .bounds import nstr
 from .curves import CrossingReport, SparsityThreshold, generate_system, verify_sparsity
 from .errors import DocumentError, DomainError, SparseCurvesError
 from .homology import certify_distinct
@@ -28,10 +27,12 @@ from .exactint import fits_decimal, parse_fraction
 from .logspace import (
     DEFAULT_DIGITS,
     MAX_DIGITS,
+    PRINT_DIGITS,
     check_digits,
     interval_context,
     log10_int,
     midpoint,
+    nstr,
 )
 from .surfaces import MAX_ALPHA_DENOMINATOR, plan_composite
 
@@ -82,7 +83,7 @@ def _int_text(n: int) -> str:
     if fits_decimal(n):
         return str(n)
     log10 = midpoint(log10_int(interval_context(DEFAULT_DIGITS), n), DEFAULT_DIGITS)
-    return f"[bits={n.bit_length()},log10={nstr(log10)}]"
+    return f"[bits={n.bit_length()},log10={nstr(log10, PRINT_DIGITS)}]"
 
 
 # ----------------------------------------------------------------------
@@ -164,13 +165,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         parts = [
             f"inequality: status={verdict.status.value}",
-            f"size_log10={nstr(verdict.size_log10)}",
-            f"threshold_log10={nstr(verdict.threshold_log10)}",
+            f"size_log10={nstr(verdict.size_log10, PRINT_DIGITS)}",
+            f"threshold_log10={nstr(verdict.threshold_log10, PRINT_DIGITS)}",
         ]
         if verdict.left_log10 is not None:
-            parts.append(f"left_log10={nstr(verdict.left_log10)}")
+            parts.append(f"left_log10={nstr(verdict.left_log10, PRINT_DIGITS)}")
         if verdict.crossings_log10 is not None:
-            parts.append(f"crossings_log10={nstr(verdict.crossings_log10)}")
+            parts.append(f"crossings_log10={nstr(verdict.crossings_log10, PRINT_DIGITS)}")
         print(" ".join(parts))
 
     if args.out:

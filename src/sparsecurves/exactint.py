@@ -12,6 +12,7 @@ lowest terms without a gcd, and only while that form is small.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -97,8 +98,17 @@ def integer_nth_root(n: int, k: int) -> int:
         return 0
     if k == 1:
         return n
-    # Start above the true root so the iteration decreases monotonically.
-    x = 1 << -(-n.bit_length() // k)
+    # Start just above a float root taken from log2(n), whose error is far
+    # below the 2**-30 margin added, so the iteration decreases monotonically
+    # and converges quadratically from the first step.  A start that is still
+    # not above the root is doubled until it is.  The float only picks the
+    # start; the integer loops decide the root.
+    log2_root = math.log2(n) / k
+    shift = max(0, int(log2_root) - 52)
+    x = int(2.0 ** (log2_root - shift)) << shift
+    x += (x >> 30) + 1
+    while x ** k <= n:
+        x <<= 1
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

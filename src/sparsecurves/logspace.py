@@ -2,105 +2,284 @@
 
 The bound formulas mix exact integers with terms like e**(sqrt(128*g) + 6)
 whose values overflow any fixed-precision float, so all magnitude comparisons
-happen in log10 space.  Every quantity is enclosed in a directed-rounding
-interval (mpmath's interval context) by an evaluator, a function from decimal
-digits to an enclosure.  Evaluators at one precision share one context, which
-nothing writes after it is built (see `interval_context`).  Every certified
-comparison goes through one kernel,
+happen in log10 space.  Every quantity is enclosed in an `Interval`, a pair
+of `decimal.Decimal` endpoints rounded outward, by an evaluator: a function
+from decimal digits to an enclosure.  The standard library's `decimal`
+rounds + - * / toward floor or ceiling as asked, and its `ln`, `exp` and
+`sqrt` are correctly rounded, so each of those is widened by one unit in the
+last place; no float decides anything.  Evaluators at one precision share one
+`IntervalContext`, whose precision and rounding are fixed when it is built
+(see `interval_context`).  Every certified comparison goes through one kernel,
 `certify`: while the two enclosures overlap it doubles the digits, up to a
 hard cap, and raises PrecisionError if they still overlap there.  Precision
 starts at `digits >= 1` (doubling 0 never moves).  All formula inequalities
 we certify are strict with room, so the cap is only ever reached for
-genuinely equal quantities.  mpmath is imported by the functions that build
-or read an interval, so a run that evaluates none never loads it.
+genuinely equal quantities.
 """
 
 from __future__ import annotations
 
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_CEILING,
+    ROUND_FLOOR,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+)
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from functools import lru_cache
+from typing import Callable
 
 from .errors import DomainError, PrecisionError
-
-if TYPE_CHECKING:
-    import mpmath
-    from mpmath.ctx_iv import MPIntervalContext
+from .exactint import is_exact_power
 
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 1000
+
+# Significant digits of every printed log10.
+PRINT_DIGITS = 15
 
 # Extra working digits so enclosure widths stay well below the nominal precision.
 _GUARD_DIGITS = 10
 
 
+def _context(prec: int, rounding: str) -> Context:
+    return Context(prec=prec, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+class Interval:
+    """The real interval [lo, hi]; + - * / round lo down and hi up in `ctx`.
+    An int operand is the exact point [n, n]; an int may also be added to or
+    multiply an interval from the left.  Intervals are never modified."""
+
+    __slots__ = ("lo", "hi", "ctx")
+
+    def __init__(self, lo: Decimal, hi: Decimal, ctx: IntervalContext):
+        self.lo, self.hi, self.ctx = lo, hi, ctx
+
+    def __add__(self, other: Interval | int) -> Interval:
+        c, d = _bounds(other)
+        ctx = self.ctx
+        return Interval(ctx.floor.add(self.lo, c), ctx.ceiling.add(self.hi, d), ctx)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: Interval | int) -> Interval:
+        c, d = _bounds(other)
+        ctx = self.ctx
+        return Interval(ctx.floor.subtract(self.lo, d), ctx.ceiling.subtract(self.hi, c), ctx)
+
+    def __mul__(self, other: Interval | int) -> Interval:
+        a, b = self.lo, self.hi
+        c, d = _bounds(other)
+        if d <= 0:  # a nonpositive factor: (-x)(-y)
+            a, b, c, d = b.copy_negate(), a.copy_negate(), d.copy_negate(), c.copy_negate()
+        ctx = self.ctx
+        floor, ceiling = ctx.floor.multiply, ctx.ceiling.multiply
+        if c >= 0:  # the factor is nonnegative: the ends of self give the ends
+            return Interval(
+                floor(a, c if a >= 0 else d), ceiling(b, d if b >= 0 else c), ctx
+            )
+        return Interval(  # the factor straddles zero
+            min(floor(a, d), floor(b, c)), max(ceiling(a, c), ceiling(b, d)), ctx
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: Interval | int) -> Interval:
+        a, b = self.lo, self.hi
+        c, d = _bounds(other)
+        if c <= 0 <= d:
+            raise ZeroDivisionError("interval divisor contains zero")
+        if d < 0:  # x/y = (-x)/(-y)
+            a, b, c, d = b.copy_negate(), a.copy_negate(), d.copy_negate(), c.copy_negate()
+        ctx = self.ctx
+        floor, ceiling = ctx.floor.divide, ctx.ceiling.divide
+        return Interval(floor(a, d if a >= 0 else c), ceiling(b, c if b >= 0 else d), ctx)
+
+
+def _bounds(x: Interval | int) -> tuple[Decimal, Decimal]:
+    if isinstance(x, Interval):
+        return x.lo, x.hi
+    value = Decimal(x)
+    return value, value
+
+
+class IntervalContext:
+    """Outward-rounding decimal arithmetic at digits + _GUARD_DIGITS
+    significant digits: `floor` and `ceiling` are the two directed
+    `decimal.Context`s, and ln 2 and ln 10 are taken once, here."""
+
+    __slots__ = ("prec", "floor", "ceiling", "bits", "shift_error", "ln2", "ln10")
+
+    def __init__(self, digits: int):
+        self.prec = digits + _GUARD_DIGITS
+        self.floor = _context(self.prec, ROUND_FLOOR)
+        self.ceiling = _context(self.prec, ROUND_CEILING)
+        # `ln_int` reads an integer's leading `bits` bits, m >= 2**(bits-1),
+        # and adds 1/m >= ln(1 + 1/m) for the bits it drops
+        self.bits = 4 * self.prec
+        self.shift_error = self.ceiling.divide(1, 1 << (self.bits - 1))
+        self.ln2 = self.ln(self.point(2))
+        self.ln10 = self.ln(self.point(10))
+
+    def point(self, value: int | Decimal) -> Interval:
+        """The exact point [value, value]."""
+        value = Decimal(value)
+        return Interval(value, value, self)
+
+    def _monotone(
+        self, function: Callable[[Context, Decimal], Decimal], x: Interval
+    ) -> Interval:
+        """An increasing `decimal.Context` method at each end of x, widened by
+        one unit in the last place: `decimal` rounds these results to nearest
+        whatever the context's rounding, so one unit covers the error."""
+        floor, ceiling = self.floor, self.ceiling
+        lo = function(floor, x.lo)
+        hi = lo if x.hi == x.lo else function(floor, x.hi)
+        return Interval(floor.next_minus(lo), ceiling.next_plus(hi), self)
+
+    def ln(self, x: Interval) -> Interval:
+        if x.lo <= 0:
+            raise ValueError("ln needs a positive interval")
+        return self._monotone(Context.ln, x)
+
+    def exp(self, x: Interval) -> Interval:
+        ceiling = self.ceiling
+        width = ceiling.subtract(x.hi, x.lo)
+        if not 0 < width <= 1:
+            return self._monotone(Context.exp, x)
+        # one exp, not two: e**hi = e**lo * e**width <= e**lo * (1 + 2 * width)
+        lo = self._monotone(Context.exp, Interval(x.lo, x.lo, self))
+        factor = ceiling.add(1, ceiling.multiply(2, width))
+        return Interval(lo.lo, ceiling.multiply(lo.hi, factor), self)
+
+    def sqrt(self, x: Interval) -> Interval:
+        if x.lo < 0:
+            raise ValueError("sqrt needs a nonnegative interval")
+        root = self._monotone(Context.sqrt, x)
+        # sqrt(0) = 0 exactly; keep the enclosure nonnegative
+        return Interval(x.lo, root.hi, self) if x.lo == 0 else root
+
+
 # Interval contexts by requested digits, each built on first use.
-_CONTEXTS: dict[int, MPIntervalContext] = {}
+_CONTEXTS: dict[int, IntervalContext] = {}
 
 
-def interval_context(digits: int) -> MPIntervalContext:
+def interval_context(digits: int) -> IntervalContext:
     """The interval context at the requested decimal precision, shared by every
     evaluation at that precision in the process.
 
-    A shared context is read-only: its precision is set once, here.  The
-    context functions evaluators call (`mpf`, `log`/`ln`, `exp`, `sqrt`,
-    `ln10` and interval arithmetic) read `ctx.prec` and never write it, so an
-    enclosure does not depend on what was evaluated before it, and threads
-    may share a context.  mpmath's special functions differ: they raise
-    `prec` in place while they run, so they, like any `dps` assignment,
-    belong on a private `MPIntervalContext`.
+    A shared context is read-only: its precision and rounding are set once,
+    here.  `decimal` records flags on the contexts, but no code reads them and
+    none traps but the default three, so an enclosure does not depend on what
+    was evaluated before it, and threads may share a context.
     """
     ctx = _CONTEXTS.get(digits)
     if ctx is None:
-        from mpmath.ctx_iv import MPIntervalContext
-
-        ctx = MPIntervalContext()
-        ctx.dps = digits + _GUARD_DIGITS
-        _CONTEXTS[digits] = ctx
+        ctx = _CONTEXTS[digits] = IntervalContext(digits)
     return ctx
 
 
-def endpoints(x) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """Exact (lo, hi) endpoints of an interval as plain mpf values.
-
-    The raw libmp tuples are converted without rounding, so the returned
-    endpoints are the enclosure itself, not an approximation of it.
-    """
-    from mpmath import mp
-
-    lo_raw, hi_raw = x._mpi_
-    return mp.make_mpf(lo_raw), mp.make_mpf(hi_raw)
+def endpoints(x: Interval) -> tuple[Decimal, Decimal]:
+    """The (lo, hi) endpoints of an enclosure, exactly."""
+    return x.lo, x.hi
 
 
-def iv_fraction(ctx: MPIntervalContext, value: Fraction):
+def iv_fraction(ctx: IntervalContext, value: Fraction) -> Interval:
     """Enclosure of an exact rational in the given context."""
-    return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+    return ctx.point(value.numerator) / value.denominator
 
 
-def log10_int(ctx: MPIntervalContext, n: int):
-    """Enclosure of log10(n) for a positive integer n of any size."""
+# ln of an odd integer of at most ctx.bits bits, per context.  A genus's bound
+# formulas share ln g, ln(2g - 1) and ln 2g = ln 2 + ln g, so the few most
+# recent suffice.
+@lru_cache(maxsize=128)
+def _ln_odd(ctx: IntervalContext, m: int) -> Interval:
+    return ctx.point(0) if m == 1 else ctx.ln(ctx.point(m))
+
+
+def ln_int(ctx: IntervalContext, n: int) -> Interval:
+    """Enclosure of ln(n) for a positive integer n of any size.
+
+    n = 2**e * q, where m <= q < m + 1 for m, the odd part of n cut to its
+    leading ctx.bits bits (q = m when nothing is cut).  So ln n lies in
+    [ln m, ln m + 1/m] + e * ln 2, since ln(m + 1) <= ln m + 1/m.
+    """
     if n <= 0:
-        raise ValueError(f"log10 needs a positive argument, got {n}")
-    return ctx.log(ctx.mpf(n)) / ctx.ln10
+        raise ValueError(f"ln needs a positive argument, got {n}")
+    twos = (n & -n).bit_length() - 1
+    odd = n >> twos
+    shift = max(0, odd.bit_length() - ctx.bits)
+    ln_m = _ln_odd(ctx, odd >> shift)
+    if shift:
+        ln_m = Interval(ln_m.lo, ctx.ceiling.add(ln_m.hi, ctx.shift_error), ctx)
+    return ln_m + ctx.ln2 * (twos + shift)
 
 
-def power_ln(ctx: MPIntervalContext, g: int, exponent: Fraction):
-    """Enclosure of g**exponent via exp((r/s) * ln(g)); exponent may be negative."""
+def log10_int(ctx: IntervalContext, n: int) -> Interval:
+    """Enclosure of log10(n) for a positive integer n of any size."""
+    return ln_int(ctx, n) / ctx.ln10
+
+
+@lru_cache(maxsize=128)
+def power_ln(ctx: IntervalContext, g: int, exponent: Fraction) -> Interval:
+    """Enclosure of g**exponent: the exact integer when `is_exact_power` finds
+    one, else exp((r/s) * ln(g)); exponent may be negative.  The few most
+    recent are kept, since a genus's bounds share g**alpha."""
     if g < 1:
         raise ValueError(f"base must be >= 1, got {g}")
-    r, s = exponent.numerator, exponent.denominator
-    return ctx.exp(ctx.log(ctx.mpf(g)) * r / s)
+    exact = is_exact_power(g, exponent)
+    if exact is not None:
+        return ctx.point(exact)
+    return ctx.exp(ln_int(ctx, g) * exponent.numerator / exponent.denominator)
 
 
-def midpoint(x, digits: int) -> mpmath.mpf:
+def midpoint(x: Interval, digits: int) -> Decimal:
     """Midpoint of the enclosure x, as reported for a value evaluated at `digits`."""
-    from mpmath import mp
-
-    lo, hi = endpoints(x)
-    with mp.workdps(digits + _GUARD_DIGITS):
-        return (lo + hi) / 2
+    context = _context(digits + _GUARD_DIGITS, ROUND_HALF_EVEN)
+    return context.divide(context.add(x.lo, x.hi), 2)
 
 
-Evaluator = Callable[[int], object]
+def nstr(x: Decimal, digits: int) -> str:
+    """x at `digits` significant digits, printed as `mpmath.nstr` prints it.
+
+    The digits of x are cut after `digits` and rounded half up on the next
+    digit alone; the point is fixed while the leading digit's exponent lies
+    strictly between min(-(digits // 3), -5) and `digits`, else an exponent
+    follows; trailing zeros are stripped, leaving at least one after the point.
+    """
+    if x.is_infinite():
+        return "-inf" if x.is_signed() else "+inf"
+    if not x:
+        return "0.0"
+    # every digit of x, and the exponent of the leading one
+    mantissa, _, lead_text = format(x.copy_abs(), "e").partition("e")
+    text, lead = mantissa.replace(".", ""), int(lead_text)
+    if len(text) > digits and text[digits] >= "5":
+        text = str(int(text[:digits]) + 1)
+        if len(text) > digits:  # carried through 9s
+            text, lead = text[:digits], lead + 1
+    else:
+        text = text[:digits]
+    split = 1
+    if min(-(digits // 3), -5) < lead < digits:
+        if lead < 0:
+            text = "0" * -lead + text
+        else:
+            split = lead + 1
+            text = text.ljust(split, "0")
+        lead = 0
+    text = (text[:split] + "." + text[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    sign = "-" if x.is_signed() else ""
+    return f"{sign}{text}" if lead == 0 else f"{sign}{text}e{lead:+d}"
+
+
+Evaluator = Callable[[int], Interval]
 
 
 def check_digits(digits: int) -> None:
@@ -134,8 +313,6 @@ def certify(
         if b_hi < a_lo or (b_hi == a_lo and strict):
             return False, d
         if d >= max_digits:
-            from mpmath import nstr
-
             raise PrecisionError(
                 f"comparison undecidable at {d} digits "
                 f"(a in [{nstr(a_lo, 25)}, {nstr(a_hi, 25)}], "

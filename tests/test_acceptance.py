@@ -44,7 +44,7 @@ from sparsecurves.intersections import (
     pair_intersection,
     total_crossings_explicit,
 )
-from sparsecurves.logspace import certify, endpoints, interval_context, log10_int
+from sparsecurves.logspace import certify, endpoints, interval_context, log10_int, nstr
 from sparsecurves.surfaces import plan_composite
 
 CASES = ((16, 2, 8), (36, 3, 12), (64, 4, 16), (100, 5, 20))
@@ -202,16 +202,16 @@ def test_criterion_07_simplified_display():
 
         def rhs_lower(d, g=g):
             ctx = interval_context(d)
-            ln10 = ctx.log(ctx.mpf(10))
-            return ctx.sqrt(ctx.mpf(g)) * ctx.log(ctx.mpf(2)) / ln10 - log10_int(ctx, 16)
+            ln10 = ctx.ln(ctx.point(10))
+            return ctx.sqrt(ctx.point(g)) * ctx.ln(ctx.point(2)) / ln10 - log10_int(ctx, 16)
 
         def rhs_upper(d, g=g):
             ctx = interval_context(d)
-            ln10 = ctx.log(ctx.mpf(10))
+            ln10 = ctx.ln(ctx.point(10))
             return (
-                ctx.sqrt(ctx.mpf(g)) * log10_int(ctx, DISPLAY_CONSTANT)
+                ctx.sqrt(ctx.point(g)) * log10_int(ctx, DISPLAY_CONSTANT)
                 + log10_int(ctx, 2 * g)
-                + 6 / ln10
+                + ctx.point(6) / ln10
             )
 
         lower_ok = certify(rhs_lower, lower.evaluate)[0]
@@ -230,12 +230,13 @@ def test_criterion_07_display_constant_pin():
     a wrong value from interval_context or endpoints still fails here.
     """
     ctx = interval_context(60)
-    value = ctx.exp(ctx.sqrt(ctx.mpf(128)))
+    value = ctx.exp(ctx.sqrt(ctx.point(128)))
     lo, hi = endpoints(value)
     ceiling = lo > DISPLAY_CONSTANT - 1 and hi < DISPLAY_CONSTANT
-    window = lo > mp.mpf("81937.2") and hi < mp.mpf("81937.3")
+    with mp.workdps(80):
+        window = mp.mpf(str(lo)) > mp.mpf("81937.2") and mp.mpf(str(hi)) < mp.mpf("81937.3")
     ok = ceiling and window
-    interval = f"[{mp.nstr(lo, 20)}, {mp.nstr(hi, 20)}]"
+    interval = f"[{nstr(lo, 20)}, {nstr(hi, 20)}]"
     _line(
         "7 display constant pin",
         ok,
@@ -260,11 +261,11 @@ def test_criterion_08_inequality_trivial_regime():
 
     def thr(d):
         ctx = interval_context(d)
-        return log10_int(ctx, 2 * g - 1) + 6 / ctx.log(ctx.mpf(10))
+        return log10_int(ctx, 2 * g - 1) + ctx.point(6) / ctx.ln(ctx.point(10))
 
     def mid(d):
         ctx = interval_context(d)
-        return log10_int(ctx, 2 * g) + 6 / ctx.log(ctx.mpf(10))
+        return log10_int(ctx, 2 * g) + ctx.point(6) / ctx.ln(ctx.point(10))
 
     upper = upper_bound(g, 1)
     chain = certify(thr, mid)[0] and certify(mid, upper.rounded.evaluate)[0]
@@ -292,7 +293,8 @@ def test_criterion_09_linear_regime():
         bound = linear_regime_bound(g, -1)
         with mp.workdps(digits + 10):
             identity_gap = abs(
-                bound.value.log10 - (mp.log(2 * g, 10) + bound.coefficient.log10)
+                mp.mpf(str(bound.value.log10))
+                - (mp.log(2 * g, 10) + mp.mpf(str(bound.coefficient.log10)))
             )
         shape_ok = shape_ok and identity_gap < mp.mpf("1e-30")
         # and the rigorous per-g domination in log space

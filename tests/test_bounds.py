@@ -8,13 +8,13 @@ from unittest.mock import patch
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.ctx_iv import MPIntervalContext
 
 from sparsecurves import bounds as bounds_module
 from sparsecurves.bounds import (
+    RATIO_EXACT_BITS,
     InequalityStatus,
     bounds_table,
     certified_le,
@@ -30,8 +30,9 @@ from sparsecurves.bounds import (
 from sparsecurves.cli import main
 from sparsecurves.curves import SparsityThreshold, generate_system
 from sparsecurves.errors import DomainError
+from sparsecurves.exactint import lowest_terms_within
 from sparsecurves.intersections import total_crossings
-from sparsecurves.logspace import MAX_DIGITS, _GUARD_DIGITS, certify, interval_context, log10_int
+from sparsecurves.logspace import MAX_DIGITS, IntervalContext, certify, interval_context, log10_int
 from sparsecurves.surfaces import check_plan_domain, plan_composite
 
 
@@ -48,7 +49,7 @@ def test_lower_bound_non_square_has_no_exact_value():
     # 2**sqrt(17) * floor(2*sqrt(17)) / 16 = 2**4.123 * 8 / 16
     with mp.workdps(30):
         expected = mpmath.sqrt(17) * mpmath.log(2, 10) + mpmath.log(8, 10) - mpmath.log(16, 10)
-        assert abs(value.log10 - expected) < mpmath.mpf("1e-20")
+        assert abs(mpmath.mpf(str(value.log10)) - expected) < mpmath.mpf("1e-20")
 
 
 def test_bound_value_log_matches_exact():
@@ -60,7 +61,7 @@ def test_bound_value_log_matches_exact():
             true_log = mpmath.log(mpmath.mpf(value.exact.numerator), 10) - mpmath.log(
                 mpmath.mpf(value.exact.denominator), 10
             )
-            assert abs(true_log - value.log10) < mpmath.mpf("1e-20")
+            assert abs(true_log - mpmath.mpf(str(value.log10))) < mpmath.mpf("1e-20")
 
 
 def test_construction_count_exact_values():
@@ -98,15 +99,16 @@ def test_upper_bound_16_value():
     pair = upper_bound(16, 1)
     with mp.workdps(40):
         expected = mpmath.log(32, 10) + (mpmath.sqrt(2048) + 6) / mpmath.log(10)
-        assert abs(pair.rounded.log10 - expected) < mpmath.mpf("1e-25")
+        assert abs(mpmath.mpf(str(pair.rounded.log10)) - expected) < mpmath.mpf("1e-25")
     assert certified_le(construction_count(16, 0), pair.rounded)
 
 
 def test_upper_bound_power_matches_rational_at_alpha_zero():
     a = upper_bound(400, SparsityThreshold.power(0))
     b = upper_bound(400, 1)
-    assert abs(a.rounded.log10 - b.rounded.log10) < mpmath.mpf("1e-30")
-    assert abs(a.tight.log10 - b.tight.log10) < mpmath.mpf("1e-30")
+    with mp.workdps(60):
+        for x, y in ((a.rounded.log10, b.rounded.log10), (a.tight.log10, b.tight.log10)):
+            assert abs(mpmath.mpf(str(x)) - mpmath.mpf(str(y))) < mpmath.mpf("1e-30")
 
 
 def test_theorem_sides_never_cross_samples():
@@ -152,9 +154,9 @@ def test_linear_regime_alpha_minus_one_exact_shape():
     bound = linear_regime_bound(50, -1)
     with mp.workdps(40):
         expected = mpmath.log(100, 10) + (mpmath.sqrt(128) + 6) / mpmath.log(10)
-        assert abs(bound.value.log10 - expected) < mpmath.mpf("1e-25")
+        assert abs(mpmath.mpf(str(bound.value.log10)) - expected) < mpmath.mpf("1e-25")
         coeff_expected = (mpmath.sqrt(128) + 6) / mpmath.log(10)
-        assert abs(bound.coefficient.log10 - coeff_expected) < mpmath.mpf("1e-25")
+        assert abs(mpmath.mpf(str(bound.coefficient.log10)) - coeff_expected) < mpmath.mpf("1e-25")
 
 
 def test_linear_regime_monotone_in_alpha():
@@ -289,6 +291,33 @@ def test_render_ratio_matches_the_gcd_route(p, q, shift, odd):
     assert abs(Fraction(text) - exact) <= _unit_in_12th_digit(exact)
 
 
+def _ratio_cell_by_mpmath(crossings: int, pairs: int) -> str:
+    """The 12-digit cell as the former mpmath route wrote it: the leading
+    256 bits of each side divided at 30 digits, then mpmath.nstr."""
+    num_shift = max(0, crossings.bit_length() - 256)
+    den_shift = max(0, pairs.bit_length() - 256)
+    with mp.workdps(30):
+        value = mp.mpf(crossings >> num_shift) / mp.mpf(pairs >> den_shift)
+        return mpmath.nstr(mpmath.ldexp(value, num_shift - den_shift), 12)
+
+
+# up to 4,000 bits, so that the leading 256 bits drop nonzero ones
+_long = st.builds(_of_bits, st.integers(1, 4000), st.integers(min_value=0, max_value=2 ** 32))
+
+
+@given(
+    p=st.one_of(_sized, _long),
+    q=st.one_of(_sized, _long),
+    shift=st.integers(min_value=0, max_value=3000),
+    extra=st.integers(min_value=0, max_value=3000),
+)
+@settings(max_examples=300, deadline=None)
+def test_render_ratio_matches_the_mpmath_route(p, q, shift, extra):
+    crossings, pairs = p << extra, q << shift
+    assume(lowest_terms_within(crossings, pairs, RATIO_EXACT_BITS) is None)
+    assert render_ratio(crossings, pairs) == _ratio_cell_by_mpmath(crossings, pairs)
+
+
 @pytest.mark.parametrize(
     "g, alpha, text",
     [
@@ -318,9 +347,7 @@ _DOUBLING_STEPS = sorted(
 
 def _fresh_context(digits):
     """The replaced path: a private context built for every evaluation."""
-    ctx = MPIntervalContext()
-    ctx.dps = digits + _GUARD_DIGITS
-    return ctx
+    return IntervalContext(digits)
 
 
 def _bound_enclosures(g, alpha, f, linear_alpha, digits):

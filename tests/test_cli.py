@@ -679,6 +679,45 @@ def test_verify_analytic_document(tmp_path, capsys):
     assert "method=construction" in stdout
 
 
+# `verify` stdout of three constructed documents, byte for byte: a full family
+# below the inequality's threshold, and two counts-only families far above it
+# whose integers print as [bits=...,log10=...] tokens.
+_PINNED_VERIFY = {
+    (196, "0/1"): """\
+curves=114688
+crossings=579833856 pairs=6576611328
+average=2247/25486 threshold=g^0 sparse=true mode=explicit
+certificate: distinct=true method=construction
+inequality: status=not-applicable size_log10=5.05951797930999 threshold_log10=5.19794364881538
+""",
+    (10 ** 5, "1/1"): """\
+curves=[bits=100000,log10=30102.6985364025]
+crossings=[bits=200011,log10=60209.1649090429] pairs=[bits=199997,log10=60205.0960428092]
+average=11718.34375 threshold=g^1 sparse=true mode=analytic
+certificate: distinct=true method=construction
+inequality: status=holds size_log10=30102.6985364025 threshold_log10=7.90679471560565 \
+left_log10=60207.6702512446 crossings_log10=60209.1649090429
+""",
+    (10 ** 6, "1/1"): """\
+curves=[bits=1000000,log10=301029.694633986]
+crossings=[bits=2000014,log10=602064.157117759] pairs=[bits=1999997,log10=602059.088237975]
+average=117187.09375 threshold=g^1 sparse=true mode=analytic
+certificate: distinct=true method=construction
+inequality: status=holds size_log10=301029.694633986 threshold_log10=8.9067966699362 \
+left_log10=602062.662652794 crossings_log10=602064.157117759
+""",
+}
+
+
+@pytest.mark.parametrize("g, alpha", list(_PINNED_VERIFY))
+def test_verify_output_is_pinned_byte_for_byte(tmp_path, capsys, g, alpha):
+    out = tmp_path / "system.json"
+    assert main(["construct", "--g", str(g), "--alpha", alpha, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr() == (_PINNED_VERIFY[g, alpha], "")
+
+
 def test_verify_out_round_trips(tmp_path, capsys):
     out = tmp_path / "g16.json"
     annotated = tmp_path / "annotated.json"
@@ -1115,9 +1154,10 @@ def cli_imports(tmp_path_factory):
     return loaded
 
 
-def test_mpmath_is_loaded_only_where_an_interval_is_evaluated(cli_imports):
+def test_no_command_loads_mpmath(cli_imports):
+    # every enclosure is a pair of decimal.Decimal endpoints
     assert {command: loaded[:2] for command, loaded in cli_imports.items()} == {
-        "construct": (0, False), "verify": (0, True), "bounds": (0, True),
+        "construct": (0, False), "verify": (0, False), "bounds": (0, False),
     }
 
 

@@ -50,6 +50,29 @@ def test_nth_root_bracket(n, k):
     assert r ** k <= n < (r + 1) ** k
 
 
+def _of_bits(bits: int, seed: int) -> int:
+    """A `bits`-bit integer (0 for no bits) whose lower bits hash the draw."""
+    if bits == 0:
+        return 0
+    digest = hashlib.sha256(f"{bits}:{seed}".encode()).digest() * (bits // 256 + 1)
+    return (1 << (bits - 1)) | int.from_bytes(digest, "big") % (1 << (bits - 1))
+
+
+@given(
+    bits=st.integers(min_value=0, max_value=50_000),
+    seed=st.integers(min_value=0, max_value=2 ** 32),
+    k=st.one_of(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=2000)),
+    power=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_nth_root_bracket_up_to_50000_bits(bits, seed, k, power):
+    n = _of_bits(bits, seed)
+    if power:  # an exact k-th power, or one less: the float start sits on the root
+        n = _of_bits(max(1, bits // k), seed) ** k - (seed % 2)
+    r = integer_nth_root(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
 @given(
     g=st.integers(min_value=1, max_value=10 ** 9),
     a=st.integers(min_value=1, max_value=9),

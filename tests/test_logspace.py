@@ -1,6 +1,12 @@
 """Certified interval comparisons in log10 space."""
 
+import random
+from decimal import Decimal
+
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from sparsecurves import logspace
@@ -13,6 +19,7 @@ from sparsecurves.logspace import (
     interval_context,
     iv_fraction,
     log10_int,
+    nstr,
     power_ln,
 )
 from fractions import Fraction
@@ -24,11 +31,11 @@ def _log_of(n):
 
 def test_endpoints_enclose_and_order():
     ctx = interval_context(30)
-    lo, hi = endpoints(ctx.log(ctx.mpf(7)))
+    lo, hi = endpoints(ctx.ln(ctx.point(7)))
     assert lo < hi
     # a much finer reference value sits strictly inside the enclosure
     with mp.workdps(80):
-        assert lo < mp.log(7) < hi
+        assert mp.mpf(str(lo)) < mp.log(7) < mp.mpf(str(hi))
 
 
 def test_certified_le_both_directions():
@@ -56,14 +63,14 @@ def test_power_ln_matches_exact_integer_powers():
     # negative exponent
     lo, hi = endpoints(power_ln(ctx, 4, Fraction(-1)))
     with mp.workdps(50):
-        assert lo <= mp.mpf(1) / 4 <= hi
+        assert mp.mpf(str(lo)) <= mp.mpf(1) / 4 <= mp.mpf(str(hi))
 
 
 def test_iv_fraction_encloses():
     ctx = interval_context(30)
     lo, hi = endpoints(iv_fraction(ctx, Fraction(1, 3)))
     with mp.workdps(80):
-        assert lo < mp.mpf(1) / 3 < hi
+        assert mp.mpf(str(lo)) < mp.mpf(1) / 3 < mp.mpf(str(hi))
 
 
 def test_log10_rejects_nonpositive():
@@ -84,4 +91,128 @@ def test_shared_contexts_keep_their_precision():
     # the escalation reached 50, 100 and 120 digits
     assert {50, 100, 120} <= set(logspace._CONTEXTS)
     for digits, ctx in logspace._CONTEXTS.items():
-        assert ctx.dps == digits + _GUARD_DIGITS, digits
+        assert ctx.prec == ctx.floor.prec == ctx.ceiling.prec == digits + _GUARD_DIGITS, digits
+
+
+# ----------------------------------------------------------------------
+# Enclosures against exact rationals and against mpmath at twice the digits
+# ----------------------------------------------------------------------
+
+_PRECISIONS = st.sampled_from([1, 15, 50, 100, 1000])
+_rationals = st.fractions(min_value=-(10 ** 12), max_value=10 ** 12, max_denominator=10 ** 30)
+
+
+def _encloses_exactly(x, value: Fraction) -> bool:
+    return Fraction(x.lo) <= value <= Fraction(x.hi)
+
+
+def _encloses(x, reference) -> bool:
+    """x holds the mpf `reference`, read at the working precision of the caller."""
+    return mp.mpf(str(x.lo)) <= reference <= mp.mpf(str(x.hi))
+
+
+def _twice(digits):
+    """mpmath at twice the working digits of an evaluation at `digits`."""
+    return mp.workdps(2 * (digits + _GUARD_DIGITS))
+
+
+@given(digits=_PRECISIONS, a=_rationals, b=_rationals)
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_encloses_the_exact_result(digits, a, b):
+    ctx = interval_context(digits)
+    x, y = iv_fraction(ctx, a), iv_fraction(ctx, b)
+    assert _encloses_exactly(x, a) and _encloses_exactly(y, b)
+    assert _encloses_exactly(x + y, a + b)
+    assert _encloses_exactly(x - y, a - b)
+    assert _encloses_exactly(x * y, a * b)
+    assert _encloses_exactly(3 + x, 3 + a)
+    assert _encloses_exactly(x - 3, a - 3)
+    assert _encloses_exactly(x * -7, a * -7)
+    assert _encloses_exactly(-7 * x, -7 * a)
+    if b:
+        assert _encloses_exactly(x / y, a / b)
+        assert _encloses_exactly(x / -5, a / -5)
+
+
+def _of_bits(bits: int, seed: int) -> int:
+    return random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+
+
+@given(
+    digits=_PRECISIONS,
+    bits=st.one_of(st.integers(1, 300), st.integers(1, 10 ** 6)),
+    seed=st.integers(0, 2 ** 32),
+    twos=st.integers(0, 200),
+)
+@settings(max_examples=80, deadline=None)
+def test_log10_int_encloses_mpmath(digits, bits, seed, twos):
+    n = _of_bits(bits, seed) << twos
+    x = log10_int(interval_context(digits), n)
+    with _twice(digits):
+        assert _encloses(x, mp.log10(mp.mpf(n)))
+
+
+@given(
+    digits=_PRECISIONS,
+    g=st.integers(1, 10 ** 6),
+    exponent=st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+)
+@settings(max_examples=80, deadline=None)
+def test_power_ln_encloses_mpmath(digits, g, exponent):
+    x = power_ln(interval_context(digits), g, exponent)
+    with _twice(digits):
+        assert _encloses(x, mp.power(g, mp.mpf(exponent.numerator) / exponent.denominator))
+
+
+@given(
+    digits=_PRECISIONS,
+    value=st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 12),
+    positive=st.fractions(min_value=0, max_value=10 ** 12, max_denominator=10 ** 12),
+)
+@settings(max_examples=80, deadline=None)
+def test_exp_sqrt_and_ln_of_intervals_enclose_mpmath(digits, value, positive):
+    ctx = interval_context(digits)
+    x, y = iv_fraction(ctx, value), iv_fraction(ctx, positive)
+    with _twice(digits):
+        assert _encloses(ctx.exp(x), mp.exp(mp.mpf(value.numerator) / value.denominator))
+        root = mp.sqrt(mp.mpf(positive.numerator) / positive.denominator)
+        assert _encloses(ctx.sqrt(y), root)
+        if positive:
+            assert _encloses(ctx.ln(y), mp.log(root) * 2)
+            # a wide interval: [positive, positive + 1]
+            assert _encloses(ctx.ln(y + 1), mp.log(root ** 2 + 1))
+
+
+# ----------------------------------------------------------------------
+# nstr against mpmath.nstr, on values both read exactly: k * 2**shift
+# ----------------------------------------------------------------------
+
+_mantissas = st.one_of(
+    st.integers(0, 10 ** 30),
+    # runs of 9s followed by a digit that rounds them up, or not
+    st.builds(lambda j, r: 10 ** j - r, st.integers(1, 40), st.integers(1, 60)),
+    # the leading digit on either side of the fixed/exponent limits
+    st.builds(lambda j, r: 10 ** j + r, st.integers(0, 40), st.integers(-1, 1)),
+)
+
+
+@given(
+    mantissa=_mantissas,
+    shift=st.one_of(st.just(0), st.integers(-150, 150)),
+    negative=st.booleans(),
+    digits=st.sampled_from([12, 15, 25]),
+)
+@example(mantissa=2 * 10 ** 12 - 1, shift=-1, negative=False, digits=12)  # 999999999999.5
+@example(mantissa=1, shift=-14, negative=False, digits=15)  # 6.103515625e-05
+@example(mantissa=1, shift=-13, negative=True, digits=15)  # -0.0001220703125
+@example(mantissa=10 ** 25 - 5, shift=0, negative=False, digits=25)
+@settings(max_examples=400, deadline=None)
+def test_nstr_matches_mpmath(mantissa, shift, negative, digits):
+    k = -mantissa if negative else mantissa
+    if shift >= 0:
+        value = Decimal(k << shift)
+    else:
+        value = Decimal(f"{k * 5 ** -shift}E{shift}")
+    with mp.workprec(max(53, mantissa.bit_length() + 8)):
+        reference = mpmath.ldexp(mp.mpf(k), shift)
+    assert nstr(value, digits) == mpmath.nstr(reference, digits)

@@ -1,8 +1,8 @@
 """Every library record is immutable and compares equal by its fields alone."""
 
+from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,7 +54,7 @@ _ints = st.integers(-(10**6), 10**6)
 _int_tuples = st.lists(_ints, max_size=4).map(tuple)
 _fractions = st.fractions(max_denominator=1000)
 _texts = st.text(max_size=4)
-_mpfs = _ints.map(mpmath.mpf)
+_decimals = _ints.map(Decimal)
 _curves = st.builds(Curve, st.integers(0, 3), st.lists(st.sampled_from(ARC_LABELS), max_size=3).map(tuple))
 
 # one strategy per field, in field order, for each record
@@ -83,7 +83,7 @@ _FIELDS = {
     },
     BoundValue: {
         "formula": _texts,
-        "log10": _mpfs,
+        "log10": _decimals,
         "exact": _optional(_fractions),
         "digits": _ints,
         "evaluate": st.sampled_from([abs, str, repr]),
@@ -91,10 +91,10 @@ _FIELDS = {
     SizeUpperBound: {"tight": _record(BoundValue), "rounded": _record(BoundValue)},
     CrossingInequalityVerdict: {
         "status": st.sampled_from(InequalityStatus),
-        "threshold_log10": _mpfs,
-        "size_log10": _mpfs,
-        "left_log10": _optional(_mpfs),
-        "crossings_log10": _optional(_mpfs),
+        "threshold_log10": _decimals,
+        "size_log10": _decimals,
+        "left_log10": _optional(_decimals),
+        "crossings_log10": _optional(_decimals),
         "digits": _ints,
     },
     LinearRegimeBound: {"value": _record(BoundValue), "coefficient": _record(BoundValue)},
