@@ -31,12 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .curves import SparsityThreshold, generate_system
 from .errors import DomainError, PrecisionError
-from .exactint import (
-    floor_scaled_power,
-    is_exact_power,
-    lowest_terms_within,
-    parse_fraction,
-)
+from .exactint import is_exact_power, lowest_terms_within, parse_fraction
 from .intersections import total_crossings
 from .logspace import (
     DEFAULT_DIGITS,
@@ -54,7 +49,7 @@ from .logspace import (
     nstr,
     power_ln,
 )
-from .surfaces import check_plan_domain, plan_composite
+from .surfaces import CompositeSurface, plan_composite
 
 # Exact values are materialized only below this bit size; larger ones are
 # carried purely in log space.
@@ -111,13 +106,17 @@ def lower_bound(
     irrational and lives in the log enclosure, but when g**((1+alpha)/2) is an
     exact integer the whole value is attached as an exact rational.
     """
-    alpha = check_plan_domain(g, alpha)
-    prefactor = floor_scaled_power(Fraction(2), g, (1 - alpha) / 2)
-    exponent = (1 + alpha) / 2
+    return _lower_bound(plan_composite(g, alpha), digits)
+
+
+def _lower_bound(surface: CompositeSurface, digits: int) -> BoundValue:
+    """lower_bound on a planned surface, whose h' is the floor."""
+    g, prefactor = surface.g, surface.h_prime
+    exponent = (1 + surface.alpha) / 2
     exp_int = is_exact_power(g, exponent)
     exact = None
     if exp_int is not None and exp_int <= MAX_EXACT_BITS:
-        exact = Fraction(prefactor * 2 ** exp_int, 16)
+        exact = Fraction(prefactor << exp_int, 16)
 
     def evaluate(d: int):
         ctx = interval_context(d)
@@ -135,7 +134,10 @@ def construction_count(
     g: int, alpha: Fraction | int | str, *, digits: int = DEFAULT_DIGITS
 ) -> BoundValue:
     """Size h' * 4**(h-1) of the generated system, as an exact big integer."""
-    surface = plan_composite(g, alpha)
+    return _construction_count(plan_composite(g, alpha), digits)
+
+
+def _construction_count(surface: CompositeSurface, digits: int) -> BoundValue:
     h, h_prime = surface.h, surface.h_prime
     exact = None
     if 2 * (h - 1) <= MAX_EXACT_BITS:
@@ -398,8 +400,8 @@ def bounds_table(
     for g in sorted(set(g_values)):
         for alpha in alpha_values:
             surface = plan_composite(g, alpha)
-            lower = lower_bound(g, alpha, digits=digits)
-            count = construction_count(g, alpha, digits=digits)
+            lower = _lower_bound(surface, digits)
+            count = _construction_count(surface, digits)
             upper = upper_bound(
                 g, SparsityThreshold.power(alpha), digits=digits
             )

@@ -9,26 +9,33 @@ load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 1 does too, with the full family as `"analytic": true` and an empty curve
 list.  Every listed form loads straight into the system's packed words, one
 sorted string of letter codes per necklace (see `curves.CurveSystem`), and
-schema 3 is written from the same strings.  Schema-1/2 entries are checked
-field by field over the whole list at once; only when a check fails are
-they scanned again one by one, to name the first bad entry.  JSON keeps
-desk-scale systems inspectable by eye; round-tripping is stable field for
-field, and writes go through a temp file plus rename so readers never see a
-partial document.  Integers are written in decimal, so a report whose totals
-exceed CPython's int-to-str digit limit is refused before anything is
-written.  Every fault of a document being loaded, from unreadable bytes,
-bytes that are not UTF-8 and JSON nested too deeply to parse to a report or
-certificate that contradicts its system, raises DocumentError."""
+schema 3 is written from the same strings.  The JSON decoder turns each
+object of exactly the keys "necklace" and "word" into a (necklace, word)
+pair, whose word string is shared by every entry that spells it, so no
+per-curve dict is built; a pair found where an object is read is checked
+as its dict, and its repr is the dict's, so every message names what the
+document holds.  Schema-1/2 entries are checked field by field over the
+whole list at once; only when a check fails are they scanned again one by
+one, to name the first bad entry.  JSON keeps desk-scale systems
+inspectable by eye; round-tripping is stable field for field, and writes go
+through a temp file plus rename so readers never see a partial document.
+Integers are written in decimal, so a report whose totals exceed CPython's
+int-to-str digit limit is refused before anything is written.  Every fault
+of a document being loaded, from unreadable bytes, bytes that are not UTF-8
+and JSON nested too deeply to parse to a report or certificate that
+contradicts its system, raises DocumentError."""
 
 from __future__ import annotations
 
 import json
 import os
 import stat
+import struct
 from collections import defaultdict
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
 from .errors import DocumentError, DomainError
@@ -50,6 +57,53 @@ class SystemDocument(NamedTuple):
     system: CurveSystem
     report: Optional[CrossingReport] = None
     certificate: Optional[DistinctnessCertificate] = None
+
+
+class _Entry(tuple):
+    """A decoded {"necklace": n, "word": w} object, held as the pair (n, w)."""
+
+    __slots__ = ()
+
+    def as_dict(self) -> dict:
+        necklace, word = self
+        return {"necklace": necklace, "word": word}
+
+    def __repr__(self) -> str:
+        return repr(self.as_dict())
+
+
+class _WordFirstEntry(_Entry):
+    """The pair (n, w) decoded from {"word": w, "necklace": n}."""
+
+    __slots__ = ()
+
+    def as_dict(self) -> dict:
+        necklace, word = self
+        return {"word": word, "necklace": necklace}
+
+
+def _object(value: object) -> object:
+    """value, or the dict that a decoded (necklace, word) pair stands for."""
+    return value.as_dict() if isinstance(value, _Entry) else value
+
+
+def _object_pairs_hook() -> Callable[[list], object]:
+    """A json object_pairs_hook for one load: an object whose keys are
+    exactly "necklace" and "word" becomes an _Entry, its word string shared
+    with every entry that spells it; any other object becomes its dict, the
+    last of repeated keys winning as in json.loads."""
+    shared: dict[str, str] = {}
+
+    def decode(pairs: list) -> object:
+        if len(pairs) == 2:
+            (first, a), (second, b) = pairs
+            if first == "necklace" and second == "word":
+                return _Entry((a, shared.setdefault(b, b) if type(b) is str else b))
+            if first == "word" and second == "necklace":
+                return _WordFirstEntry((b, shared.setdefault(a, a) if type(a) is str else a))
+        return dict(pairs)
+
+    return decode
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -102,12 +156,11 @@ def _curve_dict(curve: Curve) -> dict:
 def _packed_curves(system: CurveSystem) -> list[dict]:
     """Listed curves as one entry per necklace, necklaces ascending, with the
     necklace's words blank-separated in ascending order."""
-    n = system.surface.piece_count
+    word = struct.Struct(f"{system.surface.piece_count}s")
     entries = []
     for k, blob in system.packed:
-        text = blob.translate(_TEXT).decode("ascii")
-        words = [text[i : i + n] for i in range(0, len(text), n)]
-        entries.append({"necklace": k, "words": " ".join(words)})
+        words = map(itemgetter(0), word.iter_unpack(blob.translate(_TEXT)))  # cut in C
+        entries.append({"necklace": k, "words": b" ".join(words).decode("ascii")})
     return entries
 
 
@@ -158,6 +211,7 @@ def _int_field(data: dict, key: str) -> int:
 
 def _parse_curve(entry: object, index: int, field: str = "curves") -> Curve:
     name = f"{field}[{index}]"
+    entry = _object(entry)
     if not isinstance(entry, dict):
         raise DocumentError(f"{name} must be an object, got {entry!r}")
     try:
@@ -197,29 +251,41 @@ def _pack(words: list[str]) -> bytes:
     return "".join(sorted(words)).encode("ascii").translate(_CODES)
 
 
-def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
-    """Schema-1/2 listed curves, {"necklace", "word"} objects in any order,
-    packed per necklace.  Each check runs once over all entries; only when one
-    fails are the entries scanned again by `_parse_curves`, which raises
-    naming the first bad entry: every bulk check has a per-entry one."""
-    try:
-        necklaces = [entry["necklace"] for entry in entries]
-        words = [entry["word"] for entry in entries]
-    except (TypeError, KeyError):  # an entry that is no object, or lacks a key
-        necklaces, words = [None], []  # fails the integer check below
+def _pairs_fit(pairs: list, surface: CompositeSurface) -> bool:
+    """True when every (necklace, word) pair passes the entry checks, each
+    check run once over all pairs."""
+    necklaces = list(map(itemgetter(0), pairs))
+    words = list(map(itemgetter(1), pairs))
     necklace_types = set(map(type, necklaces))
-    if (
+    return not (
         bool in necklace_types
         or not all(issubclass(t, int) for t in necklace_types)
         or not all(issubclass(t, str) for t in set(map(type, words)))
         or not 0 <= min(necklaces, default=0) <= max(necklaces, default=0) < surface.h_prime
-        or not set(map(len, words)) <= {surface.piece_count}
-        or not set("".join(words)) <= _LETTERS
-    ):
+        # the words are checked once each: decoded entries share their strings
+        or not set(map(len, distinct := set(words))) <= {surface.piece_count}
+        or not set("".join(distinct)) <= _LETTERS
+    )
+
+
+def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
+    """Schema-1/2 listed curves, {"necklace", "word"} objects or the pairs
+    they decode to, in any order, packed per necklace.  Each check runs once
+    over all entries; only when one fails are the entries scanned again by
+    `_parse_curves`, which raises naming the first bad entry: every bulk
+    check has a per-entry one."""
+    try:
+        pairs = [
+            entry if isinstance(entry, _Entry) else (entry["necklace"], entry["word"])
+            for entry in entries
+        ]
+    except (TypeError, KeyError):  # an entry that is no object, or lacks a key
+        pairs = [(None, "")]  # fails the integer check
+    if not _pairs_fit(pairs, surface):
         _parse_curves(entries, "curves", surface)
         raise AssertionError("a bulk check failed that no entry check repeats")
     groups: defaultdict[int, list[str]] = defaultdict(list)
-    for necklace, word in zip(necklaces, words):
+    for necklace, word in pairs:
         groups[necklace].append(word)
     return tuple((k, _pack(groups[k])) for k in sorted(groups))
 
@@ -230,6 +296,7 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
     packed = []
     previous = -1
     for i, entry in enumerate(entries):
+        entry = _object(entry)
         if not isinstance(entry, dict):
             raise DocumentError(f"curves[{i}] must be an object, got {entry!r}")
         try:
@@ -264,6 +331,7 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
 
 
 def _parse_threshold(entry: object) -> SparsityThreshold:
+    entry = _object(entry)
     if not isinstance(entry, dict) or "kind" not in entry or "value" not in entry:
         raise DocumentError(f"sparsityThreshold must have kind and value, got {entry!r}")
     kind = entry["kind"]
@@ -286,7 +354,9 @@ def from_dict(data: object) -> SystemDocument:
     "construction" certificate; and a certificate names a collision exactly
     when it is not distinct, one curve of the system twice.  A listed system's
     totalCrossings is not checked, since only the counter can check it and
-    `verify` recounts."""
+    `verify` recounts.  A (necklace, word) pair that `load_document` decoded
+    is read as its dict wherever an object is expected."""
+    data = _object(data)
     if not isinstance(data, dict):
         raise DocumentError(f"document root must be an object, got {type(data).__name__}")
     version = data.get("schemaVersion")
@@ -294,7 +364,7 @@ def from_dict(data: object) -> SystemDocument:
         raise DocumentError(
             f"unsupported schemaVersion {version!r}, expected 1, 2 or {SCHEMA_VERSION}"
         )
-    surface_data = data.get("surface")
+    surface_data = _object(data.get("surface"))
     if not isinstance(surface_data, dict):
         raise DocumentError("missing surface object")
     try:
@@ -328,7 +398,7 @@ def from_dict(data: object) -> SystemDocument:
         system = CurveSystem.from_packed(surface, _parse_listed(curves_data, surface))
 
     report = None
-    report_data = data.get("report")
+    report_data = _object(data.get("report"))
     if report_data is not None:
         if not isinstance(report_data, dict):
             raise DocumentError("report must be an object")
@@ -357,7 +427,7 @@ def from_dict(data: object) -> SystemDocument:
             )
 
     certificate = None
-    certificate_data = data.get("certificate")
+    certificate_data = _object(data.get("certificate"))
     if certificate_data is not None:
         if not isinstance(certificate_data, dict):
             raise DocumentError("certificate must be an object")
@@ -452,7 +522,9 @@ def save_document(doc: SystemDocument, path: str | Path) -> None:
 def load_document(path: str | Path) -> SystemDocument:
     """The document at path.  A path that is not a regular file (a FIFO, a
     device node, a directory) raises DocumentError before anything is read;
-    it is opened non-blocking, so a FIFO without a writer does not wait."""
+    it is opened non-blocking, so a FIFO without a writer does not wait.
+    Listed entries decode straight into (necklace, word) pairs with shared
+    word strings, not one dict per curve."""
     path = Path(path)
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
@@ -466,7 +538,7 @@ def load_document(path: str | Path) -> SystemDocument:
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object_pairs_hook())
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -475,4 +547,5 @@ def load_document(path: str | Path) -> SystemDocument:
         raise DocumentError(f"{path}: JSON nested too deeply") from None
     except ValueError as exc:  # an integer past the int-to-str digit limit
         raise DocumentError(f"{path}: {exc}") from exc
+    del text  # not held while the document is checked
     return from_dict(data)

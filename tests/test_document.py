@@ -1,7 +1,9 @@
 """System document serialization, parsing, atomic writes."""
 
+import json
 import os
 import stat
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -555,3 +557,200 @@ def test_collision_witness_must_be_a_whole_listed_word(witness, refused):
             from_dict(data)
     else:
         assert from_dict(data).certificate.collision[0] == Curve(0, tuple(map(int, witness)))
+
+
+# ----------------------------------------------------------------------
+# load_document's decoder against from_dict of plain json.loads
+# ----------------------------------------------------------------------
+
+
+class _Pairs(list):
+    """A JSON object as its (key, value) pairs in order, keys possibly repeated."""
+
+
+def _pairs(value):
+    """value with every dict turned into _Pairs, recursively."""
+    if isinstance(value, dict):
+        return _Pairs((k, _pairs(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return [_pairs(v) for v in value]
+    return value
+
+
+def _render(value) -> str:
+    if isinstance(value, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_render(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_render, value)) + "]"
+    return json.dumps(value)
+
+
+def _entry(necklace, word, word_first=False):
+    pairs = [("necklace", necklace), ("word", word)]
+    return _Pairs(pairs[::-1] if word_first else pairs)
+
+
+_ANY_NECKLACE = st.one_of(st.integers(min_value=0, max_value=11), _BAD_NECKLACE)
+_ANY_WORD = st.one_of(_WORD_TEXT, _BAD_TEXT)
+
+
+@st.composite
+def _schema12_entry(draw, curve):
+    """curve as a {"necklace", "word"} object, its keys in either order, now
+    and then with an extra key, a repeated key or a malformed value."""
+    necklace, word = curve.necklace, "".join(map(str, curve.word))
+    kind = draw(st.sampled_from(["plain", "plain", "plain", "extra", "repeat", "bad"]))
+    if kind == "bad":
+        if draw(st.booleans()):
+            necklace = draw(_BAD_NECKLACE)
+        else:
+            word = draw(_BAD_TEXT)
+    entry = _entry(necklace, word, draw(st.booleans()))
+    if kind == "extra":
+        entry.insert(draw(st.integers(0, 2)), ("extra", draw(st.sampled_from([0, "x", None]))))
+    elif kind == "repeat":
+        # json keeps the last value of a repeated key, and the first key's place
+        key = draw(st.sampled_from(["necklace", "word"]))
+        entry.insert(draw(st.integers(0, 2)), (key, draw(_ANY_NECKLACE if key == "necklace" else _ANY_WORD)))
+    return entry
+
+
+# every place where a document holds an object or a scalar, as a path of keys
+_PLANT_SITES = [
+    (),
+    ("schemaVersion",),
+    ("surface",),
+    ("surface", "g"),
+    ("surface", "alpha"),
+    ("curves",),
+    ("analytic",),
+    ("report",),
+    ("report", "totalCrossings"),
+    ("report", "sparsityThreshold"),
+    ("report", "sparsityThreshold", "kind"),
+    ("report", "sparsityThreshold", "value"),
+    ("report", "isSparse"),
+    ("report", "mode"),
+    ("certificate",),
+    ("certificate", "distinct"),
+    ("certificate", "method"),
+    ("certificate", "collision"),
+    ("curves", 0),
+    ("curves", 0, "necklace"),
+    ("curves", 0, "word"),
+]
+
+
+def _plant(data, site, value):
+    """data with the value at site (a path of keys and indices) replaced, or
+    data unchanged when the site is missing."""
+    if not site:
+        return value
+    key, rest = site[0], site[1:]
+    if isinstance(data, _Pairs):
+        if not any(k == key for k, _ in data):
+            return data
+        return _Pairs((k, _plant(v, rest, value) if k == key else v) for k, v in data)
+    if isinstance(data, list) and isinstance(key, int) and key < len(data):
+        return [_plant(v, rest, value) if i == key else v for i, v in enumerate(data)]
+    return data
+
+
+@st.composite
+def _document_texts(draw):
+    """JSON texts of g=36 documents of every schema, listed or full, with a
+    report and a certificate, their entries varied as by _schema12_entry and
+    now and then a {"necklace", "word"} object planted at one site."""
+    version = draw(st.sampled_from([1, 2, 3]))
+    full = draw(st.integers(0, 4)) == 0
+    if full:
+        system = generate_system(_SURFACE)
+    else:
+        curves = draw(
+            st.lists(
+                st.builds(Curve, st.integers(min_value=0, max_value=11), st.tuples(_LETTER, _LETTER)),
+                min_size=2,
+                max_size=12,
+                unique=True,
+            )
+        )
+        system = CurveSystem(_SURFACE, tuple(curves))
+    report = verify_sparsity(system, SparsityThreshold.power(Fraction(0)))
+    doc = SystemDocument(system, report=report, certificate=certify_distinct(system))
+    data = _pairs(dict(to_dict(doc), schemaVersion=version))
+    if version == 1:
+        data.append(("analytic", full))
+    if version != 3:
+        listed = [] if full and version == 1 else [draw(_schema12_entry(c)) for c in system.curves]
+        data = _plant(data, ("curves",), "full" if full and version == 2 else listed)
+    if draw(st.booleans()):
+        planted = _entry(draw(_ANY_NECKLACE), draw(_ANY_WORD), draw(st.booleans()))
+        data = _plant(data, draw(st.sampled_from(_PLANT_SITES)), planted)
+    return _render(data)
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("decoded") / "doc.json"
+
+
+def _outcome(load):
+    try:
+        return load()
+    except DocumentError as exc:
+        return f"DocumentError: {exc}"
+
+
+@given(text=_document_texts())
+@settings(max_examples=300, deadline=None)
+def test_load_document_matches_from_dict_of_plain_json(document_path, text):
+    document_path.write_text(text, encoding="utf-8")
+    loaded = _outcome(lambda: load_document(document_path))
+    assert loaded == _outcome(lambda: from_dict(json.loads(text)))
+
+
+def test_listed_entries_load_without_a_dict_per_curve(tmp_path):
+    # g=1000, alpha=-1/3: h=5, h'=200; 100 of the 256 four-letter words per necklace
+    surface = plan_composite(1000, Fraction(-1, 3))
+    words = ["".join(w) for w in product("1234", repeat=surface.piece_count)]
+    entries = [
+        {"necklace": k, "word": words[(37 * k + 5 * i) % len(words)]}
+        for k in range(surface.h_prime)
+        for i in range(100)
+    ]
+    data = dict(to_dict(SystemDocument(CurveSystem(surface))), schemaVersion=1, curves=entries)
+    text = json.dumps(data)
+    path = tmp_path / "listed.json"
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        json.loads(text)
+        plain_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        system = load_document(path).system
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.curve_count == 20_000
+    assert load_peak < plain_peak / 2
+
+
+@given(
+    data=st.data(),
+    plan=st.sampled_from([(16, Fraction(0)), (36, Fraction(0)), (1000, Fraction(-1, 3)), (64, Fraction(1))]),
+)
+@settings(max_examples=100, deadline=None)
+def test_written_word_strings_match_the_listed_curves(data, plan):
+    # words of 1, 2, 4 and 31 letters
+    surface = plan_composite(*plan)
+    curve = st.builds(
+        Curve,
+        st.integers(min_value=0, max_value=surface.h_prime - 1),
+        st.tuples(*[_LETTER] * surface.piece_count),
+    )
+    system = CurveSystem(surface, tuple(data.draw(st.lists(curve, min_size=1, max_size=40))))
+    words: dict[int, list[str]] = {}
+    for c in system.curves:  # in (necklace, word) order, repeats kept
+        words.setdefault(c.necklace, []).append("".join(map(str, c.word)))
+    expected = [{"necklace": k, "words": " ".join(w)} for k, w in sorted(words.items())]
+    assert to_dict(SystemDocument(system))["curves"] == expected
