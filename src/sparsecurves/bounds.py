@@ -31,7 +31,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .curves import SparsityThreshold, generate_system
 from .errors import DomainError, PrecisionError
-from .exactint import is_exact_power, lowest_terms_within, parse_fraction
+from .exactint import (
+    floor_scaled_power,
+    is_exact_power,
+    lowest_terms_within,
+    parse_fraction,
+)
 from .intersections import total_crossings
 from .logspace import (
     DEFAULT_DIGITS,
@@ -49,7 +54,7 @@ from .logspace import (
     nstr,
     power_ln,
 )
-from .surfaces import CompositeSurface, plan_composite
+from .surfaces import CompositeSurface, check_plan_domain, plan_composite
 
 # Exact values are materialized only below this bit size; larger ones are
 # carried purely in log space.
@@ -106,13 +111,15 @@ def lower_bound(
     irrational and lives in the log enclosure, but when g**((1+alpha)/2) is an
     exact integer the whole value is attached as an exact rational.
     """
-    return _lower_bound(plan_composite(g, alpha), digits)
+    alpha = check_plan_domain(g, alpha)
+    prefactor = floor_scaled_power(Fraction(2), g, (1 - alpha) / 2)
+    return _lower_bound(g, alpha, prefactor, digits)
 
 
-def _lower_bound(surface: CompositeSurface, digits: int) -> BoundValue:
-    """lower_bound on a planned surface, whose h' is the floor."""
-    g, prefactor = surface.g, surface.h_prime
-    exponent = (1 + surface.alpha) / 2
+def _lower_bound(g: int, alpha: Fraction, prefactor: int, digits: int) -> BoundValue:
+    """lower_bound of a checked (g, alpha), given the floor, which is the
+    planned surface's h'."""
+    exponent = (1 + alpha) / 2
     exp_int = is_exact_power(g, exponent)
     exact = None
     if exp_int is not None and exp_int <= MAX_EXACT_BITS:
@@ -400,7 +407,7 @@ def bounds_table(
     for g in sorted(set(g_values)):
         for alpha in alpha_values:
             surface = plan_composite(g, alpha)
-            lower = _lower_bound(surface, digits)
+            lower = _lower_bound(g, alpha, surface.h_prime, digits)
             count = _construction_count(surface, digits)
             upper = upper_bound(
                 g, SparsityThreshold.power(alpha), digits=digits

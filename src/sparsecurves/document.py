@@ -9,28 +9,26 @@ load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 1 does too, with the full family as `"analytic": true` and an empty curve
 list.  Every listed form loads straight into the system's packed words, one
 sorted string of letter codes per necklace (see `curves.CurveSystem`), and
-schema 3 is written from the same strings.  The JSON decoder turns each
-object of exactly the keys "necklace" and "word" into a (necklace, word)
-pair, whose word string is shared by every entry that spells it, so no
-per-curve dict is built; a pair found where an object is read is checked
-as its dict, and its repr is the dict's, so every message names what the
-document holds.  Schema-1/2 entries are checked field by field over the
-whole list at once; only when a check fails are they scanned again one by
-one, to name the first bad entry.  JSON keeps desk-scale systems
-inspectable by eye; round-tripping is stable field for field, and writes go
-through a temp file plus rename so readers never see a partial document.
-Integers are written in decimal, so a report whose totals exceed CPython's
-int-to-str digit limit is refused before anything is written.  Every fault
-of a document being loaded, from unreadable bytes, bytes that are not UTF-8
-and JSON nested too deeply to parse to a report or certificate that
-contradicts its system, raises DocumentError."""
+schema 3 is written from the same strings.  `load_document` decodes each
+{"necklace", "word"} entry straight into a (necklace, word) tuple, whose word
+string is shared by every entry that spells it, so no per-curve dict is
+built; a tuple found anywhere but in a schema-1/2 curve list is turned back
+into its dict before the document is checked.  Schema-1/2 entries are
+checked field by field over the whole list at once; only when a check fails
+are they scanned again one by one, to name the first bad entry.  JSON keeps
+desk-scale systems inspectable by eye; round-tripping is stable field for
+field, and writes go through a temp file plus rename so readers never see a
+partial document.  Integers are written in decimal, so a report whose totals
+exceed CPython's int-to-str digit limit is refused before anything is
+written.  Every fault of a document being loaded, from unreadable bytes,
+bytes that are not UTF-8 and JSON nested too deeply to parse to a report or
+certificate that contradicts its system, raises DocumentError."""
 
 from __future__ import annotations
 
 import json
 import os
 import stat
-import struct
 from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter
@@ -57,53 +55,6 @@ class SystemDocument(NamedTuple):
     system: CurveSystem
     report: Optional[CrossingReport] = None
     certificate: Optional[DistinctnessCertificate] = None
-
-
-class _Entry(tuple):
-    """A decoded {"necklace": n, "word": w} object, held as the pair (n, w)."""
-
-    __slots__ = ()
-
-    def as_dict(self) -> dict:
-        necklace, word = self
-        return {"necklace": necklace, "word": word}
-
-    def __repr__(self) -> str:
-        return repr(self.as_dict())
-
-
-class _WordFirstEntry(_Entry):
-    """The pair (n, w) decoded from {"word": w, "necklace": n}."""
-
-    __slots__ = ()
-
-    def as_dict(self) -> dict:
-        necklace, word = self
-        return {"word": word, "necklace": necklace}
-
-
-def _object(value: object) -> object:
-    """value, or the dict that a decoded (necklace, word) pair stands for."""
-    return value.as_dict() if isinstance(value, _Entry) else value
-
-
-def _object_pairs_hook() -> Callable[[list], object]:
-    """A json object_pairs_hook for one load: an object whose keys are
-    exactly "necklace" and "word" becomes an _Entry, its word string shared
-    with every entry that spells it; any other object becomes its dict, the
-    last of repeated keys winning as in json.loads."""
-    shared: dict[str, str] = {}
-
-    def decode(pairs: list) -> object:
-        if len(pairs) == 2:
-            (first, a), (second, b) = pairs
-            if first == "necklace" and second == "word":
-                return _Entry((a, shared.setdefault(b, b) if type(b) is str else b))
-            if first == "word" and second == "necklace":
-                return _WordFirstEntry((b, shared.setdefault(a, a) if type(a) is str else a))
-        return dict(pairs)
-
-    return decode
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -156,11 +107,12 @@ def _curve_dict(curve: Curve) -> dict:
 def _packed_curves(system: CurveSystem) -> list[dict]:
     """Listed curves as one entry per necklace, necklaces ascending, with the
     necklace's words blank-separated in ascending order."""
-    word = struct.Struct(f"{system.surface.piece_count}s")
+    n = system.surface.piece_count
     entries = []
     for k, blob in system.packed:
-        words = map(itemgetter(0), word.iter_unpack(blob.translate(_TEXT)))  # cut in C
-        entries.append({"necklace": k, "words": b" ".join(words).decode("ascii")})
+        text = blob.translate(_TEXT).decode("ascii")
+        words = [text[i : i + n] for i in range(0, len(text), n)]
+        entries.append({"necklace": k, "words": " ".join(words)})
     return entries
 
 
@@ -211,7 +163,6 @@ def _int_field(data: dict, key: str) -> int:
 
 def _parse_curve(entry: object, index: int, field: str = "curves") -> Curve:
     name = f"{field}[{index}]"
-    entry = _object(entry)
     if not isinstance(entry, dict):
         raise DocumentError(f"{name} must be an object, got {entry!r}")
     try:
@@ -246,46 +197,49 @@ def _parse_curves(entries: list, field: str, surface: CompositeSurface) -> tuple
     return curves
 
 
+def _as_object(entry: tuple) -> dict:
+    """The {"necklace", "word"} object that load_document decoded to entry."""
+    necklace, word = entry
+    return {"necklace": necklace, "word": word}
+
+
 def _pack(words: list[str]) -> bytes:
     """Word strings of letters 1-4 as one sorted string of letter codes."""
     return "".join(sorted(words)).encode("ascii").translate(_CODES)
 
 
-def _pairs_fit(pairs: list, surface: CompositeSurface) -> bool:
-    """True when every (necklace, word) pair passes the entry checks, each
-    check run once over all pairs."""
-    necklaces = list(map(itemgetter(0), pairs))
-    words = list(map(itemgetter(1), pairs))
-    necklace_types = set(map(type, necklaces))
-    return not (
+def _parse_listed(
+    entries: list, surface: CompositeSurface, decoded: bool
+) -> tuple[tuple[int, bytes], ...]:
+    """Schema-1/2 listed curves, {"necklace", "word"} objects in any order or,
+    when decoded, the (necklace, word) tuples load_document decoded them to,
+    packed per necklace.  Each check runs once over all entries; only when one
+    fails are the entries scanned again by `_parse_curves`, which raises
+    naming the first bad entry: every bulk check has a per-entry one."""
+    if decoded:  # the decoder made each entry an (int, str) tuple
+        necklaces = list(map(itemgetter(0), entries))
+        words = list(map(itemgetter(1), entries))
+        necklace_types, word_types = {int}, {str}
+    else:
+        try:
+            necklaces = [entry["necklace"] for entry in entries]
+            words = [entry["word"] for entry in entries]
+        except (TypeError, KeyError):  # an entry that is no object, or lacks a key
+            necklaces, words = [None], []  # fails the integer check below
+        necklace_types, word_types = set(map(type, necklaces)), set(map(type, words))
+    if (
         bool in necklace_types
         or not all(issubclass(t, int) for t in necklace_types)
-        or not all(issubclass(t, str) for t in set(map(type, words)))
+        or not all(issubclass(t, str) for t in word_types)
         or not 0 <= min(necklaces, default=0) <= max(necklaces, default=0) < surface.h_prime
-        # the words are checked once each: decoded entries share their strings
+        # each distinct word once: decoded entries share their word strings
         or not set(map(len, distinct := set(words))) <= {surface.piece_count}
         or not set("".join(distinct)) <= _LETTERS
-    )
-
-
-def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
-    """Schema-1/2 listed curves, {"necklace", "word"} objects or the pairs
-    they decode to, in any order, packed per necklace.  Each check runs once
-    over all entries; only when one fails are the entries scanned again by
-    `_parse_curves`, which raises naming the first bad entry: every bulk
-    check has a per-entry one."""
-    try:
-        pairs = [
-            entry if isinstance(entry, _Entry) else (entry["necklace"], entry["word"])
-            for entry in entries
-        ]
-    except (TypeError, KeyError):  # an entry that is no object, or lacks a key
-        pairs = [(None, "")]  # fails the integer check
-    if not _pairs_fit(pairs, surface):
-        _parse_curves(entries, "curves", surface)
+    ):
+        _parse_curves(list(map(_as_object, entries)) if decoded else entries, "curves", surface)
         raise AssertionError("a bulk check failed that no entry check repeats")
     groups: defaultdict[int, list[str]] = defaultdict(list)
-    for necklace, word in pairs:
+    for necklace, word in zip(necklaces, words):
         groups[necklace].append(word)
     return tuple((k, _pack(groups[k])) for k in sorted(groups))
 
@@ -296,7 +250,6 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
     packed = []
     previous = -1
     for i, entry in enumerate(entries):
-        entry = _object(entry)
         if not isinstance(entry, dict):
             raise DocumentError(f"curves[{i}] must be an object, got {entry!r}")
         try:
@@ -331,7 +284,6 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
 
 
 def _parse_threshold(entry: object) -> SparsityThreshold:
-    entry = _object(entry)
     if not isinstance(entry, dict) or "kind" not in entry or "value" not in entry:
         raise DocumentError(f"sparsityThreshold must have kind and value, got {entry!r}")
     kind = entry["kind"]
@@ -346,6 +298,67 @@ def _parse_threshold(entry: object) -> SparsityThreshold:
     raise DocumentError(f"unknown threshold kind {kind!r}")
 
 
+def _object_pairs_hook() -> Callable[[list], object]:
+    """A json object_pairs_hook for one load: an object of exactly the keys
+    "necklace" and "word", in that order, with an integer necklace and a
+    string word becomes the tuple (necklace, word), its word string shared
+    with every entry that spells it; any other object becomes its dict, the
+    last of repeated keys winning as in json.loads.  JSON itself decodes to
+    no tuple."""
+    shared: dict[str, str] = {}
+
+    def decode(pairs: list) -> object:
+        if len(pairs) == 2:
+            (first, necklace), (second, word) = pairs
+            if (
+                first == "necklace"
+                and second == "word"
+                and type(necklace) is int
+                and type(word) is str
+            ):
+                return necklace, shared.setdefault(word, word)
+        return dict(pairs)
+
+    return decode
+
+
+def _restore_objects(value: object) -> object:
+    """value with every decoded (necklace, word) tuple in it, at any depth,
+    turned back into its dict.  Lists and dicts are changed in place and
+    walked without recursion, since JSON may nest deeper than Python's
+    stack."""
+    if type(value) is tuple:
+        return _as_object(value)
+    stack = [value] if type(value) in (dict, list) else []
+    while stack:
+        node = stack.pop()
+        for key, child in node.items() if type(node) is dict else enumerate(node):
+            if type(child) is tuple:
+                node[key] = _as_object(child)
+            elif type(child) in (dict, list):
+                stack.append(child)
+    return value
+
+
+def _from_decoded(data: object) -> SystemDocument:
+    """from_dict of what load_document's decoder returned.  A schema-1/2
+    curve list that decoded wholly to (necklace, word) tuples is read as
+    tuples; every other tuple is first turned back into its dict, so it is
+    checked, and named in messages, as the object it was."""
+    curves = data.get("curves") if type(data) is dict else None
+    decoded = (
+        type(curves) is list
+        and data.get("schemaVersion") != SCHEMA_VERSION
+        and set(map(type, curves)) == {tuple}
+    )
+    if decoded:
+        data["curves"] = None  # its tuples are entries, not objects to restore
+    data = _restore_objects(data)
+    if decoded:
+        data["curves"] = curves
+    return _from_dict(data, decoded)
+
+
 def from_dict(data: object) -> SystemDocument:
     """The document a parsed JSON value describes; DocumentError names the
     first fault.  Every field is checked for its shape first.  Then the report
@@ -354,9 +367,13 @@ def from_dict(data: object) -> SystemDocument:
     "construction" certificate; and a certificate names a collision exactly
     when it is not distinct, one curve of the system twice.  A listed system's
     totalCrossings is not checked, since only the counter can check it and
-    `verify` recounts.  A (necklace, word) pair that `load_document` decoded
-    is read as its dict wherever an object is expected."""
-    data = _object(data)
+    `verify` recounts."""
+    return _from_dict(data, decoded=False)
+
+
+def _from_dict(data: object, decoded: bool) -> SystemDocument:
+    """from_dict; decoded says that a schema-1/2 curve list holds the
+    (necklace, word) tuples of load_document's decoder."""
     if not isinstance(data, dict):
         raise DocumentError(f"document root must be an object, got {type(data).__name__}")
     version = data.get("schemaVersion")
@@ -364,7 +381,7 @@ def from_dict(data: object) -> SystemDocument:
         raise DocumentError(
             f"unsupported schemaVersion {version!r}, expected 1, 2 or {SCHEMA_VERSION}"
         )
-    surface_data = _object(data.get("surface"))
+    surface_data = data.get("surface")
     if not isinstance(surface_data, dict):
         raise DocumentError("missing surface object")
     try:
@@ -395,10 +412,10 @@ def from_dict(data: object) -> SystemDocument:
     elif version == SCHEMA_VERSION:
         system = CurveSystem.from_packed(surface, _parse_packed(curves_data, surface))
     else:
-        system = CurveSystem.from_packed(surface, _parse_listed(curves_data, surface))
+        system = CurveSystem.from_packed(surface, _parse_listed(curves_data, surface, decoded))
 
     report = None
-    report_data = _object(data.get("report"))
+    report_data = data.get("report")
     if report_data is not None:
         if not isinstance(report_data, dict):
             raise DocumentError("report must be an object")
@@ -427,7 +444,7 @@ def from_dict(data: object) -> SystemDocument:
             )
 
     certificate = None
-    certificate_data = _object(data.get("certificate"))
+    certificate_data = data.get("certificate")
     if certificate_data is not None:
         if not isinstance(certificate_data, dict):
             raise DocumentError("certificate must be an object")
@@ -523,7 +540,7 @@ def load_document(path: str | Path) -> SystemDocument:
     """The document at path.  A path that is not a regular file (a FIFO, a
     device node, a directory) raises DocumentError before anything is read;
     it is opened non-blocking, so a FIFO without a writer does not wait.
-    Listed entries decode straight into (necklace, word) pairs with shared
+    Listed entries decode straight into (necklace, word) tuples with shared
     word strings, not one dict per curve."""
     path = Path(path)
     try:
@@ -548,4 +565,4 @@ def load_document(path: str | Path) -> SystemDocument:
     except ValueError as exc:  # an integer past the int-to-str digit limit
         raise DocumentError(f"{path}: {exc}") from exc
     del text  # not held while the document is checked
-    return from_dict(data)
+    return _from_decoded(data)

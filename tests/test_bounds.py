@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -62,6 +63,19 @@ def test_bound_value_log_matches_exact():
                 mpmath.mpf(value.exact.denominator), 10
             )
             assert abs(true_log - mpmath.mpf(str(value.log10))) < mpmath.mpf("1e-20")
+
+
+def test_lower_bound_needs_no_buildable_plan():
+    # h = 5*10^8 exceeds MAX_NECKLACE_GENUS, so no construction is planned,
+    # but 2**sqrt(g) * floor(2*sqrt(g)) / 16 is still bounded in log space
+    value = lower_bound(10 ** 18, 0)
+    assert value.exact is None
+    assert value.enclosure(50) == (
+        Decimal("301030003.760891208221795309083276342594710801157538896924099"),
+        Decimal("301030003.760891208221795309083276342594710801157538896924104"),
+    )
+    with pytest.raises(DomainError, match="necklace genus"):
+        construction_count(10 ** 18, 0)
 
 
 def test_construction_count_exact_values():
