@@ -10,19 +10,20 @@ load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 list.  Every listed form loads straight into the system's packed words, one
 sorted string of letter codes per necklace (see `curves.CurveSystem`), and
 schema 3 is written from the same strings.  `load_document` decodes each
-{"necklace", "word"} entry straight into a (necklace, word) tuple, whose word
-string is shared by every entry that spells it, so no per-curve dict is
-built; a tuple found anywhere but in a schema-1/2 curve list is turned back
-into its dict before the document is checked.  Schema-1/2 entries are
-checked field by field over the whole list at once; only when a check fails
-are they scanned again one by one, to name the first bad entry.  JSON keeps
-desk-scale systems inspectable by eye; round-tripping is stable field for
-field, and writes go through a temp file plus rename so readers never see a
-partial document.  Integers are written in decimal, so a report whose totals
-exceed CPython's int-to-str digit limit is refused before anything is
-written.  Every fault of a document being loaded, from unreadable bytes,
-bytes that are not UTF-8 and JSON nested too deeply to parse to a report or
-certificate that contradicts its system, raises DocumentError."""
+{"necklace", "word"} entry, keys in either order, into a (necklace, word)
+tuple whose word string is shared by every entry that spells it, so no
+per-curve dict is built; a text with such an entry anywhere but in a
+schema-1/2 curve list is decoded again by plain json.loads instead.
+Schema-1/2 entries are checked field by field over the whole list at once;
+only when a check fails are they scanned again one by one, to name the first
+bad entry.  JSON keeps desk-scale systems inspectable by eye; round-tripping
+is stable field for field, and writes go through a temp file plus rename so
+readers never see a partial document.  Integers are written in decimal, so a
+report whose totals or threshold exceed CPython's int-to-str digit limit is
+refused before anything is written.  Every fault of a document being loaded,
+from unreadable bytes, bytes that are not UTF-8 and JSON nested too deeply
+to parse to a report or certificate that contradicts its system, raises
+DocumentError."""
 
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
 from .errors import DocumentError, DomainError
@@ -61,16 +62,15 @@ def _fraction_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _threshold_dict(threshold: SparsityThreshold) -> dict:
-    return {"kind": threshold.kind, "value": _fraction_text(threshold.value)}
-
-
 def _report_dict(report: CrossingReport) -> dict:
-    # checked before the average is reduced: JSON integers are decimal, and
-    # json.dumps refuses any past the int-to-str digit limit
+    # checked before the average is reduced: JSON integers and the threshold's
+    # p/q text are decimal, and Python refuses any past the int-to-str limit
+    threshold = report.threshold
     for key, value in (
         ("totalCrossings", report.total_crossings),
         ("pairCount", report.pair_count),
+        ("sparsityThreshold.value", threshold.value.numerator),
+        ("sparsityThreshold.value", threshold.value.denominator),
     ):
         if not fits_decimal(value):
             raise DocumentError(
@@ -83,25 +83,21 @@ def _report_dict(report: CrossingReport) -> dict:
         "pairCount": report.pair_count,
         "averageNumerator": average.numerator,
         "averageDenominator": average.denominator,
-        "sparsityThreshold": _threshold_dict(report.threshold),
+        "sparsityThreshold": {"kind": threshold.kind, "value": _fraction_text(threshold.value)},
         "isSparse": report.is_sparse,
         "mode": report.mode,
     }
 
 
 def _certificate_dict(certificate: DistinctnessCertificate) -> dict:
-    collision = None
-    if certificate.collision is not None:
-        collision = [_curve_dict(c) for c in certificate.collision]
+    collision = certificate.collision
+    if collision is not None:
+        collision = [{"necklace": c.necklace, "word": "".join(map(str, c.word))} for c in collision]
     return {
         "distinct": certificate.distinct,
         "method": certificate.method,
         "collision": collision,
     }
-
-
-def _curve_dict(curve: Curve) -> dict:
-    return {"necklace": curve.necklace, "word": "".join(map(str, curve.word))}
 
 
 def _packed_curves(system: CurveSystem) -> list[dict]:
@@ -298,67 +294,6 @@ def _parse_threshold(entry: object) -> SparsityThreshold:
     raise DocumentError(f"unknown threshold kind {kind!r}")
 
 
-def _object_pairs_hook() -> Callable[[list], object]:
-    """A json object_pairs_hook for one load: an object of exactly the keys
-    "necklace" and "word", in that order, with an integer necklace and a
-    string word becomes the tuple (necklace, word), its word string shared
-    with every entry that spells it; any other object becomes its dict, the
-    last of repeated keys winning as in json.loads.  JSON itself decodes to
-    no tuple."""
-    shared: dict[str, str] = {}
-
-    def decode(pairs: list) -> object:
-        if len(pairs) == 2:
-            (first, necklace), (second, word) = pairs
-            if (
-                first == "necklace"
-                and second == "word"
-                and type(necklace) is int
-                and type(word) is str
-            ):
-                return necklace, shared.setdefault(word, word)
-        return dict(pairs)
-
-    return decode
-
-
-def _restore_objects(value: object) -> object:
-    """value with every decoded (necklace, word) tuple in it, at any depth,
-    turned back into its dict.  Lists and dicts are changed in place and
-    walked without recursion, since JSON may nest deeper than Python's
-    stack."""
-    if type(value) is tuple:
-        return _as_object(value)
-    stack = [value] if type(value) in (dict, list) else []
-    while stack:
-        node = stack.pop()
-        for key, child in node.items() if type(node) is dict else enumerate(node):
-            if type(child) is tuple:
-                node[key] = _as_object(child)
-            elif type(child) in (dict, list):
-                stack.append(child)
-    return value
-
-
-def _from_decoded(data: object) -> SystemDocument:
-    """from_dict of what load_document's decoder returned.  A schema-1/2
-    curve list that decoded wholly to (necklace, word) tuples is read as
-    tuples; every other tuple is first turned back into its dict, so it is
-    checked, and named in messages, as the object it was."""
-    curves = data.get("curves") if type(data) is dict else None
-    decoded = (
-        type(curves) is list
-        and data.get("schemaVersion") != SCHEMA_VERSION
-        and set(map(type, curves)) == {tuple}
-    )
-    if decoded:
-        data["curves"] = None  # its tuples are entries, not objects to restore
-    data = _restore_objects(data)
-    if decoded:
-        data["curves"] = curves
-    return _from_dict(data, decoded)
-
-
 def from_dict(data: object) -> SystemDocument:
     """The document a parsed JSON value describes; DocumentError names the
     first fault.  Every field is checked for its shape first.  Then the report
@@ -541,7 +476,8 @@ def load_document(path: str | Path) -> SystemDocument:
     device node, a directory) raises DocumentError before anything is read;
     it is opened non-blocking, so a FIFO without a writer does not wait.
     Listed entries decode straight into (necklace, word) tuples with shared
-    word strings, not one dict per curve."""
+    word strings, not one dict per curve; a text with such an entry anywhere
+    else is decoded again by plain json.loads, as from_dict would be given it."""
     path = Path(path)
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
@@ -554,8 +490,19 @@ def load_document(path: str | Path) -> SystemDocument:
             os.close(fd)
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
+    made = 0
+    shared: dict[str, str] = {}
+
+    def compact(obj: dict) -> object:
+        nonlocal made
+        necklace, word = obj.get("necklace"), obj.get("word")
+        if len(obj) == 2 and type(necklace) is int and type(word) is str:
+            made += 1
+            return necklace, shared.setdefault(word, word)
+        return obj
+
     try:
-        data = json.loads(text, object_pairs_hook=_object_pairs_hook())
+        data = json.loads(text, object_hook=compact)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -564,5 +511,16 @@ def load_document(path: str | Path) -> SystemDocument:
         raise DocumentError(f"{path}: JSON nested too deeply") from None
     except ValueError as exc:  # an integer past the int-to-str digit limit
         raise DocumentError(f"{path}: {exc}") from exc
+    shared.clear()
+    curves = data.get("curves") if type(data) is dict else None
+    listed = (  # every tuple made is an entry of a schema-1/2 curve list
+        type(curves) is list
+        and len(curves) == made
+        and set(map(type, curves)) == {tuple}
+        and data.get("schemaVersion") != SCHEMA_VERSION
+    )
+    if made and not listed:  # a tuple outside the curve list: decode as json.loads does
+        del data, curves
+        data = json.loads(text)
     del text  # not held while the document is checked
-    return _from_decoded(data)
+    return _from_dict(data, decoded=listed)
