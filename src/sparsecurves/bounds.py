@@ -46,6 +46,8 @@ from .logspace import (
     IntervalContext,
     certify,
     endpoints,
+    fraction_text,
+    int_text,
     interval_context,
     iv_fraction,
     ln_int,
@@ -180,7 +182,7 @@ class SizeUpperBound(NamedTuple):
 
 def _check_genus(g: int) -> None:
     if not isinstance(g, int) or g < 2:
-        raise DomainError(f"genus must be an integer >= 2, got {g!r}")
+        raise DomainError(f"genus must be an integer >= 2, got {int_text(g)}")
 
 
 def upper_bound(
@@ -247,9 +249,9 @@ def crossing_inequality_check(
     """
     _check_genus(g)
     if not isinstance(m, int) or m < 2:
-        raise DomainError(f"system size must be an integer >= 2, got {m!r}")
+        raise DomainError(f"system size must be an integer >= 2, got {int_text(m)}")
     if cr < 0:
-        raise DomainError(f"crossing total must be >= 0, got {cr}")
+        raise DomainError(f"crossing total must be >= 0, got {int_text(cr)}")
 
     # memoised, so that verdict reuses the enclosures certify settled on
     threshold = cache(_ceiling(2 * g - 1, lambda ctx: ctx.point(0)))  # e**6 * (2g-1)
@@ -328,7 +330,7 @@ def linear_regime_bound(
     """
     alpha = parse_fraction(alpha)
     if alpha > -1:
-        raise DomainError(f"linear regime needs alpha <= -1, got {alpha}")
+        raise DomainError(f"linear regime needs alpha <= -1, got {fraction_text(alpha)}")
     _check_genus(g)
 
     value = _ceiling(2 * g, lambda ctx: power_ln(ctx, g, 1 + alpha) * 128)

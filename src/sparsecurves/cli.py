@@ -29,9 +29,7 @@ from .logspace import (
     MAX_DIGITS,
     PRINT_DIGITS,
     check_digits,
-    interval_context,
-    log10_int,
-    midpoint,
+    int_text,
     nstr,
 )
 from .surfaces import MAX_ALPHA_DENOMINATOR, plan_composite
@@ -57,8 +55,8 @@ def _parse_fraction_arg(text: str, name: str) -> Fraction:
 
 def _check_precision(digits: int) -> None:
     """DomainError unless --precision is from 1 to MAX_DIGITS.  No comparison
-    doubles past MAX_DIGITS and every printed log10 shows 15 digits, so a
-    larger precision would only cost time."""
+    doubles past MAX_DIGITS and a printed log10 shows at most 15 significant
+    digits (at most N + 10 at --precision N), so a larger precision only costs time."""
     check_digits(digits)
     if digits > MAX_DIGITS:
         raise DomainError(
@@ -77,15 +75,6 @@ def _writing(path: str):
         raise DocumentError(f"cannot write {path}: {reason}") from exc
 
 
-def _int_text(n: int) -> str:
-    """n in decimal while it fits DECIMAL_DIGIT_LIMIT digits; past that, one
-    whitespace-free token with its exact bit length and its log10."""
-    if fits_decimal(n):
-        return str(n)
-    log10 = midpoint(log10_int(interval_context(DEFAULT_DIGITS), n), DEFAULT_DIGITS)
-    return f"[bits={n.bit_length()},log10={nstr(log10, PRINT_DIGITS)}]"
-
-
 # ----------------------------------------------------------------------
 # construct
 # ----------------------------------------------------------------------
@@ -97,7 +86,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     with _writing(args.out):
         document_mod.save_document(document_mod.SystemDocument(system), args.out)
     print(
-        f"curves={_int_text(system.curve_count)} h={surface.h} hPrime={surface.h_prime} "
+        f"curves={int_text(system.curve_count)} h={surface.h} hPrime={surface.h_prime} "
         f"baseGenus={surface.base_genus} "
         f"analytic={'true' if system.mode == 'analytic' else 'false'}"
     )
@@ -117,7 +106,7 @@ def _threshold_from_arg(text: str, alpha: Fraction) -> SparsityThreshold:
 
 def _print_report(report: CrossingReport) -> None:
     crossings, pairs = report.total_crossings, report.pair_count
-    print(f"crossings={_int_text(crossings)} pairs={_int_text(pairs)}")
+    print(f"crossings={int_text(crossings)} pairs={int_text(pairs)}")
     if fits_decimal(crossings) and fits_decimal(pairs):
         exact = report.average
         average = f"{exact.numerator}/{exact.denominator}"
@@ -142,7 +131,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report_error = exc
     certificate = certify_distinct(system)
 
-    print(f"curves={_int_text(system.curve_count)}")
+    print(f"curves={int_text(system.curve_count)}")
     if report is not None:
         _print_report(report)
     else:

@@ -33,6 +33,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import DomainError
 from .exactint import le_scaled_power, parse_fraction
+from .logspace import fraction_text, int_text
 from .surfaces import ARC_LABELS, CompositeSurface
 
 Word = tuple[int, ...]
@@ -59,11 +60,11 @@ class Curve(NamedTuple):
 def validate_word(word: Word, piece_count: int) -> None:
     if len(word) != piece_count:
         raise DomainError(
-            f"word length {len(word)} does not match piece count {piece_count}"
+            f"word length {len(word)} does not match piece count {int_text(piece_count)}"
         )
     for letter in word:
         if letter not in ARC_LABELS:
-            raise DomainError(f"arc label must be in {ARC_LABELS}, got {letter}")
+            raise DomainError(f"arc label must be in {ARC_LABELS}, got {int_text(letter)}")
 
 
 def check_curve(curve: Curve, surface: CompositeSurface) -> None:
@@ -71,7 +72,7 @@ def check_curve(curve: Curve, surface: CompositeSurface) -> None:
     validate_word(curve.word, surface.piece_count)
     if not (isinstance(curve.necklace, int) and 0 <= curve.necklace < surface.h_prime):
         raise DomainError(
-            f"necklace index {curve.necklace} outside [0, {surface.h_prime})"
+            f"necklace index {int_text(curve.necklace)} outside [0, {int_text(surface.h_prime)})"
         )
 
 
@@ -236,7 +237,7 @@ class SparsityThreshold(NamedTuple):
     def rational(value: Fraction | int | str) -> "SparsityThreshold":
         value = parse_fraction(value)
         if value <= 0:
-            raise DomainError(f"threshold must be positive, got {value}")
+            raise DomainError(f"threshold must be positive, got {fraction_text(value)}")
         return SparsityThreshold("rational", value)
 
     @staticmethod
@@ -254,8 +255,8 @@ class SparsityThreshold(NamedTuple):
 
     def describe(self) -> str:
         if self.kind == "rational":
-            return str(self.value)
-        return f"g^{self.value}"
+            return fraction_text(self.value)
+        return f"g^{fraction_text(self.value)}"
 
 
 class CrossingReport(NamedTuple):

@@ -40,6 +40,7 @@ from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
 from .errors import DocumentError, DomainError
 from .exactint import DECIMAL_DIGIT_LIMIT, fits_decimal, parse_fraction
 from .homology import DistinctnessCertificate
+from .logspace import int_text
 from .surfaces import ARC_LABELS, CompositeSurface
 
 SCHEMA_VERSION = 3
@@ -142,14 +143,14 @@ def _parse_fraction(text: object, field: str) -> Fraction:
 def _json_int(value: object, name: str) -> int:
     """`value` itself if it is a JSON integer; floats, bools and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{name} must be an integer, got {value!r}")
+        raise DocumentError(f"{name} must be an integer, got {int_text(value)}")
     return value
 
 
 def _json_bool(value: object, name: str) -> bool:
     """`value` itself if it is a JSON boolean; strings and numbers are refused."""
     if not isinstance(value, bool):
-        raise DocumentError(f"{name} must be true or false, got {value!r}")
+        raise DocumentError(f"{name} must be true or false, got {int_text(value)}")
     return value
 
 

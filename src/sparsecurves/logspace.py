@@ -14,7 +14,8 @@ last place; no float decides anything.  Evaluators at one precision share one
 hard cap, and raises PrecisionError if they still overlap there.  Precision
 starts at `digits >= 1` (doubling 0 never moves).  All formula inequalities
 we certify are strict with room, so the cap is only ever reached for
-genuinely equal quantities.
+genuinely equal quantities.  `int_text` and `fraction_text` show any number
+past CPython's int<->str limit by its bit length and certified log10.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .errors import DomainError, PrecisionError
-from .exactint import is_exact_power
+from .exactint import fits_decimal, is_exact_power
 
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 1000
@@ -209,7 +210,7 @@ def ln_int(ctx: IntervalContext, n: int) -> Interval:
     [ln m, ln m + 1/m] + e * ln 2, since ln(m + 1) <= ln m + 1/m.
     """
     if n <= 0:
-        raise ValueError(f"ln needs a positive argument, got {n}")
+        raise ValueError(f"ln needs a positive argument, got {int_text(n)}")
     twos = (n & -n).bit_length() - 1
     odd = n >> twos
     shift = max(0, odd.bit_length() - ctx.bits)
@@ -230,7 +231,7 @@ def power_ln(ctx: IntervalContext, g: int, exponent: Fraction) -> Interval:
     one, else exp((r/s) * ln(g)); exponent may be negative.  The few most
     recent are kept, since a genus's bounds share g**alpha."""
     if g < 1:
-        raise ValueError(f"base must be >= 1, got {g}")
+        raise ValueError(f"base must be >= 1, got {int_text(g)}")
     exact = is_exact_power(g, exponent)
     if exact is not None:
         return ctx.point(exact)
@@ -279,13 +280,28 @@ def nstr(x: Decimal, digits: int) -> str:
     return f"{sign}{text}" if lead == 0 else f"{sign}{text}e{lead:+d}"
 
 
+def int_text(value: object) -> str:
+    """repr(value), but an int past DECIMAL_DIGIT_LIMIT digits is one token,
+    `[bits=B,log10=L]` with the exact bit length and log10 of |value|, signed."""
+    if not isinstance(value, int) or fits_decimal(value):
+        return repr(value)
+    log10 = midpoint(log10_int(interval_context(DEFAULT_DIGITS), abs(value)), DEFAULT_DIGITS)
+    return f"{'-' * (value < 0)}[bits={value.bit_length()},log10={nstr(log10, PRINT_DIGITS)}]"
+
+
+def fraction_text(value: Fraction) -> str:
+    """value as str() shows it, `p` or `p/q`, with each part shown by `int_text`."""
+    p, q = value.numerator, value.denominator
+    return int_text(p) if q == 1 else f"{int_text(p)}/{int_text(q)}"
+
+
 Evaluator = Callable[[int], Interval]
 
 
 def check_digits(digits: int) -> None:
     """Raise DomainError unless digits is a usable precision (at least 1)."""
     if digits < 1:
-        raise DomainError(f"precision must be at least 1 digit, got {digits}")
+        raise DomainError(f"precision must be at least 1 digit, got {int_text(digits)}")
 
 
 def certify(

@@ -19,13 +19,12 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .exactint import (
-    DECIMAL_DIGIT_LIMIT,
-    fits_decimal,
     floor_scaled_power,
     genus_admissible,
     min_admissible_genus,
     parse_fraction,
 )
+from .logspace import fraction_text, int_text
 
 ARC_LABELS = (1, 2, 3, 4)
 
@@ -49,17 +48,11 @@ def check_alpha(alpha: Fraction) -> None:
     MAX_ALPHA_DENOMINATOR."""
     q = alpha.denominator
     if q > MAX_ALPHA_DENOMINATOR:
-        shown = q if fits_decimal(q) else f"one of {q.bit_length()} bits"
         raise DomainError(
-            f"alpha needs a denominator of at most {MAX_ALPHA_DENOMINATOR}, got {shown}"
+            f"alpha needs a denominator of at most {MAX_ALPHA_DENOMINATOR}, got {int_text(q)}"
         )
     if not (Fraction(-1) < alpha <= Fraction(1)):
-        shown = (
-            alpha
-            if fits_decimal(alpha.numerator)
-            else f"a numerator past {DECIMAL_DIGIT_LIMIT} digits"
-        )
-        raise DomainError(f"alpha must lie in (-1, 1], got {shown}")
+        raise DomainError(f"alpha must lie in (-1, 1], got {fraction_text(alpha)}")
 
 
 class NecklaceSurface(NamedTuple):
@@ -99,7 +92,7 @@ class NecklaceSurface(NamedTuple):
 
     def check_invariants(self) -> None:
         if self.h < 2:
-            raise DomainError(f"necklace genus must be >= 2, got {self.h}")
+            raise DomainError(f"necklace genus must be >= 2, got {int_text(self.h)}")
         if len(self.pieces) != self.h - 1 or len(self.annuli) != self.h - 1:
             raise DomainError("necklace needs exactly h-1 pieces and h-1 annuli")
         if not self.is_single_cycle():
@@ -140,10 +133,10 @@ class CompositeSurface(NamedTuple):
     def check_invariants(self) -> None:
         check_alpha(self.alpha)
         if not (2 <= self.h <= self.g):
-            raise DomainError(f"h={self.h} must satisfy 2 <= h <= g={self.g}")
+            raise DomainError(f"h={int_text(self.h)} must satisfy 2 <= h <= g={int_text(self.g)}")
         if self.h > MAX_NECKLACE_GENUS:
             raise DomainError(
-                f"necklace genus h={self.h} exceeds {MAX_NECKLACE_GENUS}: "
+                f"necklace genus h={int_text(self.h)} exceeds {MAX_NECKLACE_GENUS}: "
                 "its exact counts cannot be held"
             )
         if self.h * self.h_prime > self.g:
@@ -158,11 +151,11 @@ def check_plan_domain(g: int, alpha: Fraction | int | str) -> Fraction:
     alpha = parse_fraction(alpha)
     check_alpha(alpha)
     if not isinstance(g, int) or g < 1:
-        raise DomainError(f"genus must be a positive integer, got {g!r}")
+        raise DomainError(f"genus must be a positive integer, got {int_text(g)}")
     if not genus_admissible(g, alpha):
         minimal = min_admissible_genus(alpha)
         raise DomainError(
-            f"g >= {minimal} required for alpha = {alpha} (got g = {g})"
+            f"g >= {minimal} required for alpha = {fraction_text(alpha)} (got g = {int_text(g)})"
         )
     return alpha
 

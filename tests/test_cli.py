@@ -26,7 +26,7 @@ from sparsecurves.bounds import render_ratio
 from sparsecurves.cli import MAX_GRID_COUNT, main
 from sparsecurves.curves import Curve, CurveSystem
 from sparsecurves.document import SystemDocument, load_document, save_document
-from sparsecurves.surfaces import plan_composite
+from sparsecurves.surfaces import MAX_NECKLACE_GENUS, plan_composite
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -942,6 +942,36 @@ def test_cli_contract_under_mutated_argv(gate_documents, base, edits):
     argv = [arg.format(small="small.json", big="big.json") for arg in base]
     with _inside(root):
         _assert_contract(*_run_cli(_mutate_argv(argv, edits)))
+
+
+# (g, alpha) whose plan needs a necklace past MAX_NECKLACE_GENUS: h = g // 2 at
+# alpha = 1 for g > 2*10**8 + 1, and h = isqrt(g) // 2 >= 1.58*10**8 at
+# alpha = 0 from g = 10**17 (just above 4*10**16, h is exactly 10**8 and the
+# plan is accepted).  Every draw refuses at planning, so none costs seconds.
+_PAST_NECKLACE_LIMIT = st.one_of(
+    st.tuples(st.integers(2 * MAX_NECKLACE_GENUS + 2, 10 ** 30), st.just("1/1")),
+    st.tuples(st.integers(10 ** 17, 10 ** 30), st.just("0/1")),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(plan=_PAST_NECKLACE_LIMIT)
+def test_cli_refuses_plans_past_the_necklace_limit(gate_documents, plan):
+    root, _ = gate_documents
+    g, alpha = plan
+    h = g // 2 if alpha == "1/1" else math.isqrt(g) // 2
+    for argv in (
+        ["construct", "--g", str(g), "--alpha", alpha, "--out", "past.json"],
+        ["bounds", "--g", str(g), "--alpha", alpha],
+    ):
+        with _inside(root):
+            code, stderr = _run_cli(argv)
+        assert code == 4
+        assert stderr == (
+            f"error: necklace genus h={h} exceeds {MAX_NECKLACE_GENUS}: "
+            "its exact counts cannot be held\n"
+        )
+    assert not (root / "past.json").exists()
 
 
 def _paths(node, prefix=()):

@@ -10,18 +10,38 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from sparsecurves import logspace
-from sparsecurves.bounds import bounds_table
-from sparsecurves.errors import PrecisionError
+from sparsecurves.bounds import (
+    bounds_table,
+    construction_count,
+    crossing_inequality_check,
+    linear_regime_bound,
+    lower_bound,
+    upper_bound,
+)
+from sparsecurves.curves import (
+    Curve,
+    SparsityThreshold,
+    check_curve,
+    generate_system,
+    validate_word,
+    verify_sparsity,
+)
+from sparsecurves.document import SystemDocument, from_dict, to_dict
+from sparsecurves.errors import DocumentError, DomainError, PrecisionError
 from sparsecurves.logspace import (
     _GUARD_DIGITS,
     certify,
     endpoints,
+    fraction_text,
+    int_text,
     interval_context,
     iv_fraction,
+    ln_int,
     log10_int,
     nstr,
     power_ln,
 )
+from sparsecurves.surfaces import NecklaceSurface, plan_composite
 from fractions import Fraction
 
 
@@ -224,3 +244,116 @@ def test_nstr_matches_mpmath(mantissa, shift, negative, digits):
     with mp.workprec(max(53, mantissa.bit_length() + 8)):
         reference = mpmath.ldexp(mp.mpf(k), shift)
     assert nstr(value, digits) == mpmath.nstr(reference, digits)
+
+
+# ----------------------------------------------------------------------
+# numbers past the int<->str limit, as the library shows them
+# ----------------------------------------------------------------------
+
+_B = 10 ** 5000
+_B_TOKEN = "[bits=16610,log10=5000.0]"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0, -7, 10 ** 4300 - 1, -(10 ** 4300) + 1, True, None, 1.5, "x", [10 ** 4000]],
+)
+def test_int_text_is_repr_within_the_limit(value):
+    assert int_text(value) == repr(value)
+
+
+def test_int_text_past_the_limit_is_one_signed_token():
+    assert int_text(10 ** 4300) == "[bits=14285,log10=4300.0]"
+    assert int_text(_B) == _B_TOKEN and int_text(-_B) == "-" + _B_TOKEN
+    assert int_text(3 * _B) == "[bits=16612,log10=5000.47712125472]"
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(-3, 4), "-3/4"),
+        (Fraction(5), "5"),
+        (Fraction(_B), _B_TOKEN),
+        (Fraction(-1, _B), "-1/" + _B_TOKEN),
+        (Fraction(-_B - 1, _B), f"-[bits=16610,log10=5000.0]/{_B_TOKEN}"),
+    ],
+)
+def test_fraction_text_is_str_with_int_text_parts(value, text):
+    assert fraction_text(value) == text
+    if "[" not in text:
+        assert text == str(value)
+
+
+_G16 = plan_composite(16, 0)
+
+
+def _full_g16_with_huge_is_sparse() -> dict:
+    system = generate_system(_G16)
+    report = verify_sparsity(system, SparsityThreshold.rational(100))
+    data = to_dict(SystemDocument(system, report=report))
+    data["report"]["isSparse"] = _B
+    return data
+
+
+# Every public call below quotes its caller's number in the error it raises;
+# before that number went through `int_text`, each raised the int<->str
+# ValueError instead.
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: plan_composite(-_B, 0), DomainError),
+        (lambda: plan_composite(_B * _B, 0), DomainError),
+        (lambda: lower_bound(-_B, 0), DomainError),
+        (lambda: construction_count(-_B, 0), DomainError),
+        (lambda: upper_bound(-_B, 1), DomainError),
+        (lambda: upper_bound(16, -Fraction(_B)), DomainError),
+        (lambda: crossing_inequality_check(-_B, 5, 3), DomainError),
+        (lambda: crossing_inequality_check(16, -_B, 3), DomainError),
+        (lambda: crossing_inequality_check(16, 5, -_B), DomainError),
+        (lambda: linear_regime_bound(16, Fraction(_B)), DomainError),
+        (lambda: linear_regime_bound(-_B, -1), DomainError),
+        (lambda: SparsityThreshold.rational(-Fraction(_B)), DomainError),
+        (lambda: bounds_table([_B * _B], [0]), DomainError),
+        (lambda: from_dict(_full_g16_with_huge_is_sparse()), DocumentError),
+    ],
+    ids=[
+        "plan_composite-g", "plan_composite-h", "lower_bound", "construction_count",
+        "upper_bound-g", "upper_bound-f", "crossing_inequality-g", "crossing_inequality-m",
+        "crossing_inequality-cr", "linear_regime-alpha", "linear_regime-g",
+        "threshold", "bounds_table", "from_dict",
+    ],
+)
+def test_errors_quote_huge_arguments_as_tokens(call, error):
+    with pytest.raises(error) as caught:
+        call()
+    message = str(caught.value)
+    assert "[bits=" in message and "string conversion" not in message
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: NecklaceSurface(-_B, (), ()).check_invariants(), DomainError),
+        (lambda: check_curve(Curve(_B, (1,)), _G16), DomainError),
+        (lambda: validate_word((_B,), 1), DomainError),
+        (lambda: certify(_log_of(2), _log_of(3), digits=-_B), DomainError),
+        (lambda: ln_int(interval_context(20), -_B), ValueError),
+        (lambda: power_ln(interval_context(20), -_B, Fraction(1, 2)), ValueError),
+    ],
+    ids=["necklace", "check_curve", "validate_word", "certify-digits", "ln_int", "power_ln"],
+)
+def test_other_checks_quote_huge_arguments_as_tokens(call, error):
+    with pytest.raises(error, match=r"\[bits=16610,log10=5000\.0\]"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "threshold, text",
+    [
+        (SparsityThreshold.rational(Fraction(_B)), _B_TOKEN),
+        (SparsityThreshold.power(Fraction(1, _B)), "g^1/" + _B_TOKEN),
+    ],
+    ids=["rational", "power"],
+)
+def test_thresholds_describe_huge_values_as_tokens(threshold, text):
+    assert threshold.describe() == text
