@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Checks of the installed `sparse-curves` console script that need nothing
-# outside the standard library: README's first two examples, a bounds table,
-# two listed documents and a family whose totals pass the int<->str limit.
+# outside the standard library: README's first two examples, two bounds
+# tables (one pinned byte for byte), two listed documents and a family whose
+# totals pass the int<->str limit.
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
 #     cd "$(mktemp -d)" && bash /path/to/repo/.github/scripts/console-checks.sh
@@ -10,6 +11,18 @@ set -euo pipefail
 sparse-curves construct --g 16 --alpha 0/1 --out g16.json
 sparse-curves verify g16.json
 sparse-curves bounds --g 16 --alpha 0/1
+
+# README's five-row table, byte for byte: `decimal` rounds and lays out
+# every log10 cell, so this pins them on each interpreter
+sparse-curves bounds --g 16,25,36,49,64 --alpha 0/1 > table.csv
+diff - table.csv <<'CSV'
+g,alpha,h,hPrime,baseGenus,count,count_log10,lower_log10,upper_tight_log10,upper_rounded_log10,crossings,ratio,mode,lower_le_count,lower_le_upper
+16,0/1,2,8,0,32,1.50514997831991,0.903089986991944,23.1269593323282,23.7648415536234,0,0/1,explicit,true,true
+25,0/1,2,10,5,40,1.60205999132796,1.30102999566398,28.3670064307515,28.8721427506105,0,0/1,explicit,true,true
+36,0/1,3,12,0,192,2.28330122870355,1.68124123737559,33.5255718603608,33.9439864136768,864,9/191,explicit,true,true
+49,0/1,3,14,7,224,2.35024801833416,2.04921802267018,38.634134746305,38.991361163909,1008,9/223,explicit,true,true
+64,0/1,4,16,0,1024,3.01029995663981,2.40823996531185,43.7091183623386,44.0208262288354,34560,45/682,explicit,true,true
+CSV
 
 # a schema-1 listed document, entry keys in both orders, goes through
 # the loader's entry decoder outside pytest

@@ -45,7 +45,7 @@ from .logspace import (
     Interval,
     IntervalContext,
     certify,
-    endpoints,
+    check_digits,
     fraction_text,
     int_text,
     interval_context,
@@ -73,7 +73,8 @@ class BoundValue(NamedTuple):
     evaluate: Callable[[int], Interval]  # digits -> enclosure of log10(value), memoised
 
     def enclosure(self, digits: int) -> tuple[Decimal, Decimal]:
-        return endpoints(self.evaluate(digits))
+        x = self.evaluate(digits)
+        return x.lo, x.hi
 
 
 def _make_bound(
@@ -82,6 +83,7 @@ def _make_bound(
     digits: int,
     exact: Optional[Fraction] = None,
 ) -> BoundValue:
+    check_digits(digits)
     # the midpoint and every comparison of this bound share one enclosure per precision
     evaluate = cache(evaluator)
     return BoundValue(
@@ -267,7 +269,7 @@ def crossing_inequality_check(
     def left(d: int):
         ctx = interval_context(d)
         gap_iv = gap(ctx)
-        if endpoints(gap_iv)[0] <= 0:
+        if gap_iv.lo <= 0:
             # log(gap) is undefined until the gap is certified positive; the
             # whole real line overlaps every enclosure, so certify retries
             return Interval(Decimal("-Infinity"), Decimal("Infinity"), ctx)

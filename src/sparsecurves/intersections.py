@@ -31,6 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .curves import EXPLICIT_WORD_LIMIT, Curve, CurveSystem, Word, validate_word
 from .errors import DegenerateGeometryError, DomainError, SparseCurvesError
+from .logspace import int_text
 from .surfaces import ARC_LABELS, CompositeSurface
 
 
@@ -138,22 +139,21 @@ def pair_intersection(c1: Curve, c2: Curve, surface: CompositeSurface) -> int:
 # the O(N**2*n) of a pair scan.
 
 _PAIRS = {4 * x + y: (x, y) for x in range(1, 5) for y in range(1, 5)}
-# _CROSSES[b][c] = 1 iff an earlier word in bin c crosses a later one in bin b
-_CROSSES = {
-    b: bytes(
-        int(c in _PAIRS and (_PAIRS[c][0] <= s) != (_PAIRS[c][1] <= t))
-        for c in range(256)
-    )
-    for b, (s, t) in _PAIRS.items()
-}
-# bin b owns the 16-bit field at bit _SHIFT[b] of a packed count
-_SHIFT = bytes(16 * (c - 5) if c in _PAIRS else 0 for c in range(256))
-_ROW = [sum(_CROSSES[b][c] << _SHIFT[b] for b in _PAIRS) for c in range(256)]
-_FIELD = 0xFFFF
 # (earlier bin, later bin) pairs that cross, and those of them that sorted
 # words can form in annulus (0, 1)
-_CROSSING = [(c, b) for b in _PAIRS for c in _PAIRS if _CROSSES[b][c]]
+_CROSSING = [
+    (c, b)
+    for b, (s, t) in _PAIRS.items()
+    for c, (x, y) in _PAIRS.items()
+    if (x <= s) != (y <= t)
+]
 _DISCORDANT = [(c, b) for c, b in _CROSSING if _PAIRS[c][0] < _PAIRS[b][0]]
+# bin b owns the 16-bit field at bit _SHIFT[b] of a packed count
+_SHIFT = bytes(16 * (c - 5) if c in _PAIRS else 0 for c in range(256))
+_ROW = [0] * 256
+for _c, _b in _CROSSING:
+    _ROW[_c] += 1 << _SHIFT[_b]
+_FIELD = 0xFFFF
 
 
 def _block_crossings(bins: bytes) -> int:
@@ -233,7 +233,7 @@ def annulus_family_crossings(piece_count: int, annulus: int) -> int:
     """
     n = piece_count
     if not (0 <= annulus < max(n, 1)):
-        raise DomainError(f"annulus index {annulus} outside [0, {n})")
+        raise DomainError(f"annulus index {int_text(annulus)} outside [0, {int_text(n)})")
     if n < 2:
         return 0
     a = annulus
@@ -253,7 +253,7 @@ def necklace_family_crossings(h: int) -> int:
     stays cheap even when 4**(h-1) words could never be enumerated.
     """
     if h < 2:
-        raise DomainError(f"necklace genus must be >= 2, got {h}")
+        raise DomainError(f"necklace genus must be >= 2, got {int_text(h)}")
     n = h - 1
     if n < 2:
         return 0
@@ -402,7 +402,7 @@ def oracle_crossings_pl(
     still degenerate after that is an error.
     """
     if resolution < 4:
-        raise DomainError(f"resolution must be >= 4 sample points, got {resolution}")
+        raise DomainError(f"resolution must be >= 4 sample points, got {int_text(resolution)}")
     n = _check_pair(c1, c2, surface, "oracle")
     if c1.necklace != c2.necklace:
         raise DomainError("oracle compares curves on the same necklace")

@@ -26,6 +26,7 @@ from decimal import (
     ROUND_CEILING,
     ROUND_FLOOR,
     ROUND_HALF_EVEN,
+    ROUND_HALF_UP,
     Context,
     Decimal,
 )
@@ -184,11 +185,6 @@ def interval_context(digits: int) -> IntervalContext:
     return ctx
 
 
-def endpoints(x: Interval) -> tuple[Decimal, Decimal]:
-    """The (lo, hi) endpoints of an enclosure, exactly."""
-    return x.lo, x.hi
-
-
 def iv_fraction(ctx: IntervalContext, value: Fraction) -> Interval:
     """Enclosure of an exact rational in the given context."""
     return ctx.point(value.numerator) / value.denominator
@@ -247,37 +243,23 @@ def midpoint(x: Interval, digits: int) -> Decimal:
 def nstr(x: Decimal, digits: int) -> str:
     """x at `digits` significant digits, printed as `mpmath.nstr` prints it.
 
-    The digits of x are cut after `digits` and rounded half up on the next
-    digit alone; the point is fixed while the leading digit's exponent lies
-    strictly between min(-(digits // 3), -5) and `digits`, else an exponent
-    follows; trailing zeros are stripped, leaving at least one after the point.
+    x is rounded half up to `digits` significant digits, where a carry may
+    add a leading digit; the point is fixed while the rounded value's leading
+    digit has an exponent strictly between min(-(digits // 3), -5) and
+    `digits`, else an exponent follows; trailing zeros are stripped, leaving
+    at least one after the point.
     """
     if x.is_infinite():
         return "-inf" if x.is_signed() else "+inf"
     if not x:
         return "0.0"
-    # every digit of x, and the exponent of the leading one
-    mantissa, _, lead_text = format(x.copy_abs(), "e").partition("e")
-    text, lead = mantissa.replace(".", ""), int(lead_text)
-    if len(text) > digits and text[digits] >= "5":
-        text = str(int(text[:digits]) + 1)
-        if len(text) > digits:  # carried through 9s
-            text, lead = text[:digits], lead + 1
-    else:
-        text = text[:digits]
-    split = 1
-    if min(-(digits // 3), -5) < lead < digits:
-        if lead < 0:
-            text = "0" * -lead + text
-        else:
-            split = lead + 1
-            text = text.ljust(split, "0")
-        lead = 0
-    text = (text[:split] + "." + text[split:]).rstrip("0")
-    if text.endswith("."):
-        text += "0"
-    sign = "-" if x.is_signed() else ""
-    return f"{sign}{text}" if lead == 0 else f"{sign}{text}e{lead:+d}"
+    x = _context(digits, ROUND_HALF_UP).plus(x)
+    fixed = min(-(digits // 3), -5) < x.adjusted() < digits
+    mantissa, e, exponent = format(x, "f" if fixed else "e").partition("e")
+    mantissa = mantissa.rstrip("0") if "." in mantissa else mantissa + "."
+    if mantissa.endswith("."):
+        mantissa += "0"
+    return f"{mantissa}{e}{exponent}"
 
 
 def int_text(value: object) -> str:
@@ -322,16 +304,15 @@ def certify(
     check_digits(digits)
     d = digits
     while True:
-        a_lo, a_hi = endpoints(eval_a(d))
-        b_lo, b_hi = endpoints(eval_b(d))
-        if a_hi < b_lo or (a_hi == b_lo and not strict):
+        a, b = eval_a(d), eval_b(d)
+        if a.hi < b.lo or (a.hi == b.lo and not strict):
             return True, d
-        if b_hi < a_lo or (b_hi == a_lo and strict):
+        if b.hi < a.lo or (b.hi == a.lo and strict):
             return False, d
         if d >= max_digits:
             raise PrecisionError(
                 f"comparison undecidable at {d} digits "
-                f"(a in [{nstr(a_lo, 25)}, {nstr(a_hi, 25)}], "
-                f"b in [{nstr(b_lo, 25)}, {nstr(b_hi, 25)}])"
+                f"(a in [{nstr(a.lo, 25)}, {nstr(a.hi, 25)}], "
+                f"b in [{nstr(b.lo, 25)}, {nstr(b.hi, 25)}])"
             )
         d = min(2 * d, max_digits)

@@ -103,10 +103,6 @@ class NecklaceSurface(NamedTuple):
 
 def build_necklace(h: int) -> NecklaceSurface:
     """Assemble the cyclic necklace of genus h (h >= 2)."""
-    if h < 2:
-        raise DomainError(
-            f"necklace genus must be >= 2 (needs at least one piece and one annulus), got {h}"
-        )
     n = h - 1
     surface = NecklaceSurface(
         h=h,

@@ -44,7 +44,7 @@ from sparsecurves.intersections import (
     pair_intersection,
     total_crossings_explicit,
 )
-from sparsecurves.logspace import certify, endpoints, interval_context, log10_int, nstr
+from sparsecurves.logspace import certify, interval_context, log10_int, nstr
 from sparsecurves.surfaces import plan_composite
 
 CASES = ((16, 2, 8), (36, 3, 12), (64, 4, 16), (100, 5, 20))
@@ -227,11 +227,11 @@ def test_criterion_07_display_constant_pin():
     """DISPLAY_CONSTANT = ceil(e**sqrt(128)): the enclosure lies in (81938 - 1, 81938).
 
     The enclosure must also sit in the 0.1-wide window (81937.2, 81937.3), so
-    a wrong value from interval_context or endpoints still fails here.
+    a wrong value from interval_context or its exp and sqrt still fails here.
     """
     ctx = interval_context(60)
     value = ctx.exp(ctx.sqrt(ctx.point(128)))
-    lo, hi = endpoints(value)
+    lo, hi = value.lo, value.hi
     ceiling = lo > DISPLAY_CONSTANT - 1 and hi < DISPLAY_CONSTANT
     with mp.workdps(80):
         window = mp.mpf(str(lo)) > mp.mpf("81937.2") and mp.mpf(str(hi)) < mp.mpf("81937.3")

@@ -611,3 +611,20 @@ _PINNED_JSON = """\
 def test_table_output_is_pinned_byte_for_byte(capsys, fmt, expected):
     assert main([*_PINNED_ARGV, "--format", fmt]) == 0
     assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("digits", [0, -5, -10])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda digits: lower_bound(16, 0, digits=digits),
+        lambda digits: construction_count(16, 0, digits=digits),
+        lambda digits: upper_bound(16, 1, digits=digits),
+        lambda digits: linear_regime_bound(16, -1, digits=digits),
+        lambda digits: bounds_table([16], [0], digits=digits),
+    ],
+    ids=["lower_bound", "construction_count", "upper_bound", "linear_regime_bound", "bounds_table"],
+)
+def test_bounds_refuse_a_precision_below_one_digit(call, digits):
+    with pytest.raises(DomainError, match=rf"^precision must be at least 1 digit, got {digits}$"):
+        call(digits)

@@ -31,7 +31,6 @@ from sparsecurves.errors import DocumentError, DomainError, PrecisionError
 from sparsecurves.logspace import (
     _GUARD_DIGITS,
     certify,
-    endpoints,
     fraction_text,
     int_text,
     interval_context,
@@ -41,7 +40,12 @@ from sparsecurves.logspace import (
     nstr,
     power_ln,
 )
-from sparsecurves.surfaces import NecklaceSurface, plan_composite
+from sparsecurves.intersections import (
+    annulus_family_crossings,
+    necklace_family_crossings,
+    oracle_crossings_pl,
+)
+from sparsecurves.surfaces import NecklaceSurface, build_necklace, plan_composite
 from fractions import Fraction
 
 
@@ -51,7 +55,8 @@ def _log_of(n):
 
 def test_endpoints_enclose_and_order():
     ctx = interval_context(30)
-    lo, hi = endpoints(ctx.ln(ctx.point(7)))
+    x = ctx.ln(ctx.point(7))
+    lo, hi = x.lo, x.hi
     assert lo < hi
     # a much finer reference value sits strictly inside the enclosure
     with mp.workdps(80):
@@ -76,21 +81,21 @@ def test_equal_quantities_hit_precision_cap():
 
 def test_power_ln_matches_exact_integer_powers():
     ctx = interval_context(40)
-    lo, hi = endpoints(power_ln(ctx, 5, Fraction(3)))
-    assert lo <= 125 <= hi
-    lo, hi = endpoints(power_ln(ctx, 16, Fraction(1, 2)))
-    assert lo <= 4 <= hi
+    x = power_ln(ctx, 5, Fraction(3))
+    assert x.lo <= 125 <= x.hi
+    x = power_ln(ctx, 16, Fraction(1, 2))
+    assert x.lo <= 4 <= x.hi
     # negative exponent
-    lo, hi = endpoints(power_ln(ctx, 4, Fraction(-1)))
+    x = power_ln(ctx, 4, Fraction(-1))
     with mp.workdps(50):
-        assert mp.mpf(str(lo)) <= mp.mpf(1) / 4 <= mp.mpf(str(hi))
+        assert mp.mpf(str(x.lo)) <= mp.mpf(1) / 4 <= mp.mpf(str(x.hi))
 
 
 def test_iv_fraction_encloses():
     ctx = interval_context(30)
-    lo, hi = endpoints(iv_fraction(ctx, Fraction(1, 3)))
+    x = iv_fraction(ctx, Fraction(1, 3))
     with mp.workdps(80):
-        assert mp.mpf(str(lo)) < mp.mpf(1) / 3 < mp.mpf(str(hi))
+        assert mp.mpf(str(x.lo)) < mp.mpf(1) / 3 < mp.mpf(str(x.hi))
 
 
 def test_log10_rejects_nonpositive():
@@ -226,14 +231,17 @@ _mantissas = st.one_of(
 
 @given(
     mantissa=_mantissas,
-    shift=st.one_of(st.just(0), st.integers(-150, 150)),
+    shift=st.one_of(st.just(0), st.integers(-400, 400)),
     negative=st.booleans(),
-    digits=st.sampled_from([12, 15, 25]),
+    digits=st.sampled_from([1, 2, 5, 12, 15, 20, 25]),
 )
 @example(mantissa=2 * 10 ** 12 - 1, shift=-1, negative=False, digits=12)  # 999999999999.5
 @example(mantissa=1, shift=-14, negative=False, digits=15)  # 6.103515625e-05
 @example(mantissa=1, shift=-13, negative=True, digits=15)  # -0.0001220703125
 @example(mantissa=10 ** 25 - 5, shift=0, negative=False, digits=25)
+# rounding carries into a new leading digit that crosses a layout limit
+@example(mantissa=2 * 10 ** 15 - 1, shift=-1, negative=False, digits=15)  # 1.0e+15
+@example(mantissa=2 ** 80 // 10 ** 5, shift=-80, negative=False, digits=12)  # 1.0e-5
 @settings(max_examples=400, deadline=None)
 def test_nstr_matches_mpmath(mantissa, shift, negative, digits):
     k = -mantissa if negative else mantissa
@@ -244,6 +252,13 @@ def test_nstr_matches_mpmath(mantissa, shift, negative, digits):
     with mp.workprec(max(53, mantissa.bit_length() + 8)):
         reference = mpmath.ldexp(mp.mpf(k), shift)
     assert nstr(value, digits) == mpmath.nstr(reference, digits)
+
+
+def test_nstr_of_infinities_and_zeros():
+    assert nstr(Decimal("Infinity"), 15) == "+inf"
+    assert nstr(Decimal("-Infinity"), 15) == "-inf"
+    assert nstr(Decimal(0), 15) == "0.0"
+    assert nstr(Decimal("-0"), 15) == "0.0"
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +300,7 @@ def test_fraction_text_is_str_with_int_text_parts(value, text):
 
 
 _G16 = plan_composite(16, 0)
+_G16_PAIR = (Curve(0, (1,) * _G16.piece_count), Curve(0, (2,) * _G16.piece_count))
 
 
 def _full_g16_with_huge_is_sparse() -> dict:
@@ -337,10 +353,18 @@ def test_errors_quote_huge_arguments_as_tokens(call, error):
         (lambda: check_curve(Curve(_B, (1,)), _G16), DomainError),
         (lambda: validate_word((_B,), 1), DomainError),
         (lambda: certify(_log_of(2), _log_of(3), digits=-_B), DomainError),
+        (lambda: lower_bound(16, 0, digits=-_B), DomainError),
         (lambda: ln_int(interval_context(20), -_B), ValueError),
         (lambda: power_ln(interval_context(20), -_B, Fraction(1, 2)), ValueError),
+        (lambda: annulus_family_crossings(3, _B), DomainError),
+        (lambda: necklace_family_crossings(-_B), DomainError),
+        (lambda: oracle_crossings_pl(*_G16_PAIR, _G16, resolution=-_B), DomainError),
+        (lambda: build_necklace(-_B), DomainError),
     ],
-    ids=["necklace", "check_curve", "validate_word", "certify-digits", "ln_int", "power_ln"],
+    ids=[
+        "necklace", "check_curve", "validate_word", "certify-digits", "lower_bound-digits",
+        "ln_int", "power_ln", "annulus_family", "necklace_family", "oracle", "build_necklace",
+    ],
 )
 def test_other_checks_quote_huge_arguments_as_tokens(call, error):
     with pytest.raises(error, match=r"\[bits=16610,log10=5000\.0\]"):
