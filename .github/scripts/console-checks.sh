@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Checks of the installed `sparse-curves` console script that need nothing
-# outside the standard library: README's first two examples, two bounds
-# tables (one pinned byte for byte), two listed documents and a family whose
+# outside the standard library: README's first two examples, three bounds
+# tables (two pinned byte for byte), two listed documents and a family whose
 # totals pass the int<->str limit.
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
@@ -22,6 +22,20 @@ g,alpha,h,hPrime,baseGenus,count,count_log10,lower_log10,upper_tight_log10,upper
 36,0/1,3,12,0,192,2.28330122870355,1.68124123737559,33.5255718603608,33.9439864136768,864,9/191,explicit,true,true
 49,0/1,3,14,7,224,2.35024801833416,2.04921802267018,38.634134746305,38.991361163909,1008,9/223,explicit,true,true
 64,0/1,4,16,0,1024,3.01029995663981,2.40823996531185,43.7091183623386,44.0208262288354,34560,45/682,explicit,true,true
+CSV
+
+# six rows up to g = 10**6, byte for byte: a printed 128-bit crossing
+# total, blank cells for counts and totals past 200 bits (to 2 million),
+# and decimal ratio cells, which divide the closed form by the pair count
+sparse-curves bounds --g 64,4096,1000000 --alpha 1/2,1/1 > megabit.csv
+diff - megabit.csv <<'CSV'
+g,alpha,h,hPrime,baseGenus,count,count_log10,lower_log10,upper_tight_log10,upper_rounded_log10,crossings,ratio,mode,lower_le_count,lower_le_upper
+64,1/2,11,5,9,5242880,6.71956991761564,6.30638126246595,115.016949321205,115.8923642283,11940007772160,9109503/10485758,analytic,true,true
+64,1/1,32,2,0,9223372036854775808,18.9648897268308,18.3628297355029,316.705952612081,319.175771803212,301734755043175903146858359674424524800,130856590772877131775/18446744073709551614,analytic,true,true
+4096,1/2,256,16,0,,154.729417771286,154.127357779958,2521.91435203559,2522.22151637221,,7.44921875,analytic,true,true
+4096,1/1,2048,2,0,,1232.717832244,1232.11577225268,20129.6810895632,20132.1380331323,,479.59375,analytic,true,true
+1000000,1/2,15811,63,3907,,9520.36780344454,9519.99952385472,155386.746513888,155386.824203083,,117.628472222,analytic,true,true
+1000000,1/1,500000,2,0,,301029.694633986,301029.092573994,4913487.62102647,4913490.07776789,,117187.09375,analytic,true,true
 CSV
 
 # a schema-1 listed document, entry keys in both orders, goes through

@@ -27,7 +27,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .curves import SparsityThreshold, generate_system
 from .errors import DomainError, PrecisionError
@@ -393,54 +393,67 @@ def render_ratio(crossings: int, pairs: int) -> str:
     return nstr(_RATIO_CONTEXT.multiply(value, scale), 12)
 
 
-def bounds_table(
-    g_values: Sequence[int],
-    alphas: Sequence[Fraction | int | str],
+def _table_row(g: int, alpha: Fraction, digits: int) -> TableRow:
+    """The row of one (g, alpha); its exact integers live as long as the row."""
+    surface = plan_composite(g, alpha)
+    lower = _lower_bound(g, alpha, surface.h_prime, digits)
+    count = _construction_count(surface, digits)
+    upper = upper_bound(g, SparsityThreshold.power(alpha), digits=digits)
+    system = generate_system(surface)
+    crossings = total_crossings(system)
+    return TableRow(
+        g=g,
+        alpha=alpha,
+        h=surface.h,
+        h_prime=surface.h_prime,
+        base_genus=surface.base_genus,
+        count=int(count.exact) if count.exact is not None else None,
+        count_log10=nstr(count.log10, PRINT_DIGITS),
+        lower_log10=nstr(lower.log10, PRINT_DIGITS),
+        upper_tight_log10=nstr(upper.tight.log10, PRINT_DIGITS),
+        upper_rounded_log10=nstr(upper.rounded.log10, PRINT_DIGITS),
+        crossings=crossings,
+        ratio=render_ratio(crossings, system.pair_count),
+        mode=system.mode,
+        lower_le_count=certified_le(lower, count),
+        lower_le_upper=certified_le(lower, upper.rounded),
+    )
+
+
+def table_rows(
+    g_values: Iterable[int],
+    alphas: Iterable[Fraction | int | str],
     *,
     digits: int = DEFAULT_DIGITS,
-) -> list[TableRow]:
-    """One row per (g, alpha), ordered by (g, alpha).
+) -> Iterator[TableRow]:
+    """One row per (g, alpha), ordered by (g, alpha), each built when it is
+    asked for.
 
     Each row reports the construction parameters, exact counts, the three
     bound values in log10, the exact sparsity ratio of the generated system,
     and the two consistency flags, each certified.  Crossing totals come from
     `intersections.total_crossings`; the mode column is the system's mode.
+    The exponents are parsed at once; a row's own errors are raised when that
+    row is reached.  A consumer that lets each row go before it asks for the
+    next holds one row's exact integers at a time.
     """
-    rows: list[TableRow] = []
     alpha_values = sorted(set(map(parse_fraction, alphas)))
-    for g in sorted(set(g_values)):
-        for alpha in alpha_values:
-            surface = plan_composite(g, alpha)
-            lower = _lower_bound(g, alpha, surface.h_prime, digits)
-            count = _construction_count(surface, digits)
-            upper = upper_bound(
-                g, SparsityThreshold.power(alpha), digits=digits
-            )
-            system = generate_system(surface)
-            crossings = total_crossings(system)
-            count_int = (
-                int(count.exact) if count.exact is not None else None
-            )
-            rows.append(
-                TableRow(
-                    g=g,
-                    alpha=alpha,
-                    h=surface.h,
-                    h_prime=surface.h_prime,
-                    base_genus=surface.base_genus,
-                    count=count_int,
-                    count_log10=nstr(count.log10, PRINT_DIGITS),
-                    lower_log10=nstr(lower.log10, PRINT_DIGITS),
-                    upper_tight_log10=nstr(upper.tight.log10, PRINT_DIGITS),
-                    upper_rounded_log10=nstr(upper.rounded.log10, PRINT_DIGITS),
-                    crossings=crossings,
-                    ratio=render_ratio(crossings, system.pair_count),
-                    mode=system.mode,
-                    lower_le_count=certified_le(lower, count),
-                    lower_le_upper=certified_le(lower, upper.rounded),
-                )
-            )
-    return rows
+    genera = sorted(set(g_values))
+    return (_table_row(g, alpha, digits) for g in genera for alpha in alpha_values)
+
+
+def bounds_table(
+    g_values: Iterable[int],
+    alphas: Iterable[Fraction | int | str],
+    *,
+    digits: int = DEFAULT_DIGITS,
+) -> list[TableRow]:
+    """The rows of `table_rows`, as a list.
+
+    Every row is held at once: at g = 10**6 and alpha = 1 a row's exact
+    count and crossing total run to 1 and 2 million bits.
+    """
+    return list(table_rows(g_values, alphas, digits=digits))
 
 
 # TableRow's fields, with the surface parameters spelled as in documents
@@ -467,15 +480,21 @@ def _row_cells(row: TableRow) -> dict[str, object]:
     }
 
 
-def render_table_csv(rows: Sequence[TableRow]) -> str:
+def render_table_csv(rows: Iterable[TableRow]) -> str:
+    """The rows as CSV text under a header line.
+
+    rows may be any iterable, `table_rows` too.  Each row is turned into its
+    cells and let go before the next is asked for: `map` binds no name to it.
+    """
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=_TABLE_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(_row_cells(row))
+    writer.writerows(map(_row_cells, rows))
     return buffer.getvalue()
 
 
-def render_table_json(rows: Sequence[TableRow]) -> str:
-    payload = {"columns": list(_TABLE_COLUMNS), "rows": [_row_cells(r) for r in rows]}
+def render_table_json(rows: Iterable[TableRow]) -> str:
+    """The rows as a JSON object of `columns` and `rows`, any iterable of
+    rows taken as `render_table_csv` takes it."""
+    payload = {"columns": list(_TABLE_COLUMNS), "rows": list(map(_row_cells, rows))}
     return json.dumps(payload, indent=2) + "\n"

@@ -233,7 +233,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     ]
     if not alphas:
         raise DomainError("--alpha needs at least one fraction")
-    rows = bounds_mod.bounds_table(g_values, alphas, digits=args.precision)
+    # rows stream into the renderer, one row's exact integers at a time; the
+    # text is whole before anything is written, so a refused row writes nothing
+    rows = bounds_mod.table_rows(g_values, alphas, digits=args.precision)
     if args.format == "csv":
         text = bounds_mod.render_table_csv(rows)
     else:

@@ -30,6 +30,19 @@ def fits_decimal(n: int) -> bool:
     return -_DECIMAL_BOUND < n < _DECIMAL_BOUND
 
 
+def _number_text(value: object) -> str:
+    """str(value) for an error message, but an int past DECIMAL_DIGIT_LIMIT
+    digits, alone or as a part of a Fraction, is shown as `[bits=B]`, signed:
+    the start of `logspace.int_text`'s token, which needs logarithms that
+    live above this module."""
+    if isinstance(value, Fraction):
+        p, q = value.numerator, value.denominator
+        return _number_text(p) if q == 1 else f"{_number_text(p)}/{_number_text(q)}"
+    if isinstance(value, int) and not fits_decimal(value):
+        return f"{'-' * (value < 0)}[bits={value.bit_length()}]"
+    return str(value)
+
+
 def parse_fraction(value: Fraction | int | str) -> Fraction:
     """Fraction(value), refusing with ValueError a text whose decimal exponent
     is beyond DECIMAL_DIGIT_LIMIT in absolute value before Fraction builds
@@ -91,9 +104,9 @@ def lowest_terms_within(num: int, den: int, bits: int) -> tuple[int, int] | None
 def integer_nth_root(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 0, k >= 1, by Newton iteration on integers."""
     if k < 1:
-        raise ValueError(f"root index must be >= 1, got {k}")
+        raise ValueError(f"root index must be >= 1, got {_number_text(k)}")
     if n < 0:
-        raise ValueError(f"radicand must be >= 0, got {n}")
+        raise ValueError(f"radicand must be >= 0, got {_number_text(n)}")
     if n == 0:
         return 0
     if k == 1:
@@ -130,11 +143,11 @@ def floor_scaled_power(coeff: Fraction, g: int, exponent: Fraction) -> int:
     i.e. floor of the integer s-th root of a**s * g**r, divided by b.
     """
     if coeff <= 0:
-        raise ValueError(f"coefficient must be positive, got {coeff}")
+        raise ValueError(f"coefficient must be positive, got {_number_text(coeff)}")
     if g < 1:
-        raise ValueError(f"base must be >= 1, got {g}")
+        raise ValueError(f"base must be >= 1, got {_number_text(g)}")
     if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
+        raise ValueError(f"exponent must be >= 0, got {_number_text(exponent)}")
     a, b = coeff.numerator, coeff.denominator
     r, s = exponent.numerator, exponent.denominator
     return integer_nth_root(a ** s * g ** r, s) // b
@@ -158,7 +171,7 @@ def le_scaled_power(lhs: int, rhs: int, g: int, alpha: Fraction) -> bool:
     if lhs < 0 or rhs < 0:
         raise ValueError("comparison sides must be nonnegative")
     if g < 1:
-        raise ValueError(f"base must be >= 1, got {g}")
+        raise ValueError(f"base must be >= 1, got {_number_text(g)}")
     p, q = alpha.numerator, alpha.denominator
 
     def ratio_le(num: int, den: int) -> bool:  # (num/den)**q <= g**p
@@ -192,7 +205,7 @@ def min_admissible_genus(alpha: Fraction) -> int:
     threshold is decided by the integer comparison g**(p+q) >= 4**(2q).
     """
     if not (Fraction(-1) < alpha <= Fraction(1)):
-        raise ValueError(f"alpha must lie in (-1, 1], got {alpha}")
+        raise ValueError(f"alpha must lie in (-1, 1], got {_number_text(alpha)}")
     p, q = alpha.numerator, alpha.denominator
     e = p + q
     target = 4 ** (2 * q)

@@ -248,30 +248,18 @@ def annulus_family_crossings(piece_count: int, annulus: int) -> int:
 def necklace_family_crossings(h: int) -> int:
     """Closed-form total crossings of the full 4**(h-1) family on one necklace.
 
-    Equals the sum of annulus_family_crossings over all annuli; the geometric
-    series collapse to a handful of powers of 4, written as shifts, so this
-    stays cheap even when 4**(h-1) words could never be enumerated.
+    Equals the sum of annulus_family_crossings over all annuli.  For
+    n = h - 1 >= 2 pieces those sums collapse to 72*s1 + 720*s2, with
+    s1 = (4**(2n-3) - 4**(n-2)) / 3 and
+    s2 = (12(n-2) * 4**(2n-6) - 4**(2n-5) + 4**(n-3)) / 9, so the total is
+    (960n - 704) * 4**(2n-6) - 4**(n-1) = 4**(n-1) * ((15n - 11) * 4**(n-2) - 1),
+    which n = 2 also meets (72): two shifts of a small integer, cheap even
+    when 4**(h-1) words could never be enumerated.
     """
     if h < 2:
         raise DomainError(f"necklace genus must be >= 2, got {int_text(h)}")
     n = h - 1
-    if n < 2:
-        return 0
-    num1 = (1 << 2 * (2 * n - 3)) - (1 << 2 * (n - 2))
-    assert num1 % 3 == 0
-    s1 = num1 // 3
-    m = n - 2
-    if m > 0:
-        num2 = (
-            ((12 * m) << 2 * (2 * n - 6))
-            - (1 << 2 * (2 * n - 5))
-            + (1 << 2 * (n - 3))
-        )
-        assert num2 % 9 == 0
-        s2 = num2 // 9
-    else:
-        s2 = 0
-    return 72 * s1 + 720 * s2
+    return 0 if n < 2 else (((15 * n - 11) << 2 * n - 4) - 1) << 2 * n - 2
 
 
 def total_crossings_analytic(surface: CompositeSurface) -> int:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
@@ -26,6 +28,7 @@ from sparsecurves.bounds import (
     render_ratio,
     render_table_csv,
     render_table_json,
+    table_rows,
     upper_bound,
 )
 from sparsecurves.cli import main
@@ -250,6 +253,48 @@ def test_table_json_round_trip():
     assert payload["rows"][0]["g"] == 16
     assert payload["rows"][0]["count"] == "32"
     assert payload["rows"][0]["lower_le_count"] == "true"
+
+
+@given(
+    genera=st.lists(st.integers(min_value=64, max_value=5000), min_size=1, max_size=3),
+    alphas=st.lists(
+        st.sampled_from([Fraction(-1, 3), Fraction(0), Fraction(1, 2), Fraction(1)]),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_streamed_rows_render_as_the_listed_table(genera, alphas):
+    rows = bounds_table(genera, alphas)
+    assert render_table_csv(table_rows(genera, alphas)) == render_table_csv(rows)
+    assert render_table_json(table_rows(genera, alphas)) == render_table_json(rows)
+
+
+# README's grid `--g-range 16:1000000:50` from g = 131,560 up: at alpha = 1
+# each row's exact count and crossing total run to 0.26-2 million bits
+_MEGABIT_GENERA = "131560,164816,206478,258672,324059,405975,508598,637162,798224,1000000"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bounds_holds_one_row_of_exact_integers_at_a_time(tmp_path, fmt):
+    def traced_peak(genera: str) -> int:
+        argv = ["bounds", "--g", genera, "--alpha", "1/1", "--format", fmt]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "table")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak("16")
+    one_row = traced_peak("1000000")
+    # the ninth row's count and crossing total, about a sixth of one_row: a
+    # renderer that keeps that row alive while the tenth is built (a loop
+    # variable) goes past this, and one fed a finished list peaks at 1.65
+    # times one_row
+    (ninth,) = bounds_table([798224], [Fraction(1)])
+    finished_row = sys.getsizeof(ninth.count) + sys.getsizeof(ninth.crossings)
+    assert traced_peak(_MEGABIT_GENERA) < one_row + finished_row / 2
 
 
 def _ratio_cell_by_gcd(crossings: int, pairs: int) -> str | None:

@@ -760,6 +760,21 @@ def test_bounds_json_file_deterministic(tmp_path):
     assert len(payload["rows"]) == 4
 
 
+def test_bounds_refused_at_a_later_row_writes_nothing(tmp_path, capsys):
+    # rows stream into the renderer, but the text is whole before it is written
+    out = tmp_path / "t.csv"
+    argv = ["bounds", "--g", "16,1000000000", "--alpha", "1/1", "--out", str(out)]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("kept\n")
+    assert main(argv) == 4
+    assert capsys.readouterr().err == captured.err
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
+
+
 def test_bounds_g_range_grid(capsys):
     assert main(["bounds", "--g-range", "16:256:3", "--alpha", "0/1"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -291,3 +291,31 @@ def test_parse_fraction_takes_numbers_as_they_are():
     # only a text is held to the digit limit
     assert parse_fraction(10 ** 4300) == 10 ** 4300
     assert parse_fraction(Fraction(1, 10 ** 4300)) == Fraction(1, 10 ** 4300)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: integer_nth_root(-(10 ** 5000), 2), "radicand must be >= 0, got -[bits=16610]"),
+        (lambda: integer_nth_root(4, -(10 ** 5000)), "root index must be >= 1, got -[bits=16610]"),
+        (
+            lambda: floor_scaled_power(Fraction(1), -(10 ** 5000), Fraction(1, 2)),
+            "base must be >= 1, got -[bits=16610]",
+        ),
+        (
+            lambda: le_scaled_power(1, 1, -(10 ** 5000), Fraction(1, 2)),
+            "base must be >= 1, got -[bits=16610]",
+        ),
+        (
+            lambda: min_admissible_genus(Fraction(10 ** 5000)),
+            "alpha must lie in (-1, 1], got [bits=16610]",
+        ),
+    ],
+    ids=["nth_root_radicand", "nth_root_index", "floor_scaled_power", "le_scaled_power",
+         "min_admissible_genus"],
+)
+def test_errors_show_numbers_past_the_digit_limit_by_bit_length(call, message):
+    # str() of such a number raises ValueError itself
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

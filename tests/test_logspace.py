@@ -1,6 +1,7 @@
 """Certified interval comparisons in log10 space."""
 
 import random
+import tracemalloc
 from decimal import Decimal
 
 import mpmath
@@ -175,6 +176,36 @@ def test_log10_int_encloses_mpmath(digits, bits, seed, twos):
     x = log10_int(interval_context(digits), n)
     with _twice(digits):
         assert _encloses(x, mp.log10(mp.mpf(n)))
+
+
+@given(
+    digits=st.sampled_from([20, 50, 100]),
+    odd_bits=st.integers(1, 600),
+    seed=st.integers(0, 2 ** 32),
+    twos=st.one_of(st.integers(0, 600), st.integers(0, 10 ** 6)),
+)
+@example(digits=50, odd_bits=1, seed=0, twos=10 ** 6)  # 2**k: a short odd part
+@example(digits=20, odd_bits=1, seed=0, twos=4 * (20 + _GUARD_DIGITS))
+@example(digits=100, odd_bits=600, seed=1, twos=0)
+@settings(max_examples=80, deadline=None)
+def test_ln_int_encloses_mpmath_on_odd_times_powers_of_two(digits, odd_bits, seed, twos):
+    n = (_of_bits(odd_bits, seed) | 1) << twos
+    x = ln_int(interval_context(digits), n)
+    with _twice(digits):
+        assert _encloses(x, mp.log(mp.mpf(n)))
+
+
+def test_ln_int_reads_only_the_leading_bits_of_a_megabit_total():
+    n = necklace_family_crossings(500_000)  # about 2 million bits, 250 KB
+    ctx = interval_context(50)
+    tracemalloc.start()
+    try:
+        ln_int(ctx, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # stripping the twos of n itself allocates three copies of it
+    assert peak < 64 * 1024
 
 
 @given(
