@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Checks of the installed `sparse-curves` console script that need nothing
 # outside the standard library: README's first two examples, three bounds
-# tables (two pinned byte for byte), two listed documents and a family whose
-# totals pass the int<->str limit.
+# tables (two pinned byte for byte), three listed documents (their reports
+# pinned byte for byte) and a family whose totals pass the int<->str limit.
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
 #     cd "$(mktemp -d)" && bash /path/to/repo/.github/scripts/console-checks.sh
@@ -47,7 +47,14 @@ cat > listed.json <<'JSON'
             {"necklace": 5, "word": "34"}, {"word": "11", "necklace": 11}],
  "report": null, "certificate": null}
 JSON
-sparse-curves verify listed.json
+sparse-curves verify listed.json > listed.txt
+diff - listed.txt <<'TXT'
+curves=4
+crossings=0 pairs=6
+average=0/1 threshold=g^0 sparse=true mode=explicit
+certificate: distinct=true method=exhaustive
+inequality: status=not-applicable size_log10=0.602059991327962 threshold_log10=4.45702524013859
+TXT
 
 # a schema-2 listed document repeating one curve, whose certificate
 # names it twice: entries outside the curve list send the loader to
@@ -62,8 +69,32 @@ cat > repeated.json <<'JSON'
                  "collision": [{"necklace": 0, "word": "11"}, {"necklace": 0, "word": "11"}]}}
 JSON
 status=0
-sparse-curves verify repeated.json || status=$?
+sparse-curves verify repeated.json > repeated.txt || status=$?
 test "$status" -eq 3
+diff - repeated.txt <<'TXT'
+curves=3
+crossing report unavailable: duplicate curve 0:11
+certificate: distinct=false method=exhaustive collision=0:11/0:11
+TXT
+
+# a schema-2 listed document whose first entry carries an extra key: the
+# loader decodes the text again as plain JSON and checks the entries as
+# {"necklace", "word"} objects
+cat > extra.json <<'JSON'
+{"schemaVersion": 2,
+ "surface": {"g": 36, "alpha": "0/1", "h": 3, "hPrime": 12, "baseGenus": 0},
+ "curves": [{"necklace": 0, "word": "11", "note": "x"}, {"necklace": 0, "word": "32"},
+            {"necklace": 0, "word": "24"}, {"necklace": 7, "word": "42"}],
+ "report": null, "certificate": null}
+JSON
+sparse-curves verify extra.json > extra.txt
+diff - extra.txt <<'TXT'
+curves=4
+crossings=2 pairs=6
+average=1/3 threshold=g^0 sparse=true mode=explicit
+certificate: distinct=true method=exhaustive
+inequality: status=not-applicable size_log10=0.602059991327962 threshold_log10=4.45702524013859
+TXT
 
 # a full family whose crossing total has about 12,000 digits: verify shows
 # it as a [bits=...,log10=...] token and exits 0

@@ -9,21 +9,22 @@ load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 1 does too, with the full family as `"analytic": true` and an empty curve
 list.  Every listed form loads straight into the system's packed words, one
 sorted string of letter codes per necklace (see `curves.CurveSystem`), and
-schema 3 is written from the same strings.  `load_document` decodes each
-{"necklace", "word"} entry, keys in either order, into a (necklace, word)
-tuple whose word string is shared by every entry that spells it, so no
-per-curve dict is built; a text with such an entry anywhere but in a
-schema-1/2 curve list is decoded again by plain json.loads instead.
-Schema-1/2 entries are checked field by field over the whole list at once;
-only when a check fails are they scanned again one by one, to name the first
-bad entry.  JSON keeps desk-scale systems inspectable by eye; round-tripping
-is stable field for field, and writes go through a temp file plus rename so
-readers never see a partial document.  Integers are written in decimal, so a
-report whose totals or threshold exceed CPython's int-to-str digit limit is
-refused before anything is written.  Every fault of a document being loaded,
-from unreadable bytes, bytes that are not UTF-8 and JSON nested too deeply
-to parse to a report or certificate that contradicts its system, raises
-DocumentError."""
+schema 3 is written from the same strings.  `from_dict` is the one parser.
+A schema-1/2 entry may also be the (necklace, word) pair that
+`load_document` decodes such an object to, keys in either order, with a
+word string shared by every entry that spells it, so no per-curve dict is
+built; a pair is checked as its object is.  A text with such an object
+anywhere but in a schema-1/2 curve list is decoded again by plain
+json.loads instead.  Schema-1/2 entries are checked field by field over the
+whole list at once; only when a check fails are they read again one by one,
+to name the first bad entry.  JSON keeps desk-scale systems inspectable by
+eye; round-tripping is stable field for field, and writes go through a temp
+file plus rename so readers never see a partial document.  Integers are
+written in decimal, so a report whose totals or threshold exceed CPython's
+int-to-str digit limit is refused before anything is written.  Every fault
+of a document being loaded, from unreadable bytes, bytes that are not UTF-8
+and JSON nested too deeply to parse to a report or certificate that
+contradicts its system, raises DocumentError."""
 
 from __future__ import annotations
 
@@ -131,9 +132,17 @@ def to_dict(doc: SystemDocument) -> dict:
     }
 
 
+def _quote(value: object) -> str:
+    """value as `int_text` shows it, or its type's name where even repr fails."""
+    try:
+        return int_text(value)
+    except ValueError:
+        return type(value).__name__
+
+
 def _parse_fraction(text: object, field: str) -> Fraction:
     if not isinstance(text, str):
-        raise DocumentError(f"{field} must be a 'p/q' string, got {text!r}")
+        raise DocumentError(f"{field} must be a 'p/q' string, got {_quote(text)}")
     try:
         return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -143,14 +152,14 @@ def _parse_fraction(text: object, field: str) -> Fraction:
 def _json_int(value: object, name: str) -> int:
     """`value` itself if it is a JSON integer; floats, bools and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{name} must be an integer, got {int_text(value)}")
+        raise DocumentError(f"{name} must be an integer, got {_quote(value)}")
     return value
 
 
 def _json_bool(value: object, name: str) -> bool:
     """`value` itself if it is a JSON boolean; strings and numbers are refused."""
     if not isinstance(value, bool):
-        raise DocumentError(f"{name} must be true or false, got {int_text(value)}")
+        raise DocumentError(f"{name} must be true or false, got {_quote(value)}")
     return value
 
 
@@ -159,12 +168,13 @@ def _int_field(data: dict, key: str) -> int:
 
 
 def _parse_curve(entry: object, index: int, field: str = "curves") -> Curve:
+    """A {"necklace", "word"} object, or a (necklace, word) pair read as one."""
     name = f"{field}[{index}]"
-    if not isinstance(entry, dict):
-        raise DocumentError(f"{name} must be an object, got {entry!r}")
+    pair = isinstance(entry, tuple) and len(entry) == 2
+    if not (pair or isinstance(entry, dict)):
+        raise DocumentError(f"{name} must be an object, got {_quote(entry)}")
     try:
-        necklace = entry["necklace"]
-        word_text = entry["word"]
+        necklace, word_text = entry if pair else (entry["necklace"], entry["word"])
     except KeyError as exc:
         raise DocumentError(f"{name} missing key {exc}") from exc
     if _json_int(necklace, f"{name}.necklace") < 0:
@@ -189,15 +199,10 @@ def _parse_curves(entries: list, field: str, surface: CompositeSurface) -> tuple
             )
         if curve.necklace >= surface.h_prime:
             raise DocumentError(
-                f"{field}[{i}].necklace = {curve.necklace} outside [0, {surface.h_prime})"
+                f"{field}[{i}].necklace = {_quote(curve.necklace)} "
+                f"outside [0, {_quote(surface.h_prime)})"
             )
     return curves
-
-
-def _as_object(entry: tuple) -> dict:
-    """The {"necklace", "word"} object that load_document decoded to entry."""
-    necklace, word = entry
-    return {"necklace": necklace, "word": word}
 
 
 def _pack(words: list[str]) -> bytes:
@@ -205,40 +210,33 @@ def _pack(words: list[str]) -> bytes:
     return "".join(sorted(words)).encode("ascii").translate(_CODES)
 
 
-def _parse_listed(
-    entries: list, surface: CompositeSurface, decoded: bool
-) -> tuple[tuple[int, bytes], ...]:
-    """Schema-1/2 listed curves, {"necklace", "word"} objects in any order or,
-    when decoded, the (necklace, word) tuples load_document decoded them to,
-    packed per necklace.  Each check runs once over all entries; only when one
-    fails are the entries scanned again by `_parse_curves`, which raises
-    naming the first bad entry: every bulk check has a per-entry one."""
-    if decoded:  # the decoder made each entry an (int, str) tuple
-        necklaces = list(map(itemgetter(0), entries))
-        words = list(map(itemgetter(1), entries))
-        necklace_types, word_types = {int}, {str}
-    else:
-        try:
-            necklaces = [entry["necklace"] for entry in entries]
-            words = [entry["word"] for entry in entries]
-        except (TypeError, KeyError):  # an entry that is no object, or lacks a key
-            necklaces, words = [None], []  # fails the integer check below
-        necklace_types, word_types = set(map(type, necklaces)), set(map(type, words))
+def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
+    """Schema-1/2 listed curves, objects or pairs in any order, packed per
+    necklace.  Each check runs once over all entries, read by position when
+    all are pairs and by key otherwise.  When one fails, `_parse_curves` reads
+    them one by one: it names the first bad entry, or gives the curves."""
+    pairs = set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}
+    necklace_key, word_key = (0, 1) if pairs else ("necklace", "word")
+    try:
+        necklaces = list(map(itemgetter(necklace_key), entries))
+        words = list(map(itemgetter(word_key), entries))
+        distinct = set(words)  # each distinct word once: decoded entries share them
+        letters = set("".join(distinct))
+    except (TypeError, KeyError):  # no object, a missing key, a word that is no string
+        necklaces, distinct, letters = [None], set(), set()  # fails the integer check below
+    necklace_types = set(map(type, necklaces))
     if (
-        bool in necklace_types
-        or not all(issubclass(t, int) for t in necklace_types)
-        or not all(issubclass(t, str) for t in word_types)
-        or not 0 <= min(necklaces, default=0) <= max(necklaces, default=0) < surface.h_prime
-        # each distinct word once: decoded entries share their word strings
-        or not set(map(len, distinct := set(words))) <= {surface.piece_count}
-        or not set("".join(distinct)) <= _LETTERS
+        bool not in necklace_types
+        and all(issubclass(t, int) for t in necklace_types)
+        and set(map(len, distinct)) <= {surface.piece_count}
+        and letters <= _LETTERS
     ):
-        _parse_curves(list(map(_as_object, entries)) if decoded else entries, "curves", surface)
-        raise AssertionError("a bulk check failed that no entry check repeats")
-    groups: defaultdict[int, list[str]] = defaultdict(list)
-    for necklace, word in zip(necklaces, words):
-        groups[necklace].append(word)
-    return tuple((k, _pack(groups[k])) for k in sorted(groups))
+        groups: defaultdict[int, list[str]] = defaultdict(list)
+        for necklace, word in zip(necklaces, words):
+            groups[necklace].append(word)
+        if 0 <= min(groups, default=0) and max(groups, default=0) < surface.h_prime:
+            return tuple((k, _pack(groups[k])) for k in sorted(groups))
+    return CurveSystem(surface, _parse_curves(entries, "curves", surface)).packed
 
 
 def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
@@ -248,7 +246,7 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
     previous = -1
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise DocumentError(f"curves[{i}] must be an object, got {entry!r}")
+            raise DocumentError(f"curves[{i}] must be an object, got {_quote(entry)}")
         try:
             necklace = _json_int(entry["necklace"], f"curves[{i}].necklace")
             text = entry["words"]
@@ -256,11 +254,12 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
             raise DocumentError(f"curves[{i}] missing key {exc}") from exc
         if not 0 <= necklace < surface.h_prime:
             raise DocumentError(
-                f"curves[{i}].necklace = {necklace} outside [0, {surface.h_prime})"
+                f"curves[{i}].necklace = {_quote(necklace)} outside [0, {_quote(surface.h_prime)})"
             )
         if necklace <= previous:
             raise DocumentError(
-                f"curves[{i}].necklace = {necklace} must exceed the previous necklace {previous}"
+                f"curves[{i}].necklace = {_quote(necklace)} must exceed "
+                f"the previous necklace {_quote(previous)}"
             )
         previous = necklace
         if not isinstance(text, str) or not text:
@@ -282,7 +281,7 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
 
 def _parse_threshold(entry: object) -> SparsityThreshold:
     if not isinstance(entry, dict) or "kind" not in entry or "value" not in entry:
-        raise DocumentError(f"sparsityThreshold must have kind and value, got {entry!r}")
+        raise DocumentError(f"sparsityThreshold must have kind and value, got {_quote(entry)}")
     kind = entry["kind"]
     value = _parse_fraction(entry["value"], "sparsityThreshold.value")
     if kind == "rational":
@@ -292,7 +291,7 @@ def _parse_threshold(entry: object) -> SparsityThreshold:
             raise DocumentError(f"sparsityThreshold.value: {exc}") from exc
     if kind == "power":
         return SparsityThreshold.power(value)
-    raise DocumentError(f"unknown threshold kind {kind!r}")
+    raise DocumentError(f"unknown threshold kind {_quote(kind)}")
 
 
 def from_dict(data: object) -> SystemDocument:
@@ -303,19 +302,14 @@ def from_dict(data: object) -> SystemDocument:
     "construction" certificate; and a certificate names a collision exactly
     when it is not distinct, one curve of the system twice.  A listed system's
     totalCrossings is not checked, since only the counter can check it and
-    `verify` recounts."""
-    return _from_dict(data, decoded=False)
-
-
-def _from_dict(data: object, decoded: bool) -> SystemDocument:
-    """from_dict; decoded says that a schema-1/2 curve list holds the
-    (necklace, word) tuples of load_document's decoder."""
+    `verify` recounts.  A schema-1/2 curve list may hold (necklace, word)
+    pairs, as `load_document` decodes them, and a pair is checked as its object."""
     if not isinstance(data, dict):
         raise DocumentError(f"document root must be an object, got {type(data).__name__}")
     version = data.get("schemaVersion")
     if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
         raise DocumentError(
-            f"unsupported schemaVersion {version!r}, expected 1, 2 or {SCHEMA_VERSION}"
+            f"unsupported schemaVersion {_quote(version)}, expected 1, 2 or {SCHEMA_VERSION}"
         )
     surface_data = data.get("surface")
     if not isinstance(surface_data, dict):
@@ -348,7 +342,7 @@ def _from_dict(data: object, decoded: bool) -> SystemDocument:
     elif version == SCHEMA_VERSION:
         system = CurveSystem.from_packed(surface, _parse_packed(curves_data, surface))
     else:
-        system = CurveSystem.from_packed(surface, _parse_listed(curves_data, surface, decoded))
+        system = CurveSystem.from_packed(surface, _parse_listed(curves_data, surface))
 
     report = None
     report_data = data.get("report")
@@ -369,7 +363,7 @@ def _from_dict(data: object, decoded: bool) -> SystemDocument:
             raise DocumentError(f"report missing key {exc}") from exc
         if report.mode not in ("explicit", "analytic"):
             raise DocumentError(
-                f'report.mode must be "explicit" or "analytic", got {report.mode!r}'
+                f'report.mode must be "explicit" or "analytic", got {_quote(report.mode)}'
             )
         if denominator == 0:
             raise DocumentError("averageDenominator must be nonzero")
@@ -393,7 +387,7 @@ def _from_dict(data: object, decoded: bool) -> SystemDocument:
         method = certificate_data.get("method", "exhaustive")
         if method not in ("exhaustive", "construction"):
             raise DocumentError(
-                f'certificate.method must be "exhaustive" or "construction", got {method!r}'
+                f'certificate.method must be "exhaustive" or "construction", got {_quote(method)}'
             )
         certificate = DistinctnessCertificate(
             distinct=_json_bool(certificate_data.get("distinct", False), "distinct"),
@@ -524,4 +518,4 @@ def load_document(path: str | Path) -> SystemDocument:
         del data, curves
         data = json.loads(text)
     del text  # not held while the document is checked
-    return _from_dict(data, decoded=listed)
+    return from_dict(data)

@@ -403,6 +403,29 @@ def _packed_entries(draw):
     return entries
 
 
+@given(
+    entries=_listed_entries(),
+    swap=st.sets(st.integers(min_value=0, max_value=25)),
+    version=st.sampled_from([1, 2]),
+)
+# pairs the object hook never makes, each refused as its object is
+@example(entries=[{"necklace": True, "word": "11"}], swap={0}, version=2)
+@example(entries=[{"necklace": 1.0, "word": "11"}], swap={0}, version=2)
+@example(entries=[{"necklace": 0, "word": 11}], swap={0}, version=2)
+@example(entries=[{"necklace": -1, "word": "11"}], swap={0}, version=1)
+@settings(max_examples=300, deadline=None)
+def test_pairs_and_objects_are_interchangeable_entries(entries, swap, version):
+    # the (necklace, word) pair load_document decodes a two-key object to
+    mixed = [
+        (entry["necklace"], entry["word"])
+        if i in swap and isinstance(entry, dict) and entry.keys() == {"necklace", "word"}
+        else entry
+        for i, entry in enumerate(entries)
+    ]
+    outcome = _loaded_outcome(_schema_document(version, entries))
+    assert _loaded_outcome(_schema_document(version, mixed)) == outcome
+
+
 @given(entries=_packed_entries())
 @settings(max_examples=300, deadline=None)
 def test_packed_loader_matches_the_per_curve_loader(entries):
@@ -553,6 +576,81 @@ def test_annotations_that_agree_with_their_system_load():
     assert full["report"]["mode"] == "explicit"
     full["report"]["mode"] = "analytic"
     assert from_dict(full).report.mode == "analytic"
+
+
+_HUGE = 10**5000  # past the int-to-str digit limit: repr() raises ValueError
+
+
+def _with(data, path, value):
+    """data with the value at path (a tuple of keys) replaced."""
+    *parents, key = path
+    for k in parents:
+        data = data[k]
+    data[key] = value
+
+
+@pytest.mark.parametrize(
+    "version, path, value",
+    [
+        (3, ("schemaVersion",), _HUGE),
+        (3, ("surface", "alpha"), _HUGE),
+        (2, ("curves",), [_HUGE]),
+        (3, ("curves",), [_HUGE]),
+        (2, ("curves",), [{"necklace": _HUGE, "word": "11"}]),
+        (3, ("curves",), [{"necklace": _HUGE, "words": "11"}]),
+        (3, ("certificate",), {"distinct": False, "collision": [{"necklace": _HUGE, "word": "11"}] * 2}),
+        (3, ("report", "sparsityThreshold"), _HUGE),
+        (3, ("report", "sparsityThreshold", "kind"), _HUGE),
+        (3, ("report", "sparsityThreshold", "value"), _HUGE),
+        (3, ("report", "mode"), _HUGE),
+        (3, ("certificate", "method"), _HUGE),
+        # a value that holds such an integer is named by its type
+        (2, ("curves",), [[_HUGE]]),
+    ],
+    ids=[
+        "schemaVersion",
+        "alpha",
+        "schema-2-entry",
+        "schema-3-entry",
+        "schema-2-necklace",
+        "schema-3-necklace",
+        "collision-necklace",
+        "sparsityThreshold",
+        "threshold-kind",
+        "threshold-value",
+        "report-mode",
+        "certificate-method",
+        "list-entry",
+    ],
+)
+def test_an_integer_past_the_digit_limit_is_refused_as_a_document_fault(version, path, value):
+    data = dict(_annotated_pair(), schemaVersion=version)
+    if version == 2:
+        data["curves"] = _TWO_CURVES
+    _with(data, path, value)
+    with pytest.raises(DocumentError) as excinfo:
+        from_dict(data)
+    message = str(excinfo.value)
+    assert "[bits=16610," in message or message.endswith(" list")
+
+
+@pytest.mark.parametrize(
+    "version, entries",
+    [
+        (2, [{"necklace": 10**5001, "word": "1"}]),
+        (2, [(10**5001, "1")]),
+        (3, [{"necklace": 10**5001, "words": "1"}]),
+        (3, [{"necklace": 10**4999, "words": "1"}] * 2),
+    ],
+    ids=["schema-2-object", "schema-2-pair", "schema-3-range", "schema-3-order"],
+)
+def test_a_surface_past_the_digit_limit_is_shown_in_necklace_errors(version, entries):
+    # check_invariants admits h = 2 with h' = g/2 at any g, so h' and the
+    # necklaces it bounds can pass the digit limit
+    surface = {"g": _HUGE, "alpha": "0/1", "h": 2, "hPrime": _HUGE // 2, "baseGenus": 0}
+    data = {"schemaVersion": version, "surface": surface, "curves": entries}
+    with pytest.raises(DocumentError, match=r"^curves\[\d\]\.necklace = \[bits="):
+        from_dict(data)
 
 
 @pytest.mark.parametrize(
