@@ -2,7 +2,8 @@
 # Checks of the installed `sparse-curves` console script that need nothing
 # outside the standard library: README's first two examples, three bounds
 # tables (two pinned byte for byte), three listed documents (their reports
-# pinned byte for byte) and a family whose totals pass the int<->str limit.
+# pinned byte for byte), a document whose surface is not its plan (its
+# refusal pinned) and a family whose totals pass the int<->str limit.
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
 #     cd "$(mktemp -d)" && bash /path/to/repo/.github/scripts/console-checks.sh
@@ -94,6 +95,22 @@ crossings=2 pairs=6
 average=1/3 threshold=g^0 sparse=true mode=explicit
 certificate: distinct=true method=exhaustive
 inequality: status=not-applicable size_log10=0.602059991327962 threshold_log10=4.45702524013859
+TXT
+
+# a full family on h = 2, h' = 18 at g = 36, which fits the genus but is not
+# the plan of (36, 0) (h = 3, 192 curves): verify refuses the document as
+# inconsistent, prints nothing and exits 5 with one error line
+cat > unplanned.json <<'JSON'
+{"schemaVersion": 3,
+ "surface": {"g": 36, "alpha": "0/1", "h": 2, "hPrime": 18, "baseGenus": 0},
+ "curves": "full", "report": null, "certificate": null}
+JSON
+status=0
+sparse-curves verify unplanned.json > unplanned.txt 2> unplanned.err || status=$?
+test "$status" -eq 5
+test ! -s unplanned.txt
+diff - unplanned.err <<'TXT'
+error: inconsistent surface: h = 2, but the plan of g = 36, alpha = 0/1 has h = 3
 TXT
 
 # a full family whose crossing total has about 12,000 digits: verify shows

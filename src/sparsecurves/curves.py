@@ -54,7 +54,7 @@ class Curve(NamedTuple):
 
     def __str__(self) -> str:
         """The curve as `necklace:word`, e.g. 3:4333."""
-        return f"{self.necklace}:{''.join(map(str, self.word))}"
+        return f"{int_text(self.necklace)}:{''.join(map(str, self.word))}"
 
 
 def validate_word(word: Word, piece_count: int) -> None:
@@ -63,14 +63,14 @@ def validate_word(word: Word, piece_count: int) -> None:
             f"word length {len(word)} does not match piece count {int_text(piece_count)}"
         )
     for letter in word:
-        if letter not in ARC_LABELS:
+        if type(letter) is not int or letter not in ARC_LABELS:
             raise DomainError(f"arc label must be in {ARC_LABELS}, got {int_text(letter)}")
 
 
 def check_curve(curve: Curve, surface: CompositeSurface) -> None:
-    """DomainError unless the curve has h-1 arc labels on one of the h' necklaces."""
+    """DomainError unless the curve has h-1 arc labels on one of the h' necklaces, all ints."""
     validate_word(curve.word, surface.piece_count)
-    if not (isinstance(curve.necklace, int) and 0 <= curve.necklace < surface.h_prime):
+    if not (type(curve.necklace) is int and 0 <= curve.necklace < surface.h_prime):
         raise DomainError(
             f"necklace index {int_text(curve.necklace)} outside [0, {int_text(surface.h_prime)})"
         )

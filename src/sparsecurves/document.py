@@ -42,7 +42,7 @@ from .errors import DocumentError, DomainError
 from .exactint import DECIMAL_DIGIT_LIMIT, fits_decimal, parse_fraction
 from .homology import DistinctnessCertificate
 from .logspace import int_text
-from .surfaces import ARC_LABELS, CompositeSurface
+from .surfaces import ARC_LABELS, CompositeSurface, plan_composite
 
 SCHEMA_VERSION = 3
 FULL_FAMILY = "full"
@@ -296,8 +296,10 @@ def _parse_threshold(entry: object) -> SparsityThreshold:
 
 def from_dict(data: object) -> SystemDocument:
     """The document a parsed JSON value describes; DocumentError names the
-    first fault.  Every field is checked for its shape first.  Then the report
-    and the certificate are checked against the system: pairCount is
+    first fault.  The surface is read first and checked against the plan of
+    its g and alpha (`plan_composite`), as pairCount is checked against the
+    curves.  Every other field is then checked for its shape.  Then the
+    report and the certificate are checked against the system: pairCount is
     C(curves, 2); a listed system has neither an "analytic" report nor a
     "construction" certificate; and a certificate names a collision exactly
     when it is not distinct, one curve of the system twice.  A listed system's
@@ -315,19 +317,21 @@ def from_dict(data: object) -> SystemDocument:
     if not isinstance(surface_data, dict):
         raise DocumentError("missing surface object")
     try:
-        surface = CompositeSurface(
-            g=_int_field(surface_data, "g"),
-            alpha=_parse_fraction(surface_data["alpha"], "surface.alpha"),
-            h=_int_field(surface_data, "h"),
-            h_prime=_int_field(surface_data, "hPrime"),
-            base_genus=_int_field(surface_data, "baseGenus"),
-        )
+        g = _int_field(surface_data, "g")
+        alpha = _parse_fraction(surface_data["alpha"], "surface.alpha")
+        stored = [(key, _int_field(surface_data, key)) for key in ("h", "hPrime", "baseGenus")]
     except KeyError as exc:
         raise DocumentError(f"surface missing key {exc}") from exc
     try:
-        surface.check_invariants()
+        surface = plan_composite(g, alpha)
     except ValueError as exc:
         raise DocumentError(f"inconsistent surface: {exc}") from exc
+    for (key, value), planned in zip(stored, surface[2:]):  # h, h', base genus
+        if value != planned:
+            raise DocumentError(
+                f"inconsistent surface: {key} = {_quote(value)}, but the plan of "
+                f"g = {_quote(g)}, alpha = {_fraction_text(alpha)} has {key} = {_quote(planned)}"
+            )
     curves_data = data.get("curves")
     if version == 1:
         full = _json_bool(data.get("analytic", False), "analytic")

@@ -21,7 +21,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .curves import Curve, CurveSystem, check_curve
-from .surfaces import CompositeSurface
+from .errors import DomainError
+from .surfaces import CompositeSurface, plan_composite
 
 ARC_OFFSETS: dict[int, tuple[int, int]] = {
     1: (0, 0),
@@ -89,7 +90,9 @@ def certify_generated(surface: CompositeSurface) -> DistinctnessCertificate:
     For the full word family the class map is injective per necklace (the
     offsets are injective blockwise) and necklaces occupy disjoint coordinate
     blocks, each nonzero through the longitude entry; distinctness follows
-    without listing the curves.
+    without listing the curves.  It certifies the construction of (g, alpha):
+    a surface other than `plan_composite(g, alpha)` raises DomainError.
     """
-    surface.check_invariants()
+    if surface != plan_composite(surface.g, surface.alpha):
+        raise DomainError("surface is not the plan of its g and alpha")
     return DistinctnessCertificate(distinct=True, method="construction")

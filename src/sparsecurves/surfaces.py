@@ -9,7 +9,9 @@ assembled surface has characteristic 2-2h, i.e. genus h.
 A composite surface of genus g carries h' pairwise-disjoint necklaces of
 genus h plus a base surface absorbing the leftover genus g - h*h'.  Curves
 never leave their necklace, so the base is tracked by its genus only; its
-gluing combinatorics play no role in any count.
+gluing combinatorics play no role in any count.  A composite surface is
+valid exactly when it equals `plan_composite` of its own (g, alpha); no
+other rule checks one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ ARC_LABELS = (1, 2, 3, 4)
 # Largest necklace genus a plan may have.  Every count is an exact integer in
 # memory: h' * 4**(h-1) curves has about 2h bits and a crossing total about 4h,
 # so past this bound one total would outgrow 4*10**8 bits (50 MB) and the plan
-# is refused before anything is computed.  h <= g/2, so every g up to 2*10**8
+# is refused as soon as h is known.  h <= g/2, so every g up to 2*10**8
 # plans at every alpha.
 MAX_NECKLACE_GENUS = 10 ** 8
 
@@ -39,7 +41,7 @@ MAX_NECKLACE_GENUS = 10 ** 8
 # p+q and takes 2q-th roots, and a g**alpha sparsity verdict raises the totals
 # to the q-th power, so the cost grows fast with q.  On a 2-core x86 host, at
 # q = 1000 a bounds row at g = 10**6 takes about 0.5 s (1.1 s at worst over 40
-# numerators); at q = 10**4 one plan alone can take a minute.
+# numerators), and one plan of a 1,000-digit g takes 10-20 s.
 MAX_ALPHA_DENOMINATOR = 1000
 
 
@@ -126,20 +128,6 @@ class CompositeSurface(NamedTuple):
     def piece_count(self) -> int:
         return self.h - 1
 
-    def check_invariants(self) -> None:
-        check_alpha(self.alpha)
-        if not (2 <= self.h <= self.g):
-            raise DomainError(f"h={int_text(self.h)} must satisfy 2 <= h <= g={int_text(self.g)}")
-        if self.h > MAX_NECKLACE_GENUS:
-            raise DomainError(
-                f"necklace genus h={int_text(self.h)} exceeds {MAX_NECKLACE_GENUS}: "
-                "its exact counts cannot be held"
-            )
-        if self.h * self.h_prime > self.g:
-            raise DomainError("necklaces exceed the available genus: h*h' > g")
-        if self.base_genus != self.g - self.h * self.h_prime or self.base_genus < 0:
-            raise DomainError("base genus must equal g - h*h' and be nonnegative")
-
 
 def check_plan_domain(g: int, alpha: Fraction | int | str) -> Fraction:
     """alpha as a Fraction, once (g, alpha) is known to admit a plan: alpha
@@ -163,16 +151,18 @@ def plan_composite(g: int, alpha: Fraction | int | str) -> CompositeSurface:
     h' = floor(2 * g**((1-alpha)/2)) disjoint necklaces.  Both floors are
     computed by exact integer root extraction, never through binary floats.
     Deterministic: identical inputs give identical outputs.
+
+    Past `check_plan_domain` it refuses only h > MAX_NECKLACE_GENUS, before h'
+    is computed.  The rest holds by construction: h >= 2 since g**(1+alpha)
+    >= 16; h*h' <= g, the product of the two powers, so the base genus is >= 0;
+    and h <= g/2 since h' >= 2.
     """
     alpha = check_plan_domain(g, alpha)
     h = floor_scaled_power(Fraction(1, 2), g, (1 + alpha) / 2)
+    if h > MAX_NECKLACE_GENUS:
+        raise DomainError(
+            f"necklace genus h={int_text(h)} exceeds {MAX_NECKLACE_GENUS}: "
+            "its exact counts cannot be held"
+        )
     h_prime = floor_scaled_power(Fraction(2), g, (1 - alpha) / 2)
-    surface = CompositeSurface(
-        g=g,
-        alpha=alpha,
-        h=h,
-        h_prime=h_prime,
-        base_genus=g - h * h_prime,
-    )
-    surface.check_invariants()
-    return surface
+    return CompositeSurface(g, alpha, h, h_prime, base_genus=g - h * h_prime)

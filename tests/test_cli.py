@@ -659,6 +659,21 @@ def test_plans_past_the_necklace_genus_limit_are_refused(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: inconsistent surface: necklace genus")
 
 
+def test_verify_refuses_a_surface_that_is_not_its_plan(tmp_path, capsys):
+    # h = 2 with h' = 18 fits g = 36, but the construction there has h = 3
+    # and 192 curves, so a full family on it is not the construction's
+    doc = tmp_path / "g36.json"
+    surface = {"g": 36, "alpha": "0/1", "h": 2, "hPrime": 18, "baseGenus": 0}
+    doc.write_text(json.dumps({"schemaVersion": 3, "surface": surface, "curves": "full"}))
+    assert main(["verify", str(doc), "--out", str(tmp_path / "v.json")]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: inconsistent surface: h = 2, but the plan of g = 36, alpha = 0/1 has h = 3\n"
+    )
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_verify_full_family_disagreement_exits_4(tmp_path, capsys, monkeypatch):
     # under the word limit the explicit counter (864) cross-checks the closed form
     out = tmp_path / "g36.json"

@@ -155,6 +155,29 @@ def test_a_full_system_refuses_a_curve_list():
     assert CurveSystem(surface, (), full=True) == generate_system(surface)
 
 
+@pytest.mark.parametrize(
+    "curve, message",
+    [
+        (Curve(True, (1, 1)), r"^necklace index True outside \[0, 12\)$"),
+        (Curve(0, (True, 2)), r"^arc label must be in \(1, 2, 3, 4\), got True$"),
+        (Curve(0, (1.0, 2)), r"^arc label must be in \(1, 2, 3, 4\), got 1\.0$"),
+    ],
+    ids=["bool-necklace", "bool-letter", "float-letter"],
+)
+def test_curves_take_exact_ints_only(curve, message):
+    # a bool necklace would be written as JSON true, and a float letter
+    # cannot be packed as a letter code
+    surface = plan_composite(36, Fraction(0))
+    with pytest.raises(DomainError, match=message):
+        CurveSystem(surface, (curve,))
+    assert not generate_system(surface).holds(curve)
+
+
+def test_curve_text_shows_a_necklace_past_the_digit_limit_by_its_size():
+    assert str(Curve(10**5000, (1, 2))) == "[bits=16610,log10=5000.0]:12"
+    assert str(Curve(3, (4, 3, 3, 3))) == "3:4333"
+
+
 def test_generate_system_counts():
     for g, expected in ((16, 32), (36, 192), (64, 1024)):
         surface = plan_composite(g, Fraction(0))

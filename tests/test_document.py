@@ -22,6 +22,8 @@ from sparsecurves.curves import (
 from sparsecurves.document import (
     SystemDocument,
     _parse_curve,
+    _parse_listed,
+    _parse_packed,
     dumps,
     from_dict,
     load_document,
@@ -32,7 +34,7 @@ from sparsecurves.document import (
 from sparsecurves.errors import DocumentError, DomainError
 from sparsecurves.homology import certify_distinct
 from sparsecurves.intersections import pair_intersection, total_crossings_explicit
-from sparsecurves.surfaces import plan_composite
+from sparsecurves.surfaces import CompositeSurface, plan_composite
 
 
 def _sample_document():
@@ -77,6 +79,33 @@ def test_listed_round_trip_sorts_stably_by_necklace(data, curves):
     assert shuffled == system
     assert dumps(SystemDocument(shuffled)) == dumps(SystemDocument(system))
     assert certify_distinct(shuffled) == certify_distinct(system)
+
+
+_ODD_NECKLACE = st.one_of(
+    st.integers(min_value=-1, max_value=12), st.booleans(), st.sampled_from([0.0, 1.0])
+)
+_ODD_LETTER = st.one_of(_LETTER, st.booleans(), st.sampled_from([0, 5, 1.0, 4.0]))
+
+
+@given(
+    curves=st.lists(
+        st.builds(Curve, st.integers(min_value=0, max_value=11), st.tuples(_LETTER, _LETTER)),
+        max_size=6,
+    ),
+    odd=st.builds(Curve, _ODD_NECKLACE, st.tuples(_ODD_LETTER, _ODD_LETTER)),
+)
+@example(curves=[], odd=Curve(True, (1, 1)))
+@example(curves=[], odd=Curve(0, (1.0, 2)))
+@settings(max_examples=200, deadline=None)
+def test_every_accepted_system_reloads_as_an_equal_system(curves, odd):
+    # g=36, alpha=0: h'=12 necklaces of 2-letter words; a bool or float
+    # necklace or letter is refused, as the document refuses it
+    surface = plan_composite(36, Fraction(0))
+    try:
+        system = CurveSystem(surface, (*curves, odd))
+    except DomainError:
+        return
+    assert from_dict(to_dict(SystemDocument(system))).system == system
 
 
 def test_round_trip_analytic_document():
@@ -165,6 +194,58 @@ def test_rejects_inconsistent_surface():
     data["surface"]["hPrime"] = 999
     with pytest.raises(DocumentError):
         from_dict(data)
+
+
+def _planned_document(g, alpha, version, full):
+    """A schema-`version` document on the plan of (g, alpha), holding the
+    full family or one listed curve."""
+    surface = plan_composite(g, alpha)
+    word = "1" * surface.piece_count
+    curve = Curve(0, (1,) * surface.piece_count)
+    system = generate_system(surface) if full else CurveSystem(surface, (curve,))
+    data = dict(to_dict(SystemDocument(system)), schemaVersion=version)
+    if version == 1:
+        data.update(analytic=full, curves=[] if full else [{"necklace": 0, "word": word}])
+    elif version == 2 and not full:
+        data["curves"] = [{"necklace": 0, "word": word}]
+    return data
+
+
+_SURFACE_FIELDS = ("h", "hPrime", "baseGenus")
+
+
+@given(
+    case=st.sampled_from(
+        [
+            (16, Fraction(0)),
+            (36, Fraction(0)),
+            (196, Fraction(1, 2)),
+            (1000, Fraction(-1, 3)),
+            (64, Fraction(1)),
+        ]
+    ),
+    version=st.sampled_from([1, 2, 3]),
+    full=st.booleans(),
+    moves=st.dictionaries(st.sampled_from(_SURFACE_FIELDS), st.sampled_from([-1, 1]), min_size=1),
+)
+@example(case=(36, Fraction(0)), version=2, full=True, moves={"h": -1, "hPrime": 6})
+@settings(max_examples=200, deadline=None)
+def test_a_surface_other_than_its_plan_is_refused(case, version, full, moves):
+    # the example is h = 2, h' = 18 at g = 36, whose plan is h = 3, h' = 12
+    g, alpha = case
+    data = _planned_document(g, alpha, version, full)
+    planned = dict(data["surface"])
+    assert from_dict(data).system.surface == plan_composite(g, alpha)
+    for key, move in moves.items():
+        data["surface"][key] += move
+    key = next(k for k in _SURFACE_FIELDS if k in moves)
+    message = (
+        f"inconsistent surface: {key} = {data['surface'][key]}, but the plan of "
+        f"g = {g}, alpha = {alpha.numerator}/{alpha.denominator} has {key} = {planned[key]}"
+    )
+    with pytest.raises(DocumentError) as excinfo:
+        from_dict(data)
+    assert str(excinfo.value) == message
 
 
 def test_duplicate_curves_parse_but_fail_certification(listed_system):
@@ -645,11 +726,21 @@ def test_an_integer_past_the_digit_limit_is_refused_as_a_document_fault(version,
     ids=["schema-2-object", "schema-2-pair", "schema-3-range", "schema-3-order"],
 )
 def test_a_surface_past_the_digit_limit_is_shown_in_necklace_errors(version, entries):
-    # check_invariants admits h = 2 with h' = g/2 at any g, so h' and the
-    # necklaces it bounds can pass the digit limit
-    surface = {"g": _HUGE, "alpha": "0/1", "h": 2, "hPrime": _HUGE // 2, "baseGenus": 0}
-    data = {"schemaVersion": version, "surface": surface, "curves": entries}
+    # no plan has h = 2 with h' = g/2 at g = 10**5000, so the curve readers
+    # are handed such a surface directly: h' and the necklaces it bounds pass
+    # the digit limit
+    surface = CompositeSurface(g=_HUGE, alpha=Fraction(0), h=2, h_prime=_HUGE // 2, base_genus=0)
+    parse = _parse_packed if version == 3 else _parse_listed
     with pytest.raises(DocumentError, match=r"^curves\[\d\]\.necklace = \[bits="):
+        parse(entries, surface)
+
+
+def test_a_surface_that_is_not_its_plan_past_the_digit_limit_is_refused():
+    # the plan of g = 10**5000 at alpha = 0 has h of about 10**2500, past the
+    # necklace genus limit, which is named before h' is computed
+    surface = {"g": _HUGE, "alpha": "0/1", "h": 2, "hPrime": _HUGE // 2, "baseGenus": 0}
+    data = {"schemaVersion": 2, "surface": surface, "curves": [{"necklace": 0, "word": "1"}]}
+    with pytest.raises(DocumentError, match=r"^inconsistent surface: necklace genus h="):
         from_dict(data)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsecurves.curves import Curve, CurveSystem, generate_system
@@ -16,7 +16,8 @@ from sparsecurves.homology import (
     certify_generated,
     curve_class,
 )
-from sparsecurves.surfaces import plan_composite
+from sparsecurves.exactint import genus_admissible
+from sparsecurves.surfaces import CompositeSurface, plan_composite
 
 
 def test_offsets_are_injective():
@@ -108,6 +109,40 @@ def test_certify_generated_shortcut():
     certificate = certify_generated(surface)
     assert certificate.distinct
     assert certificate.method == "construction"
+
+
+@given(h=st.integers(min_value=2, max_value=3000), h_prime=st.integers(1, 10**6))
+@example(h=3, h_prime=5)  # g = 15 has no plan at alpha = 0
+@example(h=2, h_prime=18)  # the plan of g = 36 has h = 3, h' = 12
+@example(h=5, h_prime=20)  # the plan of g = 100
+@settings(max_examples=100, deadline=None)
+def test_certify_generated_refuses_a_surface_that_is_not_its_plan(h, h_prime):
+    # at alpha = 0, g = h*h' plans h = floor(sqrt(g)/2) and h' = floor(2*sqrt(g)),
+    # whose product is g only when both floors are exact, i.e. h' = 4h
+    surface = CompositeSurface(g=h * h_prime, alpha=Fraction(0), h=h, h_prime=h_prime, base_genus=0)
+    if h_prime == 4 * h:
+        assert certify_generated(surface) == DistinctnessCertificate(True, "construction")
+    else:
+        with pytest.raises(DomainError):
+            certify_generated(surface)
+
+
+def test_certify_generated_says_why_it_refuses():
+    surface = CompositeSurface(g=36, alpha=Fraction(0), h=2, h_prime=18, base_genus=0)
+    with pytest.raises(DomainError, match="^surface is not the plan of its g and alpha$"):
+        certify_generated(surface)
+
+
+@given(
+    g=st.integers(min_value=1, max_value=10 ** 8),
+    alpha=st.fractions(min_value=Fraction(-23, 24), max_value=1, max_denominator=24),
+)
+@settings(max_examples=200, deadline=None)
+def test_certify_generated_certifies_every_plan(g, alpha):
+    if not genus_admissible(g, alpha):
+        return
+    certificate = certify_generated(plan_composite(g, alpha))
+    assert certificate == DistinctnessCertificate(True, "construction")
 
 
 @pytest.mark.parametrize("g, alpha", [(196, 0), (10 ** 6, 1)])

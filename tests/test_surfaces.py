@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecurves.errors import DomainError
-from sparsecurves.exactint import genus_admissible
+from sparsecurves.exactint import floor_scaled_power, genus_admissible
 from sparsecurves.surfaces import MAX_NECKLACE_GENUS, build_necklace, plan_composite
 
 
@@ -86,6 +86,37 @@ def test_plan_composite_invariants(g, p, q):
         return
     s = plan_composite(g, alpha)
     assert 2 <= s.h <= g
+    assert s.h * s.h_prime <= g
+    assert s.base_genus == g - s.h * s.h_prime >= 0
+
+
+@given(
+    g_alpha=st.one_of(
+        st.tuples(
+            st.integers(min_value=1, max_value=10 ** 12),
+            st.fractions(min_value=Fraction(-11, 12), max_value=1, max_denominator=12),
+        ),
+        st.tuples(
+            st.integers(min_value=1, max_value=10 ** 6),
+            st.sampled_from([Fraction(999, 1000), Fraction(-999, 1000)]),
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_every_admissible_plan_meets_the_surface_rules(g_alpha):
+    # a surface is valid exactly when it is its plan, so these rules must hold
+    # by construction; at g <= 10**6, alpha = -999/1000 admits no plan
+    g, alpha = g_alpha
+    if not genus_admissible(g, alpha):
+        with pytest.raises(DomainError, match=r"^g >= \d+ required"):
+            plan_composite(g, alpha)
+        return
+    if floor_scaled_power(Fraction(1, 2), g, (1 + alpha) / 2) > MAX_NECKLACE_GENUS:
+        with pytest.raises(DomainError, match="cannot be held$"):
+            plan_composite(g, alpha)
+        return
+    s = plan_composite(g, alpha)
+    assert 2 <= s.h and 2 * s.h <= g
     assert s.h * s.h_prime <= g
     assert s.base_genus == g - s.h * s.h_prime >= 0
 
