@@ -3,7 +3,8 @@
 # outside the standard library: README's first two examples, three bounds
 # tables (two pinned byte for byte), three listed documents (their reports
 # pinned byte for byte), a document whose surface is not its plan (its
-# refusal pinned) and a family whose totals pass the int<->str limit.
+# refusal pinned) and a family whose totals pass the int<->str limit (its
+# report pinned byte for byte).
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
 #     cd "$(mktemp -d)" && bash /path/to/repo/.github/scripts/console-checks.sh
@@ -114,8 +115,17 @@ error: inconsistent surface: h = 2, but the plan of g = 36, alpha = 0/1 has h = 
 TXT
 
 # a full family whose crossing total has about 12,000 digits: verify shows
-# it as a [bits=...,log10=...] token and exits 0
+# it as a [bits=...,log10=...] token and exits 0; the whole report is pinned
+# byte for byte, the average cell too, which divides the leading bits of
+# totals past the int<->str limit
 sparse-curves construct --g 20000 --alpha 1/1 --out g20000.json
 sparse-curves verify g20000.json > g20000.txt
 cat g20000.txt
 grep -q 'crossings=\[bits=40009,' g20000.txt
+diff - g20000.txt <<'TXT'
+curves=[bits=20000,log10=6020.29888328396]
+crossings=[bits=40009,log10=12043.6665725731] pairs=[bits=39997,log10=12040.2967365723]
+average=2343.34375 threshold=g^1 sparse=true mode=analytic
+certificate: distinct=true method=construction
+inequality: status=holds size_log10=6020.29888328396 threshold_log10=7.20781602524971 left_log10=12042.171145262 crossings_log10=12043.6665725731
+TXT

@@ -162,9 +162,10 @@ class CurveSystem:
     @property
     def pair_count(self) -> int:
         if self.full:
-            # C(n, 2) for n = h' * 4**(h-1), as shifts: no multi-million-bit product
+            # C(n, 2) = (n - 1) * h' * 2**(e-1) for n = h' * 2**e, e = 2(h-1):
+            # the last shift builds the only integer of the result's size
             h_prime, e = self.surface.h_prime, 2 * (self.surface.h - 1)
-            return ((h_prime * h_prime) << (2 * e - 1)) - (h_prime << (e - 1))
+            return ((h_prime << e) - 1) * h_prime << (e - 1)
         n = self.curve_count
         return n * (n - 1) // 2
 

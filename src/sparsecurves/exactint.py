@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 # Integers print in decimal up to this many digits, CPython's default int<->str
@@ -63,30 +64,50 @@ def parse_fraction(value: Fraction | int | str) -> Fraction:
     return result
 
 
+# The prime modulus of numeric hashes, 2**61 - 1 on 64-bit builds: for
+# n >= 0, hash(n) == n % _RESIDUE_PRIME, read digit by digit, where `n % P`
+# copies n for a P past one CPython digit, and on 3.10 for any P.
+_RESIDUE_PRIME = sys.hash_info.modulus
+
+
 def lowest_terms_within(num: int, den: int, bits: int) -> tuple[int, int] | None:
     """num/den in lowest terms as (p, q), if p.bit_length() + q.bit_length() <= bits.
 
     Returns None when the lowest-terms form is larger.  Requires num >= 0 and
-    den >= 1.  No gcd runs on the (possibly multi-million-bit) inputs: one
-    truncated quotient Q = floor(num * 2**G / den), with G = 2*bits + 1, is
-    expanded as a continued fraction, and its convergents p/q with q < 2**bits
-    are the only candidates.
+    den >= 1.  No gcd, and no division or product of full size short of a
+    final check, runs on the (possibly multi-million-bit) inputs.  With
+    x = num/den, a = num >> s and b = den >> s, where s leaves b its leading
+    3*bits + 8 bits, one truncated quotient Q = floor(a * 2**G / b), with
+    G = 2*bits + 2, is expanded as a continued fraction, and its convergents
+    p/q with q < 2**bits are the only candidates.
 
     Why this is exact.  A candidate is accepted only if num*q == p*den, checked
     by integer multiplication, and a convergent is always in lowest terms.
-    Conversely, suppose the lowest-terms form p/q fits, so q < 2**bits.  Then
-    0 <= p/q - Q/2**G < 2**-G, and 2**-G < 1/(2*q**2) because 2*q**2 < 2**G.
-    By Legendre's theorem, any p/q with |x - p/q| < 1/(2*q**2) is a convergent
-    of x, so p/q is a convergent of Q/2**G and the walk meets it.  A convergent
-    is tested by multiplication only if it lies within 2**-G above Q/2**G; two
-    fractions with denominators below 2**bits differ by more than 2**(1-G),
-    so at most one multiplication runs.
+    Conversely, suppose the lowest-terms form p/q fits, so p, q < 2**bits and
+    x < 2**bits; an x with num.bit_length() > den.bit_length() + bits + 1 is
+    at least 2**(bits+1) and is refused at once.  With s > 0, x lies between
+    a/(b+1) and (a+1)/b, b >= 2**(3*bits+7) and, after that refusal,
+    a/b < 2**(bits+2); so |x - a/b| < (1 + a/b)/b < 2**(-2*bits-4).  With
+    s = 0, a/b = x.  And 0 <= a/b - Q/2**G < 2**-G.
+    So |x - Q/2**G| < 2**(-2*bits-1) < 1/(2*q**2).  By Legendre's theorem,
+    any p/q with |y - p/q| < 1/(2*q**2) is a convergent of y, so p/q is a
+    convergent of Q/2**G and the walk meets it.  A convergent is tested only
+    if it lies within 2**(-2*bits-1) of Q/2**G; two fractions with
+    denominators below 2**bits differ by more than 2**(-2*bits), so at most
+    one is.  Before the products, that one is tested modulo the prime
+    P = sys.hash_info.modulus, through hash(): num*q == p*den implies
+    num*q == p*den (mod P), so a residue that differs refutes it, and a
+    residue that agrees is settled by the products.
     """
     if num < 0 or den < 1:
         raise ValueError("need num >= 0 and den >= 1")
-    shift = 2 * bits + 1
-    scale = 1 << shift
-    quotient = (num << shift) // den
+    if num.bit_length() > den.bit_length() + bits + 1:
+        return None
+    shift = max(0, den.bit_length() - 3 * bits - 8)
+    guard = 2 * bits + 2
+    scale = 1 << guard
+    quotient = ((num >> shift) << guard) // (den >> shift)
+    num_residue, den_residue = hash(num), hash(den)
     # convergents p/q of quotient/scale: a, b run the Euclidean algorithm
     a, b = quotient, scale
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -96,7 +117,11 @@ def lowest_terms_within(num: int, den: int, bits: int) -> tuple[int, int] | None
         p0, q0, p1, q1 = p1, q1, term * p1 + p0, term * q1 + q0
         if q1.bit_length() > bits:
             return None
-        if 0 <= p1 * scale - quotient * q1 < q1 and num * q1 == p1 * den:
+        if (
+            abs(p1 * scale - quotient * q1) < q1 << 1
+            and (num_residue * q1 - p1 * den_residue) % _RESIDUE_PRIME == 0
+            and num * q1 == p1 * den
+        ):
             return (p1, q1) if p1.bit_length() + q1.bit_length() <= bits else None
     return None
 

@@ -256,15 +256,21 @@ def necklace_family_crossings(h: int) -> int:
     which n = 2 also meets (72): two shifts of a small integer, cheap even
     when 4**(h-1) words could never be enumerated.
     """
+    return _family_crossings(h, 1)
+
+
+def _family_crossings(h: int, copies: int) -> int:
+    """copies * necklace_family_crossings(h).  copies multiplies the small
+    factor, so the last shift builds the only integer of the total's size."""
     if h < 2:
         raise DomainError(f"necklace genus must be >= 2, got {int_text(h)}")
     n = h - 1
-    return 0 if n < 2 else (((15 * n - 11) << 2 * n - 4) - 1) << 2 * n - 2
+    return 0 if n < 2 else ((copies * (15 * n - 11) << 2 * n - 4) - copies) << 2 * n - 2
 
 
 def total_crossings_analytic(surface: CompositeSurface) -> int:
     """Closed-form total for the generated system: h' identical necklace families."""
-    return surface.h_prime * necklace_family_crossings(surface.h)
+    return _family_crossings(surface.h, surface.h_prime)
 
 
 def total_crossings(system: CurveSystem) -> int:

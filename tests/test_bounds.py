@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from typing import Callable
 from unittest.mock import patch
 
 import mpmath
@@ -17,7 +18,9 @@ from mpmath import mp
 
 from sparsecurves import bounds as bounds_module
 from sparsecurves.bounds import (
+    MAX_EXACT_BITS,
     RATIO_EXACT_BITS,
+    BoundValue,
     InequalityStatus,
     bounds_table,
     certified_le,
@@ -34,7 +37,7 @@ from sparsecurves.bounds import (
 from sparsecurves.cli import main
 from sparsecurves.curves import SparsityThreshold, generate_system
 from sparsecurves.errors import DomainError
-from sparsecurves.exactint import lowest_terms_within
+from sparsecurves.exactint import floor_scaled_power, lowest_terms_within
 from sparsecurves.intersections import total_crossings
 from sparsecurves.logspace import MAX_DIGITS, IntervalContext, certify, interval_context, log10_int
 from sparsecurves.surfaces import check_plan_domain, plan_composite
@@ -92,6 +95,56 @@ def test_lower_bound_below_count():
         lower = lower_bound(g, 0)
         count = construction_count(g, 0)
         assert certified_le(lower, count)
+
+
+# (1 + alpha)/2 = r/s for each alpha: at g = k**s the exponent is E = k**r
+_EXACT_EXPONENTS = {
+    Fraction(1): (1, 1),
+    Fraction(1, 2): (3, 4),
+    Fraction(1, 3): (2, 3),
+    Fraction(0): (1, 2),
+    Fraction(-1, 3): (1, 3),
+    Fraction(-1, 2): (1, 4),
+}
+
+
+@given(alpha=st.sampled_from(sorted(_EXACT_EXPONENTS)), k=st.integers(4, 3000))
+@settings(max_examples=60, deadline=None)
+def test_lower_bound_exact_is_the_prefactor_times_a_power_of_two(alpha, k):
+    r, s = _EXACT_EXPONENTS[alpha]
+    g, exponent = k ** s, k ** r
+    h_prime = floor_scaled_power(Fraction(2), g, (1 - alpha) / 2)
+    expected = Fraction(h_prime << exponent, 16) if exponent <= MAX_EXACT_BITS else None
+    exact = lower_bound(g, alpha).exact
+    assert exact == expected
+    assert exact is None or type(exact) is int
+
+
+def _exact_bound(value: int) -> BoundValue:
+    def evaluate(digits: int):
+        raise AssertionError("two exact values are compared without enclosures")
+
+    return BoundValue("exact", Decimal(0), value, 50, evaluate)
+
+
+# integers of many bits, as the construction count and the lower bound are,
+# some a power-of-two shift of a small factor and some differing by one
+_exact_sides = st.one_of(
+    st.tuples(st.integers(0, 1 << 3000), st.integers(0, 1 << 3000)),
+    st.tuples(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(0, 3000)).map(
+        lambda t: (t[0] << t[2], t[1] << t[2])
+    ),
+    st.integers(0, 1 << 3000).map(lambda n: (n, n + 1)),
+)
+
+
+@given(sides=_exact_sides)
+@settings(max_examples=200, deadline=None)
+def test_certified_le_of_exact_values_is_integer_le(sides):
+    a, b = sides
+    assert certified_le(_exact_bound(a), _exact_bound(b)) == (a <= b)
+    assert certified_le(_exact_bound(b), _exact_bound(a)) == (b <= a)
+    assert certified_le(_exact_bound(a), _exact_bound(a))
 
 
 def test_domain_errors():
@@ -288,13 +341,48 @@ def test_bounds_holds_one_row_of_exact_integers_at_a_time(tmp_path, fmt):
 
     traced_peak("16")
     one_row = traced_peak("1000000")
-    # the ninth row's count and crossing total, about a sixth of one_row: a
-    # renderer that keeps that row alive while the tenth is built (a loop
-    # variable) goes past this, and one fed a finished list peaks at 1.65
-    # times one_row
+    # the ninth row's count and crossing total, 0.38 (CSV) and 0.46 (JSON)
+    # of one_row: a renderer that keeps that row alive while the tenth is
+    # built (a loop variable) peaks at 1.40 and 1.48 times one_row, and one
+    # fed a finished list at 2.99 times
     (ninth,) = bounds_table([798224], [Fraction(1)])
     finished_row = sys.getsizeof(ninth.count) + sys.getsizeof(ninth.crossings)
     assert traced_peak(_MEGABIT_GENERA) < one_row + finished_row / 2
+
+
+def _traced_peak(call: Callable[[], object]) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _megabit_totals() -> tuple[int, int]:
+    """The crossing total and pair count at g = 10**6, alpha = 1: about two
+    million bits, 250 KB, each."""
+    system = generate_system(plan_composite(10 ** 6, Fraction(1)))
+    return total_crossings(system), system.pair_count
+
+
+def test_a_megabit_row_peaks_near_its_own_integers():
+    def row():
+        return bounds_module._table_row(10 ** 6, Fraction(1), 50)
+
+    row()  # the interval contexts and logarithm caches are filled once
+    peak = _traced_peak(row)
+    own = sys.getsizeof(row().count) + sum(map(sys.getsizeof, _megabit_totals()))
+    # the row reads 1.00 times own; one that keeps the pair count alive while
+    # the bounds are built, or cross-multiplies the exact bounds, reads 1.21,
+    # and one that reduces the ratio by a full-size division 2.0
+    assert peak < 1.2 * own
+
+
+def test_render_ratio_reads_only_the_leading_bits_of_megabit_totals():
+    crossings, pairs = _megabit_totals()
+    # a full-size quotient or product would be a 250 KB copy of one side
+    assert _traced_peak(lambda: render_ratio(crossings, pairs)) < 64 * 1024
 
 
 def _ratio_cell_by_gcd(crossings: int, pairs: int) -> str | None:

@@ -6,7 +6,7 @@ from itertools import islice, product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsecurves.curves import (
@@ -295,6 +295,7 @@ def test_full_family_count_and_mode_match_powers_of_4(h):
 
 
 @given(h=st.integers(min_value=2, max_value=3000), h_prime=st.integers(1, 10**6))
+@example(h=2, h_prime=1)  # n = 4 curves: the smallest shift, e - 1 = 1
 @settings(max_examples=100, deadline=None)
 def test_full_family_pair_count_by_shifts_matches_the_product(h, h_prime):
     surface = CompositeSurface(g=h * h_prime, alpha=Fraction(0), h=h, h_prime=h_prime, base_genus=0)

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from sparsecurves import bounds
 from sparsecurves.curves import SparsityThreshold
 from sparsecurves.exactint import (
+    _RESIDUE_PRIME,
     DECIMAL_DIGIT_LIMIT,
     fits_decimal,
     floor_scaled_power,
@@ -233,6 +234,58 @@ def test_lowest_terms_within_edges():
         lowest_terms_within(1, 0, 133)
     with pytest.raises(ValueError):
         lowest_terms_within(-1, 2, 133)
+
+
+def _lowest_terms_by_full_division(num: int, den: int, bits: int) -> tuple[int, int] | None:
+    """The former lowest_terms_within: the convergents of the full quotient
+    floor(num * 2**(2*bits+1) / den), each tested by products alone."""
+    shift = 2 * bits + 1
+    scale = 1 << shift
+    quotient = (num << shift) // den
+    a, b = quotient, scale
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while b:
+        term, rest = divmod(a, b)
+        a, b = b, rest
+        p0, q0, p1, q1 = p1, q1, term * p1 + p0, term * q1 + q0
+        if q1.bit_length() > bits:
+            return None
+        if 0 <= p1 * scale - quotient * q1 < q1 and num * q1 == p1 * den:
+            return (p1, q1) if p1.bit_length() + q1.bit_length() <= bits else None
+    return None
+
+
+@given(
+    p_bits=_skewed_bits,
+    q_bits=_skewed_bits.map(lambda b: max(b, 1)),
+    salt=st.integers(min_value=0, max_value=2 ** 32),
+    factor=_shared_factors,
+    # a shared power of two up to two million bits, and one side shifted
+    # further, so the ratio also falls far outside 2**-bits .. 2**bits
+    shift=st.one_of(st.integers(0, 3000), st.integers(0, 2_000_000)),
+    skew=st.integers(-300, 300),
+    # added to the numerator: a ratio a hair off p/q, whose lowest terms are
+    # as long as the inputs; a multiple of the prime leaves num*q == p*den
+    # modulo it
+    tail=st.one_of(
+        st.just(0),
+        st.integers(1, 1 << 64),
+        st.integers(1, 1 << 40).map(lambda t: t * _RESIDUE_PRIME),
+    ),
+    bits=st.sampled_from([133, 1, 2, 64, 200]),
+)
+# num*q == p*den modulo the prime but not exactly, with p/q = 3/7 the only
+# convergent the window admits: the products must refuse it
+@example(
+    p_bits=2, q_bits=3, salt=14, factor=1, shift=1_000_000, skew=0, tail=_RESIDUE_PRIME, bits=133
+)
+@settings(max_examples=300, deadline=None)
+def test_lowest_terms_within_matches_full_division(
+    p_bits, q_bits, salt, factor, shift, skew, tail, bits
+):
+    num = (_of_bits(p_bits, salt) * factor << shift + max(skew, 0)) + tail
+    den = _of_bits(q_bits, salt + 1) * factor << shift + max(-skew, 0)
+    assert lowest_terms_within(num, den, bits) == _lowest_terms_by_full_division(num, den, bits)
 
 
 def test_fits_decimal_is_the_int_to_str_limit():

@@ -26,7 +26,7 @@ from sparsecurves.intersections import (
     total_crossings_analytic,
     total_crossings_explicit,
 )
-from sparsecurves.surfaces import plan_composite
+from sparsecurves.surfaces import CompositeSurface, plan_composite
 
 # surfaces with h = 2..6 and plenty of necklaces
 SURFACES = {h: plan_composite(h * h * 4, Fraction(0)) for h in range(2, 7)}
@@ -396,6 +396,19 @@ def test_frozen_family_totals_via_oracle():
         assert total == expected == necklace_family_crossings(h)
     # twelve disjoint copies of the h=3 family
     assert total_crossings_analytic(plan_composite(36, Fraction(0))) == 12 * 72
+
+
+@given(h=st.integers(min_value=2, max_value=2000), h_prime=st.integers(1, 10 ** 6))
+@settings(max_examples=100, deadline=None)
+def test_analytic_total_is_h_prime_necklace_families(h, h_prime):
+    surface = CompositeSurface(g=h * h_prime, alpha=Fraction(0), h=h, h_prime=h_prime, base_genus=0)
+    assert total_crossings_analytic(surface) == h_prime * necklace_family_crossings(h)
+
+
+def test_analytic_total_refuses_a_genus_one_necklace():
+    surface = CompositeSurface(g=3, alpha=Fraction(0), h=1, h_prime=3, base_genus=0)
+    with pytest.raises(DomainError, match="necklace genus"):
+        total_crossings_analytic(surface)
 
 
 def test_oracle_perturbation_retry():
