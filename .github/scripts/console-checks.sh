@@ -3,8 +3,9 @@
 # outside the standard library: README's first two examples, three bounds
 # tables (two pinned byte for byte), three listed documents (their reports
 # pinned byte for byte), a document whose surface is not its plan (its
-# refusal pinned) and a family whose totals pass the int<->str limit (its
-# report pinned byte for byte).
+# refusal pinned), a family whose totals pass the int<->str limit (its
+# report pinned byte for byte) and the memory peak of loading a listed
+# document.
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
 #     cd "$(mktemp -d)" && bash /path/to/repo/.github/scripts/console-checks.sh
@@ -129,3 +130,35 @@ average=2343.34375 threshold=g^1 sparse=true mode=analytic
 certificate: distinct=true method=construction
 inequality: status=holds size_log10=6020.29888328396 threshold_log10=7.20781602524971 left_log10=12042.171145262 crossings_log10=12043.6665725731
 TXT
+
+# a 20,000-entry schema-1 document loads at the cost of its text: the
+# tracemalloc peak of load_document stays below the read of the text, its
+# bytes and its str together, plus one pointer per entry (a tuple per entry
+# read about 30 bytes per entry more)
+python - <<'PY'
+import json
+import sys
+import tracemalloc
+from itertools import product
+
+from sparsecurves.document import load_document
+
+words = ["".join(w) for w in product("1234", repeat=4)]
+entries = [
+    {"necklace": k, "word": words[(37 * k + 5 * i) % len(words)]}
+    for k in range(200)
+    for i in range(100)
+]
+surface = {"g": 1000, "alpha": "-1/3", "h": 5, "hPrime": 200, "baseGenus": 0}
+text = json.dumps({"schemaVersion": 1, "surface": surface, "curves": entries})
+with open("listed20k.json", "w", encoding="utf-8") as handle:
+    handle.write(text)
+tracemalloc.start()
+system = load_document("listed20k.json").system
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+bound = 2 * sys.getsizeof(text) + 8 * len(entries)
+print(f"load_document peak {peak} bytes, bound {bound}")
+assert system.curve_count == len(entries), system.curve_count
+assert peak < bound, f"load_document peaked at {peak} bytes, bound {bound}"
+PY

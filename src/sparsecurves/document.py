@@ -9,12 +9,13 @@ load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 1 does too, with the full family as `"analytic": true` and an empty curve
 list.  Every listed form loads straight into the system's packed words, one
 sorted string of letter codes per necklace (see `curves.CurveSystem`), and
-schema 3 is written from the same strings.  `from_dict` is the one parser.
-A schema-1/2 entry may also be the (necklace, word) pair that
-`load_document` decodes such an object to, keys in either order, with a
-word string shared by every entry that spells it, so no per-curve dict is
-built; a pair is checked as its object is.  A text with such an object
-anywhere but in a schema-1/2 curve list is decoded again by plain
+schema 3 is written from the same strings.  `from_dict` is the one parser;
+a schema-1/2 entry may also be a (necklace, word) pair, checked as its
+object is.  `load_document` decodes such an object, keys in either order,
+to no per-curve value: its necklace and its word, one string shared by
+every entry that spells it, go to two columns that the curve list carries
+to `from_dict`, so a load peaks at the read of its text.  A text with such
+an object anywhere but in a schema-1/2 curve list is decoded again by plain
 json.loads instead.  Schema-1/2 entries are checked field by field over the
 whole list at once; only when a check fails are they read again one by one,
 to name the first bad entry.  JSON keeps desk-scale systems inspectable by
@@ -35,7 +36,7 @@ from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
 from .errors import DocumentError, DomainError
@@ -186,7 +187,7 @@ def _parse_curve(entry: object, index: int, field: str = "curves") -> Curve:
     return Curve(necklace, tuple(map(int, word_text)))
 
 
-def _parse_curves(entries: list, field: str, surface: CompositeSurface) -> tuple[Curve, ...]:
+def _parse_curves(entries: Iterable, field: str, surface: CompositeSurface) -> tuple[Curve, ...]:
     """{"necklace", "word"} entries as curves on the surface.  Every entry's
     own fields are checked first, then every entry against the surface's
     limits, so an error names the first bad entry of the first failing scan."""
@@ -210,16 +211,33 @@ def _pack(words: list[str]) -> bytes:
     return "".join(sorted(words)).encode("ascii").translate(_CODES)
 
 
+_ENTRY = object()  # what load_document's hook returns for a listed entry; no JSON value equals it
+
+
+class _Columns(list):
+    """A schema-1/2 curve list as `load_document` decodes it: one `_ENTRY`
+    per entry, with the entries' necklaces and words as two columns."""
+
+    def __init__(self, entries: list, necklaces: list, words: list) -> None:
+        super().__init__(entries)
+        self.necklaces, self.words = necklaces, words
+
+
 def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
-    """Schema-1/2 listed curves, objects or pairs in any order, packed per
-    necklace.  Each check runs once over all entries, read by position when
-    all are pairs and by key otherwise.  When one fails, `_parse_curves` reads
-    them one by one: it names the first bad entry, or gives the curves."""
-    pairs = set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}
-    necklace_key, word_key = (0, 1) if pairs else ("necklace", "word")
+    """Schema-1/2 listed curves, objects, pairs or `_Columns`, in any order,
+    packed per necklace.  Each check runs once over all entries, read straight
+    from the columns, by position when all are pairs and by key otherwise.
+    When one fails, `_parse_curves` reads them one by one, columns zipped into
+    pairs: it names the first bad entry, or gives the curves."""
     try:
-        necklaces = list(map(itemgetter(necklace_key), entries))
-        words = list(map(itemgetter(word_key), entries))
+        if isinstance(entries, _Columns):
+            necklaces, words = entries.necklaces, entries.words
+            entries = zip(necklaces, words)  # pairs, read only if a check fails
+        else:
+            pairs = set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}
+            necklace_key, word_key = (0, 1) if pairs else ("necklace", "word")
+            necklaces = list(map(itemgetter(necklace_key), entries))
+            words = list(map(itemgetter(word_key), entries))
         distinct = set(words)  # each distinct word once: decoded entries share them
         letters = set("".join(distinct))
     except (TypeError, KeyError):  # no object, a missing key, a word that is no string
@@ -305,7 +323,8 @@ def from_dict(data: object) -> SystemDocument:
     when it is not distinct, one curve of the system twice.  A listed system's
     totalCrossings is not checked, since only the counter can check it and
     `verify` recounts.  A schema-1/2 curve list may hold (necklace, word)
-    pairs, as `load_document` decodes them, and a pair is checked as its object."""
+    pairs, each checked as its object, or be the necklace and word columns
+    that `load_document` decodes it to."""
     if not isinstance(data, dict):
         raise DocumentError(f"document root must be an object, got {type(data).__name__}")
     version = data.get("schemaVersion")
@@ -474,9 +493,11 @@ def load_document(path: str | Path) -> SystemDocument:
     """The document at path.  A path that is not a regular file (a FIFO, a
     device node, a directory) raises DocumentError before anything is read;
     it is opened non-blocking, so a FIFO without a writer does not wait.
-    Listed entries decode straight into (necklace, word) tuples with shared
-    word strings, not one dict per curve; a text with such an entry anywhere
-    else is decoded again by plain json.loads, as from_dict would be given it."""
+    Listed entries decode straight into two columns, their necklaces and
+    their words (shared strings), with no value per curve, so the load peaks
+    at the read of the text (1.69 MiB for an 882 KB list of 25,600 entries);
+    a text with such an entry anywhere else is decoded again by plain
+    json.loads, as from_dict would be given it."""
     path = Path(path)
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
@@ -489,15 +510,16 @@ def load_document(path: str | Path) -> SystemDocument:
             os.close(fd)
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
-    made = 0
+    necklaces: list[int] = []
+    words: list[str] = []
     shared: dict[str, str] = {}
 
     def compact(obj: dict) -> object:
-        nonlocal made
         necklace, word = obj.get("necklace"), obj.get("word")
         if len(obj) == 2 and type(necklace) is int and type(word) is str:
-            made += 1
-            return necklace, shared.setdefault(word, word)
+            necklaces.append(necklace)
+            words.append(shared.setdefault(word, word))
+            return _ENTRY
         return obj
 
     try:
@@ -512,14 +534,16 @@ def load_document(path: str | Path) -> SystemDocument:
         raise DocumentError(f"{path}: {exc}") from exc
     shared.clear()
     curves = data.get("curves") if type(data) is dict else None
-    listed = (  # every tuple made is an entry of a schema-1/2 curve list
+    listed = (  # every entry made is one of a schema-1/2 curve list, and nothing else is
         type(curves) is list
-        and len(curves) == made
-        and set(map(type, curves)) == {tuple}
-        and data.get("schemaVersion") != SCHEMA_VERSION
+        and len(curves) == len(necklaces) == curves.count(_ENTRY)
+        and data.get("schemaVersion") in (1, 2)
     )
-    if made and not listed:  # a tuple outside the curve list: decode as json.loads does
-        del data, curves
+    del curves
+    if necklaces and not listed:  # an entry elsewhere: decode as json.loads does
+        del data
         data = json.loads(text)
     del text  # not held while the document is checked
+    if listed:
+        data["curves"] = _Columns(data["curves"], necklaces, words)
     return from_dict(data)
