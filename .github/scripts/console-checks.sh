@@ -4,8 +4,8 @@
 # tables (two pinned byte for byte), three listed documents (their reports
 # pinned byte for byte), a document whose surface is not its plan (its
 # refusal pinned), a family whose totals pass the int<->str limit (its
-# report pinned byte for byte) and the memory peak of loading a listed
-# document.
+# report pinned byte for byte), the memory peak of loading a listed
+# document, and the exact integer root and a plan at alpha = p/1000.
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
 #     cd "$(mktemp -d)" && bash /path/to/repo/.github/scripts/console-checks.sh
@@ -161,4 +161,42 @@ bound = 2 * sys.getsizeof(text) + 8 * len(entries)
 print(f"load_document peak {peak} bytes, bound {bound}")
 assert system.curve_count == len(entries), system.curve_count
 assert peak < bound, f"load_document peaked at {peak} bytes, bound {bound}"
+PY
+
+# the exact integer root against its definition on 400 seeded (n, k), a
+# fifth of them exact powers or one less; then a 301-digit g at q = 1000:
+# refused at alpha = -999/1000, whose bound is g >= 4**2000, and planned at
+# alpha = -991/1000, with h = floor(g**((1+alpha)/2) / 2) and
+# h' = floor(2 * g**((1-alpha)/2)) checked on 2q-th powers
+python - <<'PY'
+import random
+from fractions import Fraction
+
+from sparsecurves.errors import DomainError
+from sparsecurves.exactint import integer_nth_root
+from sparsecurves.surfaces import plan_composite
+
+rng = random.Random(29)
+for _ in range(400):
+    k = rng.choice((1, 2, 3, 5, 7, 64, 999, 1000, 2000))
+    n = rng.getrandbits(rng.randint(0, 4000))
+    if rng.random() < 0.2:
+        n = (rng.getrandbits(max(1, 4000 // k)) + 1) ** k - rng.randint(0, 1)
+    r = integer_nth_root(n, k)
+    assert r ** k <= n < (r + 1) ** k, (n, k, r)
+
+g = 10 ** 300
+try:
+    plan_composite(g, Fraction(-999, 1000))
+    raise AssertionError("g = 10**300 planned at alpha = -999/1000")
+except DomainError as exc:
+    assert str(exc).startswith(f"g >= {4 ** 2000} required for alpha = -999/1000"), exc
+
+p, q = -991, 1000
+s = plan_composite(g, Fraction(p, q))
+h, hp = s.h, s.h_prime
+assert (2 * h) ** (2 * q) <= g ** (p + q) < (2 * h + 2) ** (2 * q), h
+assert hp ** (2 * q) <= 4 ** q * g ** (q - p) < (hp + 1) ** (2 * q), hp
+assert s.base_genus == g - h * hp >= 0
+print(f"integer_nth_root: 400 (n, k) checked; plan of 10**300 at -991/1000: h = {h}")
 PY

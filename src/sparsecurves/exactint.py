@@ -5,14 +5,17 @@ many necklaces a construction gets, and for large g a one-ULP floating-point
 error flips the floor and changes the curve count by a factor of four.
 Everything here therefore stays in integer arithmetic: k <= c * g**(r/s) is
 decided by raising both sides to the s-th power (their leading bits first,
-which usually settle it), and floors are obtained from an integer root.
+which usually settle it), and floors are obtained from an integer root: a
+Newton descent from above whose start is the root of the radicand's leading
+bits, taken the same way, so no float is involved and a few steps at full
+size suffice.
 Crossing totals run to millions of bits, so a ratio of them is brought to
 lowest terms without a gcd, and only while that form is small.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -127,37 +130,30 @@ def lowest_terms_within(num: int, den: int, bits: int) -> tuple[int, int] | None
 
 
 def integer_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1, by Newton iteration on integers."""
+    """floor(n ** (1/k)) for n >= 0, k >= 1, by one integer Newton descent.
+
+    The descent starts above the root: at one more than the root of the
+    leading bits n >> k*s, taken by this function, shifted left by
+    s = bits // k // 2, which is right in about its upper half of bits; or,
+    once s is 0, at 2**ceil(bits/k).  From above, a step never falls below the
+    floor (the mean of k-1 copies of x and n/x**(k-1) is at least their
+    geometric mean, the real root) and decreases while x**k > n, so the
+    descent stops, when a step no longer decreases, exactly at the floor.
+    """
     if k < 1:
         raise ValueError(f"root index must be >= 1, got {_number_text(k)}")
     if n < 0:
         raise ValueError(f"radicand must be >= 0, got {_number_text(n)}")
-    if n == 0:
-        return 0
-    if k == 1:
+    if n == 0 or k == 1:
         return n
-    # Start just above a float root taken from log2(n), whose error is far
-    # below the 2**-30 margin added, so the iteration decreases monotonically
-    # and converges quadratically from the first step.  A start that is still
-    # not above the root is doubled until it is.  The float only picks the
-    # start; the integer loops decide the root.
-    log2_root = math.log2(n) / k
-    shift = max(0, int(log2_root) - 52)
-    x = int(2.0 ** (log2_root - shift)) << shift
-    x += (x >> 30) + 1
-    while x ** k <= n:
-        x <<= 1
+    bits = n.bit_length()
+    s = bits // k // 2
+    x = (integer_nth_root(n >> k * s, k) + 1) << s if s else 1 << -(-bits // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    # Newton can stop one step away from the floor; correct deterministically.
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
 
 
 def floor_scaled_power(coeff: Fraction, g: int, exponent: Fraction) -> int:
@@ -219,15 +215,19 @@ def is_exact_power(g: int, exponent: Fraction) -> int | None:
     if g < 1 or exponent < 0:
         return None
     r, s = exponent.numerator, exponent.denominator
-    root = integer_nth_root(g ** r, s)
-    return root if root ** s == g ** r else None
+    power = g ** r
+    root = integer_nth_root(power, s)
+    return root if root ** s == power else None
 
 
+@functools.lru_cache(maxsize=256)
 def min_admissible_genus(alpha: Fraction) -> int:
     """Smallest integer g with g**(1+alpha) >= 16, i.e. g >= 4**(2/(1+alpha)).
 
     alpha must lie in (-1, 1]; the exponent 1+alpha is then positive and the
-    threshold is decided by the integer comparison g**(p+q) >= 4**(2q).
+    threshold is decided by the integer comparison g**(p+q) >= 4**(2q), so
+    g admits a plan exactly when g >= min_admissible_genus(alpha).  The last
+    256 values are kept: a bounds grid asks for the same few alphas.
     """
     if not (Fraction(-1) < alpha <= Fraction(1)):
         raise ValueError(f"alpha must lie in (-1, 1], got {_number_text(alpha)}")
@@ -236,11 +236,3 @@ def min_admissible_genus(alpha: Fraction) -> int:
     target = 4 ** (2 * q)
     root = integer_nth_root(target, e)
     return root if root ** e >= target else root + 1
-
-
-def genus_admissible(g: int, alpha: Fraction) -> bool:
-    """True iff g >= 4**(2/(1+alpha)), decided exactly."""
-    if g < 1:
-        return False
-    p, q = alpha.numerator, alpha.denominator
-    return g ** (p + q) >= 4 ** (2 * q)

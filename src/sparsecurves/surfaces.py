@@ -16,16 +16,12 @@ other rule checks one.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError
-from .exactint import (
-    floor_scaled_power,
-    genus_admissible,
-    min_admissible_genus,
-    parse_fraction,
-)
+from .exactint import floor_scaled_power, min_admissible_genus, parse_fraction
 from .logspace import fraction_text, int_text
 
 ARC_LABELS = (1, 2, 3, 4)
@@ -37,11 +33,12 @@ ARC_LABELS = (1, 2, 3, 4)
 # plans at every alpha.
 MAX_NECKLACE_GENUS = 10 ** 8
 
-# Largest denominator q of an alpha = p/q.  Planning raises g to the power
-# p+q and takes 2q-th roots, and a g**alpha sparsity verdict raises the totals
-# to the q-th power, so the cost grows fast with q.  On a 2-core x86 host, at
-# q = 1000 a bounds row at g = 10**6 takes about 0.5 s (1.1 s at worst over 40
-# numerators), and one plan of a 1,000-digit g takes 10-20 s.
+# Largest denominator q of an alpha = p/q.  Planning takes 2q-th roots of
+# powers of g up to g**(2q-1), and a g**alpha sparsity verdict raises the
+# totals to the q-th power, so the cost grows fast with q.  On a 2-core x86
+# host, at q = 1000 a bounds row at g = 10**6 takes 3-4 ms of CPU on average
+# over 40 numerators (7-13 ms at worst), and one plan of a 1,000- to
+# 2,000-digit g takes 4-14 s.
 MAX_ALPHA_DENOMINATOR = 1000
 
 
@@ -136,8 +133,8 @@ def check_plan_domain(g: int, alpha: Fraction | int | str) -> Fraction:
     check_alpha(alpha)
     if not isinstance(g, int) or g < 1:
         raise DomainError(f"genus must be a positive integer, got {int_text(g)}")
-    if not genus_admissible(g, alpha):
-        minimal = min_admissible_genus(alpha)
+    minimal = min_admissible_genus(alpha)
+    if g < minimal:
         raise DomainError(
             f"g >= {minimal} required for alpha = {fraction_text(alpha)} (got g = {int_text(g)})"
         )
@@ -157,7 +154,14 @@ def plan_composite(g: int, alpha: Fraction | int | str) -> CompositeSurface:
     >= 16; h*h' <= g, the product of the two powers, so the base genus is >= 0;
     and h <= g/2 since h' >= 2.
     """
-    alpha = check_plan_domain(g, alpha)
+    return _plan(g, check_plan_domain(g, alpha))
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(g: int, alpha: Fraction) -> CompositeSurface:
+    """`plan_composite` of a checked (g, alpha).  Recent plans are kept, so a
+    `verify` of a full family, which plans it on load and again in its
+    certificate, pays the roots once; a refusal is not kept."""
     h = floor_scaled_power(Fraction(1, 2), g, (1 + alpha) / 2)
     if h > MAX_NECKLACE_GENUS:
         raise DomainError(

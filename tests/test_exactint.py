@@ -1,6 +1,7 @@
 """Integer root extraction and exact rational-power comparisons."""
 
 import hashlib
+import math
 import time
 from fractions import Fraction
 
@@ -12,12 +13,12 @@ from mpmath import mp
 
 from sparsecurves import bounds
 from sparsecurves.curves import SparsityThreshold
+from sparsecurves.errors import DomainError
 from sparsecurves.exactint import (
     _RESIDUE_PRIME,
     DECIMAL_DIGIT_LIMIT,
     fits_decimal,
     floor_scaled_power,
-    genus_admissible,
     integer_nth_root,
     is_exact_power,
     le_scaled_power,
@@ -68,10 +69,33 @@ def _of_bits(bits: int, seed: int) -> int:
 @settings(max_examples=150, deadline=None)
 def test_nth_root_bracket_up_to_50000_bits(bits, seed, k, power):
     n = _of_bits(bits, seed)
-    if power:  # an exact k-th power, or one less: the float start sits on the root
+    if power:  # an exact k-th power, or one less
         n = _of_bits(max(1, bits // k), seed) ** k - (seed % 2)
     r = integer_nth_root(n, k)
     assert r ** k <= n < (r + 1) ** k
+
+
+@given(n=st.integers(min_value=0, max_value=2 ** 4000), k=st.integers(min_value=1, max_value=2000))
+@example(n=3 ** 700, k=700)  # r**k
+@example(n=3 ** 700 - 1, k=700)  # r**k - 1
+@example(n=(10 ** 40 + 1) ** 97, k=97)
+@example(n=(10 ** 40 + 1) ** 97 - 1, k=97)
+@example(n=2 ** 2000 - 1, k=2000)  # bit length <= k: root 1
+@example(n=2 ** 1999, k=2000)
+@example(n=1, k=2000)
+@example(n=10 ** 1200 + 7, k=1)
+@settings(max_examples=300, deadline=None)
+def test_nth_root_is_the_floor_of_the_real_root(n, k):
+    r = integer_nth_root(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+@given(n=st.integers(min_value=0, max_value=2 ** 4000))
+@example(n=(2 ** 2000 + 1) ** 2)
+@example(n=(2 ** 2000 + 1) ** 2 - 1)
+@settings(max_examples=300)
+def test_square_root_is_isqrt(n):
+    assert integer_nth_root(n, 2) == math.isqrt(n)
 
 
 @given(
@@ -164,10 +188,6 @@ def test_min_admissible_genus():
     assert min_admissible_genus(Fraction(0)) == 16
     assert min_admissible_genus(Fraction(1)) == 4
     assert min_admissible_genus(Fraction(1, 2)) == 7  # 4**(4/3) = 6.34...
-    assert genus_admissible(16, Fraction(0))
-    assert not genus_admissible(15, Fraction(0))
-    assert genus_admissible(7, Fraction(1, 2))
-    assert not genus_admissible(6, Fraction(1, 2))
 
 
 @given(
@@ -179,8 +199,35 @@ def test_min_admissible_genus_is_minimal(p, q):
         return
     alpha = Fraction(p, q)
     g0 = min_admissible_genus(alpha)
-    assert genus_admissible(g0, alpha)
-    assert not genus_admissible(g0 - 1, alpha)
+    assert g0 ** (p + q) >= 4 ** (2 * q)
+    assert (g0 - 1) ** (p + q) < 4 ** (2 * q)
+
+
+def _plan_domain_admits(g: int, alpha: Fraction) -> bool:
+    try:
+        check_plan_domain(g, alpha)
+    except DomainError as exc:
+        assert str(exc).startswith(f"g >= {min_admissible_genus(alpha)} required for alpha = ")
+        return False
+    return True
+
+
+_ADMISSION_ALPHAS = sorted({
+    Fraction(p, q)
+    for q in (1, 2, 3, 7, 24, 999, 1000)
+    for p in (1 - q, -(q // 2), 0, 1, q // 3, q - 1, q)
+})
+
+
+def test_plan_domain_admits_exactly_the_genera_past_the_bound():
+    assert _plan_domain_admits(16, Fraction(0)) and not _plan_domain_admits(15, Fraction(0))
+    assert _plan_domain_admits(7, Fraction(1, 2)) and not _plan_domain_admits(6, Fraction(1, 2))
+    for alpha in _ADMISSION_ALPHAS:
+        p, q = alpha.numerator, alpha.denominator
+        g0 = min_admissible_genus(alpha)
+        for g in (g0 - 1, g0, g0 + 1):
+            # the definition: g**(1+alpha) >= 16, raised to the q-th power
+            assert _plan_domain_admits(g, alpha) == (g ** (p + q) >= 4 ** (2 * q)), (g, alpha)
 
 
 # Shared factors: powers of two, odd or even multi-thousand-bit integers, and

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecurves.errors import DomainError
-from sparsecurves.exactint import floor_scaled_power, genus_admissible
+from sparsecurves.exactint import floor_scaled_power, min_admissible_genus
 from sparsecurves.surfaces import MAX_NECKLACE_GENUS, build_necklace, plan_composite
 
 
@@ -82,7 +82,7 @@ def test_plan_composite_invariants(g, p, q):
     alpha = Fraction(p, q)
     if not (Fraction(-1) < alpha <= 1):
         return
-    if not genus_admissible(g, alpha):
+    if g < min_admissible_genus(alpha):
         return
     s = plan_composite(g, alpha)
     assert 2 <= s.h <= g
@@ -107,7 +107,7 @@ def test_every_admissible_plan_meets_the_surface_rules(g_alpha):
     # a surface is valid exactly when it is its plan, so these rules must hold
     # by construction; at g <= 10**6, alpha = -999/1000 admits no plan
     g, alpha = g_alpha
-    if not genus_admissible(g, alpha):
+    if g < min_admissible_genus(alpha):
         with pytest.raises(DomainError, match=r"^g >= \d+ required"):
             plan_composite(g, alpha)
         return
@@ -127,7 +127,7 @@ def test_every_admissible_plan_meets_the_surface_rules(g_alpha):
 )
 @settings(max_examples=200)
 def test_every_plan_up_to_g_1e8_is_accepted(g, alpha):
-    if genus_admissible(g, alpha):
+    if g >= min_admissible_genus(alpha):
         assert plan_composite(g, alpha).h <= MAX_NECKLACE_GENUS
 
 
@@ -138,6 +138,14 @@ def test_plans_past_the_necklace_genus_limit_are_refused():
     for g in (2 * MAX_NECKLACE_GENUS + 2, 10 ** 12):
         with pytest.raises(DomainError, match="cannot be held"):
             plan_composite(g, Fraction(1))
+
+
+def test_a_plan_is_kept_and_a_refusal_is_not():
+    # verify plans a full family on load and again in its certificate
+    assert plan_composite(10 ** 9 + 7, Fraction(1, 3)) is plan_composite(10 ** 9 + 7, "1/3")
+    for _ in range(2):
+        with pytest.raises(DomainError, match="cannot be held$"):
+            plan_composite(2 * MAX_NECKLACE_GENUS + 2, Fraction(1))
 
 
 def test_alpha_denominator_is_bounded():
