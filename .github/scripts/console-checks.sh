@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Checks of the installed `sparse-curves` console script that need nothing
 # outside the standard library: README's first two examples, three bounds
-# tables (two pinned byte for byte), three listed documents (their reports
-# pinned byte for byte), a document whose surface is not its plan (its
+# tables (two pinned byte for byte), four listed documents (their reports
+# pinned byte for byte, and the written schema-3 document of the one with
+# repeats), a document whose surface is not its plan (its
 # refusal pinned), a family whose totals pass the int<->str limit (its
 # report pinned byte for byte), the memory peak of loading a listed
 # document, and the exact integer root and a plan at alpha = p/1000.
@@ -79,6 +80,73 @@ curves=3
 crossing report unavailable: duplicate curve 0:11
 certificate: distinct=false method=exhaustive collision=0:11/0:11
 TXT
+
+# a schema-1 listed document with two repeats, 3:1213 among words that
+# share most of their letters and 7:3333 on a later necklace; each word on
+# necklace 0 shares three letters with the next.  The repeat check reads
+# letter columns through int.from_bytes and to_bytes, whose byte order 3.10
+# needs spelt out.  verify names the first repeat in (necklace, word) order
+# and exits 3; its schema-3 document, written from the same columns, is
+# pinned byte for byte
+cat > repeats.json <<'JSON'
+{"schemaVersion": 1, "analytic": false,
+ "surface": {"g": 100, "alpha": "0/1", "h": 5, "hPrime": 20, "baseGenus": 0},
+ "curves": [{"necklace": 7, "word": "3333"}, {"necklace": 0, "word": "2234"},
+            {"necklace": 3, "word": "1213"}, {"necklace": 3, "word": "1221"},
+            {"necklace": 0, "word": "1234"}, {"necklace": 7, "word": "4111"},
+            {"necklace": 3, "word": "1212"}, {"necklace": 7, "word": "3333"},
+            {"necklace": 3, "word": "1213"}, {"necklace": 0, "word": "2134"}],
+ "report": null, "certificate": null}
+JSON
+status=0
+sparse-curves verify repeats.json --out repeats3.json > repeats1.txt || status=$?
+test "$status" -eq 3
+diff - repeats1.txt <<'TXT'
+curves=10
+crossing report unavailable: duplicate curve 3:1213
+certificate: distinct=false method=exhaustive collision=3:1213/3:1213
+TXT
+diff - repeats3.json <<'JSON'
+{
+  "schemaVersion": 3,
+  "surface": {
+    "g": 100,
+    "alpha": "0/1",
+    "h": 5,
+    "hPrime": 20,
+    "baseGenus": 0
+  },
+  "curves": [
+    {
+      "necklace": 0,
+      "words": "1234 2134 2234"
+    },
+    {
+      "necklace": 3,
+      "words": "1212 1213 1213 1221"
+    },
+    {
+      "necklace": 7,
+      "words": "3333 3333 4111"
+    }
+  ],
+  "report": null,
+  "certificate": {
+    "distinct": false,
+    "method": "exhaustive",
+    "collision": [
+      {
+        "necklace": 3,
+        "word": "1213"
+      },
+      {
+        "necklace": 3,
+        "word": "1213"
+      }
+    ]
+  }
+}
+JSON
 
 # a schema-2 listed document whose first entry carries an extra key: the
 # loader decodes the text again as plain JSON and checks the entries as

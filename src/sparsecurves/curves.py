@@ -10,12 +10,14 @@ has h' * 4**(h-1) curves in total.
 A system either describes the full family or lists its curves.  A listed
 system holds, for each necklace that carries curves, one sorted `bytes` string
 of N*n letter codes 1-4: word k is the slice [k*n, (k+1)*n), and repeated
-words are kept.  `CurveSystem` alone reads words out of these strings: its
-first repeated curve, whether it holds a curve, and its curves in order.  The
-counter reads them only as letter columns and the document writer only copies
-them; `Curve` objects are built only for a repeat, a membership test or when
-a system's curves are read.  A full family is listed, when it is, lazily from
-the Cartesian power.
+words are kept.  Code that reads a whole string reads it as its n letter
+columns, column i being the slice [i::n]: the first repeated curve, the
+crossing counter, the schema-3 writer, and the counter's packing of a full
+family build no value per word.  Only `CurveSystem` reads words out of the
+strings, to decide whether it holds a curve and to list its curves; `Curve`
+objects are built only for a repeat, a membership test or when a system's
+curves are read.  A full family is listed, when it is, lazily from the
+Cartesian power.
 
 A system is f-sparse when its average pairwise crossing number is at most f,
 i.e. cr <= f * C(size, 2).  The verdict is always decided by exact
@@ -28,7 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import eq
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import DomainError
@@ -89,9 +90,10 @@ class CurveSystem:
     Curves given to the constructor are checked with `check_curve` and packed
     whatever order they were given in; a `full` system refuses them.
     `from_packed` takes strings a caller has already checked and sorted.
-    This class alone reads words out of the packed strings (`first_repeat`,
-    `holds`, `iter_curves`).  `curves` derives the canonical
-    (necklace, word) tuple of `Curve`s on first use.
+    `first_repeat` reads a blob as its letter columns; `holds` and
+    `iter_curves` are all that read words out of the packed strings.
+    `curves` derives the canonical (necklace, word) tuple of `Curve`s on
+    first use.
     Systems are equal when their surface, packed words and `full` flag are;
     they refuse attribute assignment.
     """
@@ -184,10 +186,16 @@ class CurveSystem:
         None when the curves are distinct; a full family has no repeat."""
         n = self.surface.piece_count
         for necklace, blob in self.packed:
-            words = [blob[i : i + n] for i in range(0, len(blob), n)]
-            k = bytes(map(eq, words, words[1:])).find(1)
-            if k >= 0:
-                return Curve(necklace, tuple(words[k]))
+            # byte k of column ^ (column >> 8) is zero iff words k and k-1
+            # share letter i, so byte k of the OR is zero iff they are
+            # equal; byte 0 holds a letter of word 0, never zero
+            changed = 0
+            for i in range(n):
+                column = int.from_bytes(blob[i::n], "big")
+                changed |= column ^ (column >> 8)
+            k = changed.to_bytes(len(blob) // n, "big").find(0)
+            if k > 0:
+                return Curve(necklace, tuple(blob[k * n : (k + 1) * n]))
         return None
 
     def holds(self, curve: Curve) -> bool:

@@ -9,23 +9,22 @@ load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 1 does too, with the full family as `"analytic": true` and an empty curve
 list.  Every listed form loads straight into the system's packed words, one
 sorted string of letter codes per necklace (see `curves.CurveSystem`), and
-schema 3 is written from the same strings.  `from_dict` is the one parser;
-a schema-1/2 entry may also be a (necklace, word) pair, checked as its
-object is.  `load_document` decodes such an object, keys in either order,
-to no per-curve value: its necklace and its word, one string shared by
-every entry that spells it, go to two columns that the curve list carries
-to `from_dict`, so a load peaks at the read of its text.  A text with such
-an object anywhere but in a schema-1/2 curve list is decoded again by plain
-json.loads instead.  Schema-1/2 entries are checked field by field over the
-whole list at once; only when a check fails are they read again one by one,
-to name the first bad entry.  JSON keeps desk-scale systems inspectable by
-eye; round-tripping is stable field for field, and writes go through a temp
-file plus rename so readers never see a partial document.  Integers are
-written in decimal, so a report whose totals or threshold exceed CPython's
-int-to-str digit limit is refused before anything is written.  Every fault
-of a document being loaded, from unreadable bytes, bytes that are not UTF-8
-and JSON nested too deeply to parse to a report or certificate that
-contradicts its system, raises DocumentError."""
+schema 3 is written from their letter columns.  `from_dict` is the one
+parser; a schema-1/2 entry may also be a (necklace, word) pair, checked as
+its object is.  `load_document` decodes such an object, keys in either
+order, to no per-curve value: its necklace and its word, one string shared
+by every entry that spells it, go to two columns that the curve list
+carries to `from_dict`, so a load peaks at the read of its text.
+Schema-1/2 entries are checked field by field over the whole list at once;
+only when a check fails are they read again one by one, to name the first
+bad entry.  JSON keeps desk-scale systems inspectable by eye; round-tripping
+is stable field for field, and writes go through a temp file plus rename so
+readers never see a partial document.  Integers are written in decimal, so a
+report whose totals or threshold exceed CPython's int-to-str digit limit is
+refused before anything is written.  Every fault of a document being loaded,
+from unreadable bytes, bytes that are not UTF-8 and JSON nested too deeply to
+parse to a report or certificate that contradicts its system, raises
+DocumentError."""
 
 from __future__ import annotations
 
@@ -109,9 +108,10 @@ def _packed_curves(system: CurveSystem) -> list[dict]:
     n = system.surface.piece_count
     entries = []
     for k, blob in system.packed:
-        text = blob.translate(_TEXT).decode("ascii")
-        words = [text[i : i + n] for i in range(0, len(text), n)]
-        entries.append({"necklace": k, "words": " ".join(words)})
+        text = bytearray(b" ") * (len(blob) // n * (n + 1) - 1)
+        for i in range(n):
+            text[i :: n + 1] = blob[i::n]
+        entries.append({"necklace": k, "words": text.translate(_TEXT).decode("ascii")})
     return entries
 
 

@@ -187,12 +187,15 @@ def le_scaled_power(lhs: int, rhs: int, g: int, alpha: Fraction) -> bool:
     leaves the larger side _LEADING_BITS bits, lhs/rhs lies in
     [a/(b+1), (a+1)/b], and the q-th powers of these small bounds settle the
     verdict unless they straddle g**p.  Only then are the totals themselves,
-    which run to millions of bits, raised to the q-th power.
+    which run to millions of bits, raised to the q-th power.  A zero lhs
+    holds at once, since the right side is never negative.
     """
     if lhs < 0 or rhs < 0:
         raise ValueError("comparison sides must be nonnegative")
     if g < 1:
         raise ValueError(f"base must be >= 1, got {_number_text(g)}")
+    if lhs == 0:
+        return True
     p, q = alpha.numerator, alpha.denominator
 
     def ratio_le(num: int, den: int) -> bool:  # (num/den)**q <= g**p

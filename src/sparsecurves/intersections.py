@@ -25,7 +25,7 @@ Three routes to the same totals:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, repeat
 from operator import and_, rshift
 from typing import NamedTuple, Sequence
 
@@ -184,16 +184,27 @@ def _family_crossings_sorted(blob: bytes, n: int) -> int:
     return total
 
 
+def _full_family_words(n: int) -> bytes:
+    """The 4**n words of length n in ascending order, packed as a listed
+    necklace: letter column i is (1^r 2^r 3^r 4^r) * 4**i for r = 4**(n-1-i)."""
+    blob = bytearray(n << 2 * n)
+    for i in range(n):
+        r = 1 << 2 * (n - 1 - i)
+        blob[i::n] = b"".join(bytes([a]) * r for a in ARC_LABELS) * (1 << 2 * i)
+    return bytes(blob)
+
+
 def total_crossings_explicit(system: CurveSystem) -> int:
     """Sum of pair_intersection over all unordered pairs of the system.
 
     Pairs on different necklaces contribute zero, so the sum decomposes into
     per-necklace totals, read from the system's packed per-necklace words;
     necklaces carrying identical word sets are computed once.  A full family
-    is counted on one listed necklace, packed from the Cartesian power, and
-    refused before listing when it exceeds EXPLICIT_WORD_LIMIT words per
-    necklace (`mode` "analytic").  A system's first repeated curve raises
-    DomainError naming it.  The result is an exact big integer.
+    is cross-checked on one listed necklace, packed column by column
+    (`_full_family_words`), and refused before packing when it exceeds
+    EXPLICIT_WORD_LIMIT words per necklace (`mode` "analytic").  A system's
+    first repeated curve raises DomainError naming it.  The result is an
+    exact big integer.
     """
     surface = system.surface
     if system.full:
@@ -203,8 +214,7 @@ def total_crossings_explicit(system: CurveSystem) -> int:
                 f"exceeds the explicit limit of {EXPLICIT_WORD_LIMIT}; "
                 "it is counted in closed form"
             )
-        words = product(ARC_LABELS, repeat=surface.piece_count)
-        one = CurveSystem.from_packed(surface, ((0, bytes(chain.from_iterable(words))),))
+        one = CurveSystem.from_packed(surface, ((0, _full_family_words(surface.piece_count)),))
         return surface.h_prime * total_crossings_explicit(one)
     if system.first_repeat is not None:
         raise DomainError(f"duplicate curve {system.first_repeat}")

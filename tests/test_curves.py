@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 from itertools import islice, product
+from operator import eq
 from unittest import mock
 
 import pytest
@@ -66,7 +67,7 @@ def test_family_cap():
     # the explicit counter refuses a full family past EXPLICIT_WORD_LIMIT
     # words per necklace before listing one, and counts one at the limit
     surface = plan_composite(256, Fraction(0))  # h = 8: 16,384 words
-    with mock.patch.object(intersections, "product", side_effect=AssertionError):
+    with mock.patch.object(intersections, "_full_family_words", side_effect=AssertionError):
         with pytest.raises(DomainError, match="exceeds the explicit limit of 4096"):
             total_crossings_explicit(generate_system(surface))
     surface = plan_composite(196, Fraction(0))  # h = 7: 4,096 words
@@ -125,6 +126,63 @@ def test_first_repeat_and_holds_match_the_sorted_curves(system, data):
     probes += [Curve(0, (1, 2)), Curve(0, (1, 2, 3, 5))]  # not curves of the surface
     for curve in probes:
         assert system.holds(curve) == (curve in listed)
+
+
+def _slice_scan_first_repeat(system):
+    """`first_repeat` as a scan of one `bytes` slice per word, necklace by necklace."""
+    n = system.surface.piece_count
+    for necklace, blob in system.packed:
+        words = [blob[i : i + n] for i in range(0, len(blob), n)]
+        k = bytes(map(eq, words, words[1:])).find(1)
+        if k >= 0:
+            return Curve(necklace, tuple(words[k]))
+    return None
+
+
+@st.composite
+def _systems_with_one_placed_repeat(draw):
+    """A listed system with words of n = 1 to 7 letters on up to three
+    necklaces, each necklace's words distinct, and then one repeat placed:
+    on the first word, on the last word, on a necklace after the first, or
+    none.  Letters come from a narrow range now and then, so that
+    neighbouring words share most of their letters."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    surface = plan_composite(4 * (n + 1) ** 2, Fraction(0))  # h = n + 1
+    top = draw(st.sampled_from([2, 4]))
+    letters = st.tuples(*[st.integers(min_value=1, max_value=top)] * n)
+    necklaces = sorted(draw(st.sets(st.integers(0, surface.h_prime - 1), min_size=1, max_size=3)))
+    groups = {k: sorted(draw(st.sets(letters, min_size=1, max_size=40))) for k in necklaces}
+    place = draw(st.sampled_from(["first", "last", "later", "none"]))
+    if place == "first":
+        k = necklaces[0]
+        groups[k].insert(0, groups[k][0])
+    elif place == "last":
+        k = necklaces[-1]
+        groups[k].append(groups[k][-1])
+    elif place == "later" and len(necklaces) > 1:
+        k = draw(st.sampled_from(necklaces[1:]))
+        groups[k].append(draw(st.sampled_from(groups[k])))
+    curves = [Curve(k, word) for k, words in groups.items() for word in words]
+    return CurveSystem(surface, tuple(draw(st.permutations(curves))))
+
+
+@given(system=_systems_with_one_placed_repeat())
+@settings(max_examples=400, deadline=None)
+def test_first_repeat_matches_the_slice_scan(system):
+    assert system.first_repeat == _slice_scan_first_repeat(system)
+
+
+@pytest.mark.parametrize("k", [1, 2, 2048, 4095])
+def test_first_repeat_in_the_h7_family_matches_the_slice_scan(k):
+    # the 4,096 words of h = 7 on necklace 27 with word k written over word k-1
+    surface = plan_composite(196, Fraction(0))
+    n = surface.piece_count
+    family = intersections._full_family_words(n)
+    blob = bytearray(family)
+    blob[k * n : (k + 1) * n] = blob[(k - 1) * n : k * n]
+    system = CurveSystem.from_packed(surface, ((0, family), (27, bytes(blob))))
+    expected = Curve(27, tuple(blob[k * n : (k + 1) * n]))
+    assert system.first_repeat == _slice_scan_first_repeat(system) == expected
 
 
 def test_a_repeat_is_found_once_for_the_counter_and_the_certificate():

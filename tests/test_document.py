@@ -52,6 +52,29 @@ def test_round_trip_field_for_field(listed_system):
     assert from_dict(to_dict(listed)) == listed
 
 
+def _joined_curves(system):
+    """The schema-3 curve list as a `str` per word, blank-joined per necklace."""
+    n = system.surface.piece_count
+    entries = []
+    for k, blob in system.packed:
+        text = blob.translate(bytes.maketrans(b"\x01\x02\x03\x04", b"1234")).decode("ascii")
+        words = [text[i : i + n] for i in range(0, len(text), n)]
+        entries.append({"necklace": k, "words": " ".join(words)})
+    return entries
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=7))
+@settings(max_examples=200, deadline=None)
+def test_written_words_match_the_joined_words(data, n):
+    surface = plan_composite(4 * (n + 1) ** 2, Fraction(0))  # h = n + 1
+    word = st.tuples(*[st.integers(min_value=1, max_value=4)] * n)
+    curve = st.builds(Curve, st.integers(0, surface.h_prime - 1), word)
+    curves = data.draw(st.lists(curve, min_size=1, max_size=60))
+    curves += data.draw(st.lists(st.sampled_from(curves), max_size=3))  # repeats are kept
+    system = CurveSystem(surface, tuple(curves))
+    assert to_dict(SystemDocument(system))["curves"] == _joined_curves(system)
+
+
 def test_listed_system_is_written_one_word_string_per_necklace(listed_system):
     data = to_dict(SystemDocument(listed_system()))
     assert data["schemaVersion"] == 3

@@ -177,6 +177,24 @@ def test_le_scaled_power_matches_the_plain_power_comparison(rhs, g, p, q, near, 
     assert le_scaled_power(lhs, rhs, g, alpha) == _plain_le_scaled_power(lhs, rhs, g, alpha)
 
 
+@given(
+    lhs=st.one_of(st.just(0), _SIZED),
+    rhs=st.one_of(st.just(0), _SIZED),
+    g=st.integers(min_value=1, max_value=10 ** 6),
+    p=st.integers(min_value=-2000, max_value=2000),
+    q=st.integers(min_value=1, max_value=1000),
+)
+@example(lhs=0, rhs=0, g=1, p=0, q=1)
+@example(lhs=0, rhs=0, g=10 ** 6, p=-999, q=1000)
+@example(lhs=0, rhs=2 ** 400, g=10 ** 6, p=-2000, q=1)
+@example(lhs=1, rhs=0, g=10 ** 6, p=2000, q=1)
+@settings(max_examples=300, deadline=None)
+def test_le_scaled_power_with_zero_sides_matches_the_plain_power_comparison(lhs, rhs, g, p, q):
+    # a zero lhs is decided before any power is raised
+    alpha = Fraction(p, q)
+    assert le_scaled_power(lhs, rhs, g, alpha) == _plain_le_scaled_power(lhs, rhs, g, alpha)
+
+
 def test_is_exact_power():
     assert is_exact_power(16, Fraction(1, 2)) == 4
     assert is_exact_power(17, Fraction(1, 2)) is None

@@ -3,7 +3,7 @@
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from unittest import mock
 
 import pytest
@@ -229,6 +229,13 @@ def test_byte_sweep_equals_the_pairwise_sum(data, h):
 def test_byte_sweep_full_family_matches_the_closed_form(h):
     words = list(product((1, 2, 3, 4), repeat=h - 1))
     assert _packed_crossings(h - 1)(words, 0) == necklace_family_crossings(h)
+
+
+@pytest.mark.parametrize("h", range(2, 8))
+def test_full_family_words_match_the_cartesian_power(h):
+    # the column-by-column pack of the cross-check against the joined product
+    words = product((1, 2, 3, 4), repeat=h - 1)
+    assert intersections._full_family_words(h - 1) == bytes(chain.from_iterable(words))
 
 
 def test_packed_prefix_count_spans_blocks_on_the_full_h10_family():
