@@ -3,10 +3,10 @@
 # outside the standard library: README's first two examples, three bounds
 # tables (two pinned byte for byte), four listed documents (their reports
 # pinned byte for byte, and the written schema-3 document of the one with
-# repeats), a document whose surface is not its plan (its
-# refusal pinned), a family whose totals pass the int<->str limit (its
-# report pinned byte for byte), the memory peak of loading a listed
-# document, and the exact integer root and a plan at alpha = p/1000.
+# repeats), a document whose surface is not its plan (its refusal pinned), a
+# family whose totals pass the int<->str limit (its report and its
+# `verify --out` document pinned byte for byte), the memory peak of loading a
+# listed document, and the exact integer root and a plan at alpha = p/1000.
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
 #     cd "$(mktemp -d)" && bash /path/to/repo/.github/scripts/console-checks.sh
@@ -198,6 +198,42 @@ average=2343.34375 threshold=g^1 sparse=true mode=analytic
 certificate: distinct=true method=construction
 inequality: status=holds size_log10=6020.29888328396 threshold_log10=7.20781602524971 left_log10=12042.171145262 crossings_log10=12043.6665725731
 TXT
+
+# its `verify --out` document, byte for byte: the totals as the report
+# prints them and no average; verify of that document rebuilds the totals
+# from the surface, checks the tokens against them and prints the same report
+sparse-curves verify g20000.json --out g20000v.json > g20000v.txt
+diff g20000.txt g20000v.txt
+diff - g20000v.json <<'JSON'
+{
+  "schemaVersion": 3,
+  "surface": {
+    "g": 20000,
+    "alpha": "1/1",
+    "h": 10000,
+    "hPrime": 2,
+    "baseGenus": 0
+  },
+  "curves": "full",
+  "report": {
+    "totalCrossings": "[bits=40009,log10=12043.6665725731]",
+    "pairCount": "[bits=39997,log10=12040.2967365723]",
+    "sparsityThreshold": {
+      "kind": "power",
+      "value": "1/1"
+    },
+    "isSparse": true,
+    "mode": "analytic"
+  },
+  "certificate": {
+    "distinct": true,
+    "method": "construction",
+    "collision": null
+  }
+}
+JSON
+sparse-curves verify g20000v.json > g20000vv.txt
+diff g20000.txt g20000vv.txt
 
 # a 20,000-entry schema-1 document loads at the cost of its text: the
 # tracemalloc peak of load_document stays below the read of the text, its

@@ -6,6 +6,10 @@ homology classes, and evaluates rigorous lower/upper size bounds in exact or
 log-interval arithmetic.
 """
 
+# document first: without a bytecode cache every module is compiled as it is
+# imported, and document.py, whose compile needs the most memory, then
+# compiles while little else is held, so it does not set a process's peak
+from .document import SystemDocument, load_document, save_document
 from .bounds import (
     BoundValue,
     CrossingInequalityVerdict,
@@ -31,7 +35,6 @@ from .curves import (
     sparsity_chain_check,
     verify_sparsity,
 )
-from .document import SystemDocument, load_document, save_document
 from .errors import (
     DegenerateGeometryError,
     DocumentError,

@@ -10,21 +10,16 @@ load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 list.  Every listed form loads straight into the system's packed words, one
 sorted string of letter codes per necklace (see `curves.CurveSystem`), and
 schema 3 is written from their letter columns.  `from_dict` is the one
-parser; a schema-1/2 entry may also be a (necklace, word) pair, checked as
-its object is.  `load_document` decodes such an object, keys in either
-order, to no per-curve value: its necklace and its word, one string shared
-by every entry that spells it, go to two columns that the curve list
-carries to `from_dict`, so a load peaks at the read of its text.
-Schema-1/2 entries are checked field by field over the whole list at once;
-only when a check fails are they read again one by one, to name the first
-bad entry.  JSON keeps desk-scale systems inspectable by eye; round-tripping
-is stable field for field, and writes go through a temp file plus rename so
-readers never see a partial document.  Integers are written in decimal, so a
-report whose totals or threshold exceed CPython's int-to-str digit limit is
-refused before anything is written.  Every fault of a document being loaded,
-from unreadable bytes, bytes that are not UTF-8 and JSON nested too deeply to
-parse to a report or certificate that contradicts its system, raises
-DocumentError."""
+parser; `load_document` hands it a schema-1/2 list as necklace and word
+columns.  A full family's report holds its totals as `verify` prints them
+(past CPython's int-to-str digit limit, as `int_text` tokens) and no
+average: the loader checks them against the surface's closed form and takes
+them from it.  A listed report holds decimal totals and its average, and one
+whose totals or threshold pass the limit is refused before anything is
+written.  Writes go through a temp file plus rename so readers never see a
+partial document.  Every fault of a document being loaded, from unreadable
+bytes, bytes that are not UTF-8 and JSON nested too deeply to parse to a
+report or certificate that contradicts its system, raises DocumentError."""
 
 from __future__ import annotations
 
@@ -41,7 +36,8 @@ from .curves import Curve, CrossingReport, CurveSystem, SparsityThreshold
 from .errors import DocumentError, DomainError
 from .exactint import DECIMAL_DIGIT_LIMIT, fits_decimal, parse_fraction
 from .homology import DistinctnessCertificate
-from .logspace import int_text
+from .intersections import total_crossings_analytic
+from .logspace import fraction_text, int_text
 from .surfaces import ARC_LABELS, CompositeSurface, plan_composite
 
 SCHEMA_VERSION = 3
@@ -50,6 +46,8 @@ _LETTERS = frozenset("1234")
 _PACKED_CHARACTERS = frozenset("1234 ")
 _CODES = bytes.maketrans(b"1234", bytes(ARC_LABELS))
 _TEXT = bytes.maketrans(bytes(ARC_LABELS), b"1234")
+_TOTALS = ("totalCrossings", "pairCount")
+_AVERAGE = ("averageNumerator", "averageDenominator")
 
 
 class SystemDocument(NamedTuple):
@@ -60,17 +58,19 @@ class SystemDocument(NamedTuple):
     certificate: Optional[DistinctnessCertificate] = None
 
 
-def _fraction_text(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _printed(value: int) -> int | str:
+    """value as `verify` prints it: itself within the digit limit, else its token."""
+    return value if fits_decimal(value) else int_text(value)
 
 
-def _report_dict(report: CrossingReport) -> dict:
-    # checked before the average is reduced: JSON integers and the threshold's
-    # p/q text are decimal, and Python refuses any past the int-to-str limit
+def _report_dict(report: CrossingReport, full: bool) -> dict:
+    # a full family's totals go as printed, with no average: the surface fixes
+    # it, and megabit totals take seconds to reduce.  Other numbers are decimal,
+    # checked before the average is reduced: Python refuses any past the limit
     threshold = report.threshold
+    fields = dict(zip(_TOTALS, (report.total_crossings, report.pair_count)))
     for key, value in (
-        ("totalCrossings", report.total_crossings),
-        ("pairCount", report.pair_count),
+        *(() if full else fields.items()),
         ("sparsityThreshold.value", threshold.value.numerator),
         ("sparsityThreshold.value", threshold.value.denominator),
     ):
@@ -79,27 +79,20 @@ def _report_dict(report: CrossingReport) -> dict:
                 f"report.{key} has {value.bit_length()} bits, more than "
                 f"{DECIMAL_DIGIT_LIMIT} decimal digits"
             )
-    average = report.average
-    return {
-        "totalCrossings": report.total_crossings,
-        "pairCount": report.pair_count,
-        "averageNumerator": average.numerator,
-        "averageDenominator": average.denominator,
-        "sparsityThreshold": {"kind": threshold.kind, "value": _fraction_text(threshold.value)},
-        "isSparse": report.is_sparse,
-        "mode": report.mode,
-    }
+    if full:
+        fields = {key: _printed(value) for key, value in fields.items()}
+    else:
+        fields.update(zip(_AVERAGE, report.average.as_integer_ratio()))
+    text = fraction_text(threshold.value, slash=True)
+    fields["sparsityThreshold"] = {"kind": threshold.kind, "value": text}
+    return dict(fields, isSparse=report.is_sparse, mode=report.mode)
 
 
 def _certificate_dict(certificate: DistinctnessCertificate) -> dict:
     collision = certificate.collision
     if collision is not None:
         collision = [{"necklace": c.necklace, "word": "".join(map(str, c.word))} for c in collision]
-    return {
-        "distinct": certificate.distinct,
-        "method": certificate.method,
-        "collision": collision,
-    }
+    return {"distinct": certificate.distinct, "method": certificate.method, "collision": collision}
 
 
 def _packed_curves(system: CurveSystem) -> list[dict]:
@@ -122,13 +115,13 @@ def to_dict(doc: SystemDocument) -> dict:
         "schemaVersion": SCHEMA_VERSION,
         "surface": {
             "g": surface.g,
-            "alpha": _fraction_text(surface.alpha),
+            "alpha": fraction_text(surface.alpha, slash=True),
             "h": surface.h,
             "hPrime": surface.h_prime,
             "baseGenus": surface.base_genus,
         },
         "curves": FULL_FAMILY if system.full else _packed_curves(system),
-        "report": _report_dict(doc.report) if doc.report else None,
+        "report": _report_dict(doc.report, system.full) if doc.report else None,
         "certificate": _certificate_dict(doc.certificate) if doc.certificate else None,
     }
 
@@ -162,10 +155,6 @@ def _json_bool(value: object, name: str) -> bool:
     if not isinstance(value, bool):
         raise DocumentError(f"{name} must be true or false, got {_quote(value)}")
     return value
-
-
-def _int_field(data: dict, key: str) -> int:
-    return _json_int(data[key], key)
 
 
 def _parse_curve(entry: object, index: int, field: str = "curves") -> Curve:
@@ -315,16 +304,16 @@ def _parse_threshold(entry: object) -> SparsityThreshold:
 def from_dict(data: object) -> SystemDocument:
     """The document a parsed JSON value describes; DocumentError names the
     first fault.  The surface is read first and checked against the plan of
-    its g and alpha (`plan_composite`), as pairCount is checked against the
-    curves.  Every other field is then checked for its shape.  Then the
-    report and the certificate are checked against the system: pairCount is
-    C(curves, 2); a listed system has neither an "analytic" report nor a
-    "construction" certificate; and a certificate names a collision exactly
-    when it is not distinct, one curve of the system twice.  A listed system's
-    totalCrossings is not checked, since only the counter can check it and
-    `verify` recounts.  A schema-1/2 curve list may hold (necklace, word)
-    pairs, each checked as its object, or be the necklace and word columns
-    that `load_document` decodes it to."""
+    its g and alpha (`plan_composite`), and a full family's report totals
+    against the closed form of that surface.  Every other field is then
+    checked for its shape.  Then the report and the certificate are checked
+    against the system: a listed system's pairCount is C(curves, 2); it has
+    neither an "analytic" report nor a "construction" certificate; and a
+    certificate names a collision exactly when it is not distinct, one curve
+    of the system twice.  A listed system's totalCrossings only the counter
+    can check, and `verify` recounts.  A schema-1/2 curve list may hold
+    (necklace, word) pairs, each checked as its object, or be the necklace
+    and word columns that `load_document` decodes it to."""
     if not isinstance(data, dict):
         raise DocumentError(f"document root must be an object, got {type(data).__name__}")
     version = data.get("schemaVersion")
@@ -336,9 +325,9 @@ def from_dict(data: object) -> SystemDocument:
     if not isinstance(surface_data, dict):
         raise DocumentError("missing surface object")
     try:
-        g = _int_field(surface_data, "g")
+        g = _json_int(surface_data["g"], "g")
         alpha = _parse_fraction(surface_data["alpha"], "surface.alpha")
-        stored = [(key, _int_field(surface_data, key)) for key in ("h", "hPrime", "baseGenus")]
+        stored = [(key, _json_int(surface_data[key], key)) for key in ("h", "hPrime", "baseGenus")]
     except KeyError as exc:
         raise DocumentError(f"surface missing key {exc}") from exc
     try:
@@ -349,7 +338,8 @@ def from_dict(data: object) -> SystemDocument:
         if value != planned:
             raise DocumentError(
                 f"inconsistent surface: {key} = {_quote(value)}, but the plan of "
-                f"g = {_quote(g)}, alpha = {_fraction_text(alpha)} has {key} = {_quote(planned)}"
+                f"g = {_quote(g)}, alpha = {fraction_text(alpha, slash=True)} "
+                f"has {key} = {_quote(planned)}"
             )
     curves_data = data.get("curves")
     if version == 1:
@@ -372,29 +362,41 @@ def from_dict(data: object) -> SystemDocument:
     if report_data is not None:
         if not isinstance(report_data, dict):
             raise DocumentError("report must be an object")
+        # a full family's totals are its surface's, which the stored ones must print as
+        totals = (total_crossings_analytic(surface), system.pair_count) if system.full else ()
         try:
+            stored = [report_data[key] for key in _TOTALS]
+            for key, value, total in zip(_TOTALS, stored, totals):
+                shown = _printed(total)
+                if type(value) is not type(shown) or value != shown:
+                    raise DocumentError(
+                        f"report.{key} = {_quote(value)}, but the full family "
+                        f"of the surface has {int_text(total)}"
+                    )
             report = CrossingReport(
-                total_crossings=_int_field(report_data, "totalCrossings"),
-                pair_count=_int_field(report_data, "pairCount"),
+                *(totals or map(_json_int, stored, _TOTALS)),
                 threshold=_parse_threshold(report_data["sparsityThreshold"]),
                 is_sparse=_json_bool(report_data["isSparse"], "isSparse"),
                 mode=report_data["mode"],
             )
-            numerator = _int_field(report_data, "averageNumerator")
-            denominator = _int_field(report_data, "averageDenominator")
+            # a full family's report needs no average, but one it holds is checked
+            averaged = not system.full or report_data.keys() & _AVERAGE
+            average = [_json_int(report_data[key], key) for key in _AVERAGE if averaged]
         except KeyError as exc:
             raise DocumentError(f"report missing key {exc}") from exc
         if report.mode not in ("explicit", "analytic"):
             raise DocumentError(
                 f'report.mode must be "explicit" or "analytic", got {_quote(report.mode)}'
             )
-        if denominator == 0:
-            raise DocumentError("averageDenominator must be nonzero")
-        if numerator * report.pair_count != denominator * report.total_crossings:
-            raise DocumentError(
-                "report average averageNumerator/averageDenominator differs "
-                "from totalCrossings/pairCount"
-            )
+        if average:
+            numerator, denominator = average
+            if denominator == 0:
+                raise DocumentError("averageDenominator must be nonzero")
+            if numerator * report.pair_count != denominator * report.total_crossings:
+                raise DocumentError(
+                    "report average averageNumerator/averageDenominator differs "
+                    "from totalCrossings/pairCount"
+                )
 
     certificate = None
     certificate_data = data.get("certificate")
@@ -419,13 +421,11 @@ def from_dict(data: object) -> SystemDocument:
         )
 
     # the annotations against the system, once every field has its shape
-    if report is not None:
-        n, pairs = system.curve_count, report.pair_count
-        # n <= 2*pairs + 1 whenever pairs = C(n, 2); it spares the product
-        # for a huge system against a pairCount of at most 4300 digits
-        if not (n <= 2 * pairs + 1 and n * (n - 1) // 2 == pairs):
+    if report is not None and not system.full:
+        n = system.curve_count
+        if n * (n - 1) // 2 != report.pair_count:
             raise DocumentError("report.pairCount differs from C(curves, 2) of the system")
-        if report.mode == "analytic" and not system.full:
+        if report.mode == "analytic":
             raise DocumentError(
                 'report.mode "analytic" needs the full family; '
                 "a listed system is counted explicitly"

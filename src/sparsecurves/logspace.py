@@ -277,10 +277,11 @@ def int_text(value: object) -> str:
     return f"{'-' * (value < 0)}[bits={value.bit_length()},log10={nstr(log10, PRINT_DIGITS)}]"
 
 
-def fraction_text(value: Fraction) -> str:
-    """value as str() shows it, `p` or `p/q`, with each part shown by `int_text`."""
+def fraction_text(value: Fraction, slash: bool = False) -> str:
+    """value as str() shows it, `p` or `p/q`, with each part shown by `int_text`;
+    with `slash`, `p/q` even when q = 1, as a document writes a fraction."""
     p, q = value.numerator, value.denominator
-    return int_text(p) if q == 1 else f"{int_text(p)}/{int_text(q)}"
+    return int_text(p) if q == 1 and not slash else f"{int_text(p)}/{int_text(q)}"
 
 
 Evaluator = Callable[[int], Interval]

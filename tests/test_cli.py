@@ -171,28 +171,49 @@ def test_verify_parse_error_exits_5(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "section, key, value",
+    "section, key, value, listed, message",
     [
-        ("surface", "g", "x"),
-        ("surface", "h", None),
-        ("report", "totalCrossings", "zz"),
-        ("report", "averageDenominator", 0),
-        ("surface", "g", 16.7),
-        ("surface", "h", 2.0),
-        ("surface", "g", True),
+        ("surface", "g", "x", False, "g must be"),
+        ("surface", "h", None, False, "h must be"),
+        (
+            "report",
+            "totalCrossings",
+            "zz",
+            False,
+            "report.totalCrossings = 'zz', but the full family of the surface has 0\n",
+        ),
+        # a full family's report stores no average, so a listed one carries it
+        ("report", "averageDenominator", 0, True, "averageDenominator must be"),
+        ("surface", "g", 16.7, False, "g must be"),
+        ("surface", "h", 2.0, False, "h must be"),
+        ("surface", "g", True, False, "g must be"),
+    ],
+    ids=[
+        "surface-g-x",
+        "surface-h-None",
+        "report-totalCrossings-zz",
+        "report-averageDenominator-0",
+        "surface-g-16.7",
+        "surface-h-2.0",
+        "surface-g-True",
     ],
 )
-def test_verify_bad_integer_field_exits_5(tmp_path, capsys, section, key, value):
+def test_verify_bad_integer_field_exits_5(
+    tmp_path, capsys, listed_system, section, key, value, listed, message
+):
     out = tmp_path / "g16.json"
     annotated = tmp_path / "annotated.json"
-    main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
+    if listed:
+        save_document(SystemDocument(listed_system()), out)
+    else:
+        main(["construct", "--g", "16", "--alpha", "0/1", "--out", str(out)])
     main(["verify", str(out), "--out", str(annotated)])
     data = json.loads(annotated.read_text())
     data[section][key] = value
     annotated.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(annotated)]) == 5
-    assert capsys.readouterr().err.startswith(f"error: {key} must be")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_verify_boolean_necklace_exits_5(tmp_path, capsys, listed_system):
@@ -251,10 +272,11 @@ def test_verify_schema_1_analytic_flag_exits_5(tmp_path, capsys, analytic, curve
     assert message in capsys.readouterr().err
 
 
-def test_verify_average_mismatch_exits_5(tmp_path, capsys):
+def test_verify_average_mismatch_exits_5(tmp_path, capsys, listed_system):
+    # a listed report stores its average; a full family's stores none
     out = tmp_path / "g36.json"
     annotated = tmp_path / "annotated.json"
-    main(["construct", "--g", "36", "--alpha", "0/1", "--out", str(out)])
+    save_document(SystemDocument(listed_system(36)), out)
     main(["verify", str(out), "--out", str(annotated)])
     data = json.loads(annotated.read_text())
     report = data["report"]
@@ -307,13 +329,18 @@ def test_verify_past_the_digit_limit(tmp_path, capsys):
     _check_big_token(_token(stdout, "pairs"), system.pair_count.bit_length())
     assert _token(stdout, "average") == render_ratio(crossings, system.pair_count)
     assert "sparse=true" in stdout and "status=holds" in stdout
-    # the document cannot hold the totals: refused before any reduction or write
-    assert main(["verify", str(doc), "--out", str(annotated)]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == stdout
-    assert captured.err.startswith(f"error: cannot write {annotated}: report.totalCrossings")
-    assert captured.err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+    # the document holds the totals as stdout shows them, with no average,
+    # and loads them back exactly, from the surface
+    assert main(["verify", str(doc), "--out", str(annotated)]) == 0
+    assert capsys.readouterr() == (stdout, "")
+    report = json.loads(annotated.read_text())["report"]
+    assert report["totalCrossings"] == _token(stdout, "crossings")
+    assert report["pairCount"] == _token(stdout, "pairs")
+    assert not {"averageNumerator", "averageDenominator"} & report.keys()
+    loaded = load_document(annotated).report
+    assert (loaded.total_crossings, loaded.pair_count) == (crossings, system.pair_count)
+    assert main(["verify", str(annotated)]) == 0
+    assert capsys.readouterr() == (stdout, "")
 
 
 # every command that writes, its --out path to be appended

@@ -279,10 +279,12 @@ def test_duplicate_curves_parse_but_fail_certification(listed_system):
     assert not certificate.distinct
 
 
-def test_save_refuses_totals_past_the_digit_limit(tmp_path):
-    doc = _sample_document()
+def test_save_refuses_totals_past_the_digit_limit(tmp_path, listed_system):
+    # only a listed report stores decimal totals; a full family's are written as printed
+    system = listed_system()
+    report = verify_sparsity(system, SparsityThreshold.power(Fraction(0)))
     big = 10 ** 4300
-    doc = doc._replace(report=doc.report._replace(total_crossings=big, pair_count=big + 1))
+    doc = SystemDocument(system, report._replace(total_crossings=big, pair_count=big + 1))
     path = tmp_path / "big.json"
     with pytest.raises(DocumentError, match="report.totalCrossings has 14285 bits"):
         save_document(doc, path)

@@ -328,6 +328,9 @@ def test_fraction_text_is_str_with_int_text_parts(value, text):
     assert fraction_text(value) == text
     if "[" not in text:
         assert text == str(value)
+    # as a document writes it: p/q whatever q is
+    slashed = text if value.denominator != 1 else f"{text}/1"
+    assert fraction_text(value, slash=True) == slashed
 
 
 _G16 = plan_composite(16, 0)
