@@ -5,7 +5,8 @@
 # pinned byte for byte, and the written schema-3 document of the one with
 # repeats), a document whose surface is not its plan (its refusal pinned), a
 # family whose totals pass the int<->str limit (its report and its
-# `verify --out` document pinned byte for byte), the memory peak of loading a
+# `verify --out` document pinned byte for byte) and its refusal of a
+# million-character threshold field, the memory peak of loading a
 # listed document, and the exact integer root and a plan at alpha = p/1000.
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
@@ -234,6 +235,27 @@ diff - g20000v.json <<'JSON'
 JSON
 sparse-curves verify g20000v.json > g20000vv.txt
 diff g20000.txt g20000vv.txt
+
+# a million-character value in that document is echoed cut: verify exits 5
+# with one stderr line under 400 bytes, for the threshold's kind and value
+for field in kind value; do
+  python - "$field" <<'PY'
+import json
+import sys
+
+data = json.load(open("g20000v.json", encoding="utf-8"))
+data["report"]["sparsityThreshold"][sys.argv[1]] = "x" * 10**6
+with open("long.json", "w", encoding="utf-8") as handle:
+    json.dump(data, handle)
+PY
+  status=0
+  sparse-curves verify long.json > long.txt 2> long.err || status=$?
+  test "$status" -eq 5
+  test ! -s long.txt
+  test "$(wc -l < long.err)" -eq 1
+  test "$(wc -c < long.err)" -lt 400
+  grep -q '^error: ' long.err
+done
 
 # a 20,000-entry schema-1 document loads at the cost of its text: the
 # tracemalloc peak of load_document stays below the read of the text, its

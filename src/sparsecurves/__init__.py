@@ -64,8 +64,6 @@ from .intersections import (
 from .surfaces import (
     ARC_LABELS,
     CompositeSurface,
-    NecklaceSurface,
-    build_necklace,
     plan_composite,
 )
 

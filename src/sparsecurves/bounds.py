@@ -72,10 +72,6 @@ class BoundValue(NamedTuple):
     digits: int
     evaluate: Callable[[int], Interval]  # digits -> enclosure of log10(value), memoised
 
-    def enclosure(self, digits: int) -> tuple[Decimal, Decimal]:
-        x = self.evaluate(digits)
-        return x.lo, x.hi
-
 
 def _make_bound(
     formula: str,
@@ -482,7 +478,7 @@ def _cell(field: str, value: object) -> object:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return fraction_text(value, slash=True)
     if field in ("count", "crossings"):  # blank when unknown or past ~60 digits
         return "" if value is None or value.bit_length() > 200 else str(value)
     return value

@@ -29,6 +29,7 @@ from .logspace import (
     MAX_DIGITS,
     PRINT_DIGITS,
     check_digits,
+    fraction_text,
     int_text,
     nstr,
 )
@@ -50,7 +51,9 @@ def _parse_fraction_arg(text: str, name: str) -> Fraction:
     try:
         return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"{name} must be an exact fraction like 1/2, got {text!r}: {exc}")
+        raise DomainError(
+            f"{name} must be an exact fraction like 1/2, got {int_text(text)}: {int_text(exc)}"
+        )
 
 
 def _check_precision(digits: int) -> None:
@@ -108,8 +111,7 @@ def _print_report(report: CrossingReport) -> None:
     crossings, pairs = report.total_crossings, report.pair_count
     print(f"crossings={int_text(crossings)} pairs={int_text(pairs)}")
     if fits_decimal(crossings) and fits_decimal(pairs):
-        exact = report.average
-        average = f"{exact.numerator}/{exact.denominator}"
+        average = fraction_text(report.average, slash=True)
     else:
         average = bounds_mod.render_ratio(crossings, pairs)
     print(
@@ -196,13 +198,15 @@ def _parse_g_values(args: argparse.Namespace) -> set[int]:
         try:
             values.update(int(chunk) for chunk in args.g.split(",") if chunk.strip())
         except ValueError as exc:
-            raise DomainError(f"--g must list integers, got {args.g!r}") from exc
+            raise DomainError(f"--g must list integers, got {int_text(args.g)}") from exc
     if args.g_range:
         try:
             lo_text, hi_text, count_text = args.g_range.split(":")
             lo, hi, count = int(lo_text), int(hi_text), int(count_text)
         except ValueError as exc:
-            raise DomainError(f"--g-range must be MIN:MAX:COUNT, got {args.g_range!r}") from exc
+            raise DomainError(
+                f"--g-range must be MIN:MAX:COUNT, got {int_text(args.g_range)}"
+            ) from exc
         if lo < 1 or hi < lo or count < 1:
             raise DomainError("--g-range needs 1 <= MIN <= MAX and COUNT >= 1")
         if count > MAX_GRID_COUNT:

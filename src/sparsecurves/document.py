@@ -10,16 +10,17 @@ load: schema 2 lists each curve as a {"necklace", "word"} object, and schema
 list.  Every listed form loads straight into the system's packed words, one
 sorted string of letter codes per necklace (see `curves.CurveSystem`), and
 schema 3 is written from their letter columns.  `from_dict` is the one
-parser; `load_document` hands it a schema-1/2 list as necklace and word
-columns.  A full family's report holds its totals as `verify` prints them
-(past CPython's int-to-str digit limit, as `int_text` tokens) and no
-average: the loader checks them against the surface's closed form and takes
-them from it.  A listed report holds decimal totals and its average, and one
-whose totals or threshold pass the limit is refused before anything is
-written.  Writes go through a temp file plus rename so readers never see a
-partial document.  Every fault of a document being loaded, from unreadable
-bytes, bytes that are not UTF-8 and JSON nested too deeply to parse to a
-report or certificate that contradicts its system, raises DocumentError."""
+parser, and reads a curve entry only as an object; `load_document` hands it
+a schema-1/2 list as necklace and word columns.  A full family's report
+holds its totals as `verify` prints them (past CPython's int-to-str digit
+limit, as `int_text` tokens) and no average: the loader checks them against
+the surface's closed form and takes them from it.  A listed report holds
+decimal totals and its average, and one whose totals or threshold pass the
+limit is refused before anything is written.  Writes go through a temp file
+plus rename so readers never see a partial document.  Every fault of a
+document being loaded, from unreadable bytes, bytes that are not UTF-8 and
+JSON nested too deeply to parse to a report or certificate that contradicts
+its system, raises DocumentError, a long value cut in its message."""
 
 from __future__ import annotations
 
@@ -126,45 +127,36 @@ def to_dict(doc: SystemDocument) -> dict:
     }
 
 
-def _quote(value: object) -> str:
-    """value as `int_text` shows it, or its type's name where even repr fails."""
-    try:
-        return int_text(value)
-    except ValueError:
-        return type(value).__name__
-
-
 def _parse_fraction(text: object, field: str) -> Fraction:
     if not isinstance(text, str):
-        raise DocumentError(f"{field} must be a 'p/q' string, got {_quote(text)}")
+        raise DocumentError(f"{field} must be a 'p/q' string, got {int_text(text)}")
     try:
         return parse_fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"{field}: {exc}") from exc
+        raise DocumentError(f"{field}: {int_text(exc)}") from exc
 
 
 def _json_int(value: object, name: str) -> int:
     """`value` itself if it is a JSON integer; floats, bools and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{name} must be an integer, got {_quote(value)}")
+        raise DocumentError(f"{name} must be an integer, got {int_text(value)}")
     return value
 
 
 def _json_bool(value: object, name: str) -> bool:
     """`value` itself if it is a JSON boolean; strings and numbers are refused."""
     if not isinstance(value, bool):
-        raise DocumentError(f"{name} must be true or false, got {_quote(value)}")
+        raise DocumentError(f"{name} must be true or false, got {int_text(value)}")
     return value
 
 
 def _parse_curve(entry: object, index: int, field: str = "curves") -> Curve:
-    """A {"necklace", "word"} object, or a (necklace, word) pair read as one."""
+    """A {"necklace", "word"} object as a curve."""
     name = f"{field}[{index}]"
-    pair = isinstance(entry, tuple) and len(entry) == 2
-    if not (pair or isinstance(entry, dict)):
-        raise DocumentError(f"{name} must be an object, got {_quote(entry)}")
+    if not isinstance(entry, dict):
+        raise DocumentError(f"{name} must be an object, got {int_text(entry)}")
     try:
-        necklace, word_text = entry if pair else (entry["necklace"], entry["word"])
+        necklace, word_text = entry["necklace"], entry["word"]
     except KeyError as exc:
         raise DocumentError(f"{name} missing key {exc}") from exc
     if _json_int(necklace, f"{name}.necklace") < 0:
@@ -189,8 +181,8 @@ def _parse_curves(entries: Iterable, field: str, surface: CompositeSurface) -> t
             )
         if curve.necklace >= surface.h_prime:
             raise DocumentError(
-                f"{field}[{i}].necklace = {_quote(curve.necklace)} "
-                f"outside [0, {_quote(surface.h_prime)})"
+                f"{field}[{i}].necklace = {int_text(curve.necklace)} "
+                f"outside [0, {int_text(surface.h_prime)})"
             )
     return curves
 
@@ -213,20 +205,18 @@ class _Columns(list):
 
 
 def _parse_listed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, bytes], ...]:
-    """Schema-1/2 listed curves, objects, pairs or `_Columns`, in any order,
-    packed per necklace.  Each check runs once over all entries, read straight
-    from the columns, by position when all are pairs and by key otherwise.
-    When one fails, `_parse_curves` reads them one by one, columns zipped into
-    pairs: it names the first bad entry, or gives the curves."""
+    """Schema-1/2 listed curves, {"necklace", "word"} objects or `_Columns`,
+    in any order, packed per necklace.  Each check runs once over all
+    entries, read straight from the columns or by key.  When one fails,
+    `_parse_curves` reads them one by one as objects, which columns yield
+    only then: it names the first bad entry, or gives the curves."""
     try:
         if isinstance(entries, _Columns):
             necklaces, words = entries.necklaces, entries.words
-            entries = zip(necklaces, words)  # pairs, read only if a check fails
+            entries = ({"necklace": k, "word": w} for k, w in zip(necklaces, words))
         else:
-            pairs = set(map(type, entries)) == {tuple} and set(map(len, entries)) == {2}
-            necklace_key, word_key = (0, 1) if pairs else ("necklace", "word")
-            necklaces = list(map(itemgetter(necklace_key), entries))
-            words = list(map(itemgetter(word_key), entries))
+            necklaces = list(map(itemgetter("necklace"), entries))
+            words = list(map(itemgetter("word"), entries))
         distinct = set(words)  # each distinct word once: decoded entries share them
         letters = set("".join(distinct))
     except (TypeError, KeyError):  # no object, a missing key, a word that is no string
@@ -253,7 +243,7 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
     previous = -1
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise DocumentError(f"curves[{i}] must be an object, got {_quote(entry)}")
+            raise DocumentError(f"curves[{i}] must be an object, got {int_text(entry)}")
         try:
             necklace = _json_int(entry["necklace"], f"curves[{i}].necklace")
             text = entry["words"]
@@ -261,12 +251,13 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
             raise DocumentError(f"curves[{i}] missing key {exc}") from exc
         if not 0 <= necklace < surface.h_prime:
             raise DocumentError(
-                f"curves[{i}].necklace = {_quote(necklace)} outside [0, {_quote(surface.h_prime)})"
+                f"curves[{i}].necklace = {int_text(necklace)} "
+                f"outside [0, {int_text(surface.h_prime)})"
             )
         if necklace <= previous:
             raise DocumentError(
-                f"curves[{i}].necklace = {_quote(necklace)} must exceed "
-                f"the previous necklace {_quote(previous)}"
+                f"curves[{i}].necklace = {int_text(necklace)} must exceed "
+                f"the previous necklace {int_text(previous)}"
             )
         previous = necklace
         if not isinstance(text, str) or not text:
@@ -288,7 +279,7 @@ def _parse_packed(entries: list, surface: CompositeSurface) -> tuple[tuple[int, 
 
 def _parse_threshold(entry: object) -> SparsityThreshold:
     if not isinstance(entry, dict) or "kind" not in entry or "value" not in entry:
-        raise DocumentError(f"sparsityThreshold must have kind and value, got {_quote(entry)}")
+        raise DocumentError(f"sparsityThreshold must have kind and value, got {int_text(entry)}")
     kind = entry["kind"]
     value = _parse_fraction(entry["value"], "sparsityThreshold.value")
     if kind == "rational":
@@ -298,7 +289,7 @@ def _parse_threshold(entry: object) -> SparsityThreshold:
             raise DocumentError(f"sparsityThreshold.value: {exc}") from exc
     if kind == "power":
         return SparsityThreshold.power(value)
-    raise DocumentError(f"unknown threshold kind {_quote(kind)}")
+    raise DocumentError(f"unknown threshold kind {int_text(kind)}")
 
 
 def from_dict(data: object) -> SystemDocument:
@@ -311,15 +302,15 @@ def from_dict(data: object) -> SystemDocument:
     neither an "analytic" report nor a "construction" certificate; and a
     certificate names a collision exactly when it is not distinct, one curve
     of the system twice.  A listed system's totalCrossings only the counter
-    can check, and `verify` recounts.  A schema-1/2 curve list may hold
-    (necklace, word) pairs, each checked as its object, or be the necklace
-    and word columns that `load_document` decodes it to."""
+    can check, and `verify` recounts.  A schema-1/2 curve list holds
+    {"necklace", "word"} objects, or is the necklace and word columns that
+    `load_document` decodes it to."""
     if not isinstance(data, dict):
         raise DocumentError(f"document root must be an object, got {type(data).__name__}")
     version = data.get("schemaVersion")
     if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
         raise DocumentError(
-            f"unsupported schemaVersion {_quote(version)}, expected 1, 2 or {SCHEMA_VERSION}"
+            f"unsupported schemaVersion {int_text(version)}, expected 1, 2 or {SCHEMA_VERSION}"
         )
     surface_data = data.get("surface")
     if not isinstance(surface_data, dict):
@@ -337,9 +328,9 @@ def from_dict(data: object) -> SystemDocument:
     for (key, value), planned in zip(stored, surface[2:]):  # h, h', base genus
         if value != planned:
             raise DocumentError(
-                f"inconsistent surface: {key} = {_quote(value)}, but the plan of "
-                f"g = {_quote(g)}, alpha = {fraction_text(alpha, slash=True)} "
-                f"has {key} = {_quote(planned)}"
+                f"inconsistent surface: {key} = {int_text(value)}, but the plan of "
+                f"g = {int_text(g)}, alpha = {fraction_text(alpha, slash=True)} "
+                f"has {key} = {int_text(planned)}"
             )
     curves_data = data.get("curves")
     if version == 1:
@@ -370,7 +361,7 @@ def from_dict(data: object) -> SystemDocument:
                 shown = _printed(total)
                 if type(value) is not type(shown) or value != shown:
                     raise DocumentError(
-                        f"report.{key} = {_quote(value)}, but the full family "
+                        f"report.{key} = {int_text(value)}, but the full family "
                         f"of the surface has {int_text(total)}"
                     )
             report = CrossingReport(
@@ -386,7 +377,7 @@ def from_dict(data: object) -> SystemDocument:
             raise DocumentError(f"report missing key {exc}") from exc
         if report.mode not in ("explicit", "analytic"):
             raise DocumentError(
-                f'report.mode must be "explicit" or "analytic", got {_quote(report.mode)}'
+                f'report.mode must be "explicit" or "analytic", got {int_text(report.mode)}'
             )
         if average:
             numerator, denominator = average
@@ -412,7 +403,7 @@ def from_dict(data: object) -> SystemDocument:
         method = certificate_data.get("method", "exhaustive")
         if method not in ("exhaustive", "construction"):
             raise DocumentError(
-                f'certificate.method must be "exhaustive" or "construction", got {_quote(method)}'
+                f'certificate.method must be "exhaustive" or "construction", got {int_text(method)}'
             )
         certificate = DistinctnessCertificate(
             distinct=_json_bool(certificate_data.get("distinct", False), "distinct"),

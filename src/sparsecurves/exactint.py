@@ -214,13 +214,13 @@ def le_scaled_power(lhs: int, rhs: int, g: int, alpha: Fraction) -> bool:
 
 
 def is_exact_power(g: int, exponent: Fraction) -> int | None:
-    """Return g**exponent as an int when that value is an exact integer, else None."""
+    """Return g**exponent as an int when that value is an exact integer, else None:
+    with exponent = r/s in lowest terms, exactly when g is an s-th power t**s."""
     if g < 1 or exponent < 0:
         return None
     r, s = exponent.numerator, exponent.denominator
-    power = g ** r
-    root = integer_nth_root(power, s)
-    return root if root ** s == power else None
+    root = integer_nth_root(g, s)
+    return root ** r if root ** s == g else None
 
 
 @functools.lru_cache(maxsize=256)

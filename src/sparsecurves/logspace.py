@@ -15,7 +15,8 @@ hard cap, and raises PrecisionError if they still overlap there.  Precision
 starts at `digits >= 1` (doubling 0 never moves).  All formula inequalities
 we certify are strict with room, so the cap is only ever reached for
 genuinely equal quantities.  `int_text` and `fraction_text` show any number
-past CPython's int<->str limit by its bit length and certified log10.
+past CPython's int<->str limit by its bit length and certified log10, and
+`int_text` cuts any other long text, so an error line stays short.
 """
 
 from __future__ import annotations
@@ -268,13 +269,26 @@ def nstr(x: Decimal, digits: int) -> str:
     return f"{mantissa}{e}{exponent}"
 
 
+# Characters of a text that `int_text` shows before it cuts the text.
+SHOWN_CHARACTERS = 100
+
+
 def int_text(value: object) -> str:
-    """repr(value), but an int past DECIMAL_DIGIT_LIMIT digits is one token,
-    `[bits=B,log10=L]` with the exact bit length and log10 of |value|, signed."""
-    if not isinstance(value, int) or fits_decimal(value):
-        return repr(value)
-    log10 = midpoint(log10_int(interval_context(DEFAULT_DIGITS), abs(value)), DEFAULT_DIGITS)
-    return f"{'-' * (value < 0)}[bits={value.bit_length()},log10={nstr(log10, PRINT_DIGITS)}]"
+    """value as an error line shows it; never raises.  An int past
+    DECIMAL_DIGIT_LIMIT digits is one token, `[bits=B,log10=L]` with the exact
+    bit length and log10 of |value|, signed.  Any other value is its repr (an
+    exception, its message), or its type's name where repr fails; a text
+    other than an int's is cut after SHOWN_CHARACTERS, with its length given."""
+    if isinstance(value, int) and not fits_decimal(value):
+        log10 = midpoint(log10_int(interval_context(DEFAULT_DIGITS), abs(value)), DEFAULT_DIGITS)
+        return f"{'-' * (value < 0)}[bits={value.bit_length()},log10={nstr(log10, PRINT_DIGITS)}]"
+    try:
+        text = str(value) if isinstance(value, BaseException) else repr(value)
+    except ValueError:  # such as a list holding an int past the limit
+        return type(value).__name__
+    if isinstance(value, int) or len(text) <= SHOWN_CHARACTERS:
+        return text
+    return f"{text[:SHOWN_CHARACTERS]}...[{len(text)} characters]"
 
 
 def fraction_text(value: Fraction, slash: bool = False) -> str:

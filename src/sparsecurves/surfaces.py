@@ -54,64 +54,6 @@ def check_alpha(alpha: Fraction) -> None:
         raise DomainError(f"alpha must lie in (-1, 1], got {fraction_text(alpha)}")
 
 
-class NecklaceSurface(NamedTuple):
-    """Closed genus-h surface made of h-1 pieces and h-1 annuli in a cycle."""
-
-    h: int
-    pieces: tuple[int, ...]
-    annuli: tuple[tuple[int, int], ...]
-
-    @property
-    def piece_count(self) -> int:
-        return len(self.pieces)
-
-    @property
-    def euler_characteristic(self) -> int:
-        # -2 per piece, 0 per annulus
-        return -2 * len(self.pieces)
-
-    @property
-    def genus_from_euler(self) -> int:
-        return (2 - self.euler_characteristic) // 2
-
-    def is_single_cycle(self) -> bool:
-        """True iff following the annuli from piece 0 visits every piece once."""
-        n = len(self.pieces)
-        succ = dict(self.annuli)
-        seen = set()
-        cur = 0
-        for _ in range(n):
-            if cur in seen:
-                return False
-            seen.add(cur)
-            cur = succ.get(cur)
-            if cur is None:
-                return False
-        return cur == 0 and len(seen) == n
-
-    def check_invariants(self) -> None:
-        if self.h < 2:
-            raise DomainError(f"necklace genus must be >= 2, got {int_text(self.h)}")
-        if len(self.pieces) != self.h - 1 or len(self.annuli) != self.h - 1:
-            raise DomainError("necklace needs exactly h-1 pieces and h-1 annuli")
-        if not self.is_single_cycle():
-            raise DomainError("piece/annulus incidence must form a single cycle")
-        if self.genus_from_euler != self.h:
-            raise DomainError("assembled Euler characteristic disagrees with genus")
-
-
-def build_necklace(h: int) -> NecklaceSurface:
-    """Assemble the cyclic necklace of genus h (h >= 2)."""
-    n = h - 1
-    surface = NecklaceSurface(
-        h=h,
-        pieces=tuple(range(n)),
-        annuli=tuple((i, (i + 1) % n) for i in range(n)),
-    )
-    surface.check_invariants()
-    return surface
-
-
 class CompositeSurface(NamedTuple):
     """Genus-g surface carrying h' necklaces of genus h plus a genus-(g-h*h') base."""
 

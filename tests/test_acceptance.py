@@ -279,7 +279,7 @@ def test_criterion_09_linear_regime():
     """At alpha=-1 the ceiling is exactly 2g*e**(sqrt(128)+6) and dominates 3g-3 for g <= 10**4."""
     digits = 50
     coeff = linear_regime_bound(2, -1).coefficient
-    coeff_lo, _ = coeff.enclosure(digits)
+    coeff_lo = coeff.evaluate(digits).lo
 
     # Domination for every g: log10 of the coefficient exceeds 7, so the
     # ceiling is at least 2g * 10**7, and 3g-3 <= 2g * 10**7 for all g >= 1.

@@ -76,7 +76,8 @@ def test_lower_bound_needs_no_buildable_plan():
     # but 2**sqrt(g) * floor(2*sqrt(g)) / 16 is still bounded in log space
     value = lower_bound(10 ** 18, 0)
     assert value.exact is None
-    assert value.enclosure(50) == (
+    enclosure = value.evaluate(50)
+    assert (enclosure.lo, enclosure.hi) == (
         Decimal("301030003.760891208221795309083276342594710801157538896924099"),
         Decimal("301030003.760891208221795309083276342594710801157538896924104"),
     )
@@ -508,7 +509,7 @@ def _bound_enclosures(g, alpha, f, linear_alpha, digits):
         linear.value,
         linear.coefficient,
     ]
-    return [(v.log10, v.enclosure(digits)) for v in values]
+    return [(v.log10, v.evaluate(digits).lo, v.evaluate(digits).hi) for v in values]
 
 
 @given(

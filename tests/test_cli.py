@@ -1193,6 +1193,58 @@ def test_fraction_at_the_digit_limit_is_read(tmp_path, capsys):
     assert f"threshold={10 ** 4299} " in captured.out
 
 
+@pytest.fixture(scope="module")
+def verified_g20000(tmp_path_factory):
+    """The `verify --out` document of the full family at g = 20000, alpha = 1."""
+    root = tmp_path_factory.mktemp("g20000")
+    with _inside(root):
+        assert _run_cli(["construct", "--g", "20000", "--alpha", "1/1", "--out", "g.json"])[0] == 0
+        assert _run_cli(["verify", "g.json", "--out", "v.json"])[0] == 0
+    return root / "v.json"
+
+
+_LONG = "x" * 10 ** 6
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("report", "totalCrossings"),
+        ("report", "sparsityThreshold", "kind"),
+        ("schemaVersion",),
+        ("report", "sparsityThreshold", "value"),
+        ("surface", "alpha"),
+        ("report", "mode"),
+        ("certificate", "method"),
+        ("curves",),
+        None,
+    ],
+    ids=[
+        "totalCrossings", "threshold-kind", "schemaVersion", "threshold-value",
+        "surface-alpha", "report-mode", "certificate-method", "curves[0]", "argument-f",
+    ],
+)
+def test_an_error_line_cuts_a_long_value(verified_g20000, tmp_path, path):
+    # each value is echoed in the error line; a million characters of it
+    # once made a line of a megabyte
+    data = json.loads(verified_g20000.read_text())
+    if path is None:
+        argv, exit_code = ["verify", str(verified_g20000), "--f", _LONG[: 10 ** 5]], 4
+    else:
+        *parents, key = path
+        node = data
+        for parent in parents:
+            node = node[parent]
+        node[key] = [_LONG] if path == ("curves",) else _LONG
+        doc = tmp_path / "long.json"
+        doc.write_text(json.dumps(data))
+        argv, exit_code = ["verify", str(doc)], 5
+    code, stderr = _run_cli(argv)
+    assert code == exit_code
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert len(stderr.encode()) < 400, stderr
+
+
 def _readme_command_lines() -> list[list[str]]:
     """The argv of every `sparse-curves ...` line in README's "Command line" block."""
     section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]

@@ -202,6 +202,43 @@ def test_is_exact_power():
     assert is_exact_power(10 ** 6, Fraction(1, 2)) == 1000
 
 
+def _is_exact_power_of_the_power(g, exponent):
+    """The reference: the s-th root of g**r itself, as is_exact_power once took it."""
+    if g < 1 or exponent < 0:
+        return None
+    r, s = exponent.numerator, exponent.denominator
+    power = g ** r
+    root = integer_nth_root(power, s)
+    return root if root ** s == power else None
+
+
+@given(
+    t=st.integers(min_value=1, max_value=10 ** 6),
+    r=st.integers(min_value=0, max_value=30),
+    s=st.integers(min_value=1, max_value=12),
+    near=st.sampled_from([-1, 0, 1, None]),
+    other=st.integers(min_value=1, max_value=10 ** 60),
+)
+@example(t=1, r=0, s=1, near=0, other=1)
+@example(t=2, r=3, s=12, near=-1, other=1)  # 2**12 - 1
+@example(t=3, r=5, s=12, near=0, other=1)  # 3**12
+@example(t=10 ** 6, r=7, s=12, near=1, other=1)
+@settings(max_examples=300, deadline=None)
+def test_is_exact_power_matches_the_root_of_the_power(t, r, s, near, other):
+    # g is t**s - 1, t**s, t**s + 1, or any value
+    g = other if near is None else max(1, t ** s + near)
+    exponent = Fraction(r, s)
+    assert is_exact_power(g, exponent) == _is_exact_power_of_the_power(g, exponent)
+
+
+def test_is_exact_power_of_a_large_genus_takes_one_small_root():
+    # the 2000th root of g**1999, about 8.6 million bits, took seconds
+    started = time.perf_counter()
+    assert is_exact_power(10 ** 1300 + 7, Fraction(1999, 2000)) is None
+    assert time.perf_counter() - started < 1
+    assert is_exact_power(12345 ** 2000, Fraction(1999, 2000)) == 12345 ** 1999
+
+
 def test_min_admissible_genus():
     assert min_admissible_genus(Fraction(0)) == 16
     assert min_admissible_genus(Fraction(1)) == 4

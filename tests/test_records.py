@@ -21,7 +21,6 @@ from sparsecurves.homology import DistinctnessCertificate, HomologyClass
 from sparsecurves.surfaces import (
     ARC_LABELS,
     CompositeSurface,
-    NecklaceSurface,
     plan_composite,
 )
 
@@ -59,11 +58,6 @@ _curves = st.builds(Curve, st.integers(0, 3), st.lists(st.sampled_from(ARC_LABEL
 
 # one strategy per field, in field order, for each record
 _FIELDS = {
-    NecklaceSurface: {
-        "h": _ints,
-        "pieces": _int_tuples,
-        "annuli": st.lists(st.tuples(_ints, _ints), max_size=3).map(tuple),
-    },
     CompositeSurface: {
         "g": _ints, "alpha": _fractions, "h": _ints, "h_prime": _ints, "base_genus": _ints,
     },

@@ -1,4 +1,4 @@
-"""Necklace assembly and composite-surface planning."""
+"""Composite-surface planning."""
 
 from fractions import Fraction
 
@@ -8,37 +8,7 @@ from hypothesis import strategies as st
 
 from sparsecurves.errors import DomainError
 from sparsecurves.exactint import floor_scaled_power, min_admissible_genus
-from sparsecurves.surfaces import MAX_NECKLACE_GENUS, build_necklace, plan_composite
-
-
-def test_build_necklace_smallest():
-    n = build_necklace(2)
-    assert len(n.pieces) == 1
-    assert len(n.annuli) == 1
-    assert n.annuli == ((0, 0),)
-    assert n.genus_from_euler == 2
-
-
-def test_build_necklace_genus_five():
-    n = build_necklace(5)
-    assert len(n.pieces) == 4
-    assert len(n.annuli) == 4
-    # Euler characteristic 4*(-2) + 4*0 = -8 = 2 - 2*5
-    assert n.euler_characteristic == -8
-    assert n.genus_from_euler == 5
-    assert n.is_single_cycle()
-
-
-def test_build_necklace_rejects_h1():
-    with pytest.raises(DomainError):
-        build_necklace(1)
-
-
-@given(h=st.integers(min_value=2, max_value=200))
-def test_necklace_invariants(h):
-    n = build_necklace(h)
-    n.check_invariants()
-    assert n.genus_from_euler == h
+from sparsecurves.surfaces import MAX_NECKLACE_GENUS, plan_composite
 
 
 def test_plan_composite_examples():
