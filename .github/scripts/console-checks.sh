@@ -6,7 +6,8 @@
 # repeats), a document whose surface is not its plan (its refusal pinned), a
 # family whose totals pass the int<->str limit (its report and its
 # `verify --out` document pinned byte for byte) and its refusal of a
-# million-character threshold field, the memory peak of loading a
+# million-character threshold field, the refusal of a 100,000-character
+# --g in one short line, the memory peak of loading a
 # listed document, and the exact integer root and a plan at alpha = p/1000.
 # Run it in an empty scratch directory, after `python -m pip install -e .`:
 #
@@ -256,6 +257,16 @@ PY
   test "$(wc -c < long.err)" -lt 400
   grep -q '^error: ' long.err
 done
+
+# argparse quotes a rejected value whole; a 100,000-character --g is cut
+# to one short error line
+status=0
+sparse-curves construct --g "$(head -c 100000 /dev/zero | tr '\0' x)" > longg.txt 2> longg.err || status=$?
+test "$status" -eq 4
+test ! -s longg.txt
+test "$(wc -l < longg.err)" -eq 1
+test "$(wc -c < longg.err)" -lt 400
+grep -q '^error: ' longg.err
 
 # a 20,000-entry schema-1 document loads at the cost of its text: the
 # tracemalloc peak of load_document stays below the read of the text, its

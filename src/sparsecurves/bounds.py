@@ -55,6 +55,7 @@ from .logspace import (
     midpoint,
     nstr,
     power_ln,
+    refine,
 )
 from .surfaces import CompositeSurface, check_plan_domain, plan_composite
 
@@ -246,72 +247,51 @@ def crossing_inequality_check(
     (m * log(m / ((2g-1)e**6)))**2 / (128*(2g-2)) must be strictly below the
     exact crossing total of any genuine curve system, so HOLDS is the only
     healthy verdict; INCONSISTENT flags an internal error in the caller's cr.
-    Both comparisons go through `logspace.certify`; one still undecided at
-    MAX_DIGITS is reported UNDECIDED.
+    Each precision is one `logspace.refine` step: it decides applicability,
+    then, once the gap ln(m / ((2g-1)e**6)) is certified positive, the left
+    side against the crossings; a step still undecided at MAX_DIGITS reports
+    UNDECIDED, with no left side or crossings.
     """
     _check_genus(g)
     if not isinstance(m, int) or m < 2:
         raise DomainError(f"system size must be an integer >= 2, got {int_text(m)}")
     if cr < 0:
         raise DomainError(f"crossing total must be >= 0, got {int_text(cr)}")
+    threshold_at = _ceiling(2 * g - 1, lambda ctx: ctx.point(0))  # e**6 * (2g-1)
 
-    # memoised, so that verdict reuses the enclosures certify settled on
-    threshold = cache(_ceiling(2 * g - 1, lambda ctx: ctx.point(0)))  # e**6 * (2g-1)
-
-    @cache
-    def size(d: int):
-        return log10_int(interval_context(d), m)
-
-    def gap(ctx):  # ln(m / ((2g-1) * e**6)), positive exactly in the applicable regime
-        return ln_int(ctx, m) - ln_int(ctx, 2 * g - 1) - 6
-
-    @cache
-    def left(d: int):
+    def step(d: int) -> Optional[CrossingInequalityVerdict]:
         ctx = interval_context(d)
-        gap_iv = gap(ctx)
-        if gap_iv.lo <= 0:
-            # log(gap) is undefined until the gap is certified positive; the
-            # whole real line overlaps every enclosure, so certify retries
-            return Interval(Decimal("-Infinity"), Decimal("Infinity"), ctx)
-        return (
-            2 * (log10_int(ctx, m) + ctx.ln(gap_iv) / ctx.ln10)
-            - log10_int(ctx, 128 * (2 * g - 2))
-        )
-
-    @cache
-    def crossings(d: int):
-        return log10_int(interval_context(d), cr)
-
-    def verdict(status, d, left_eval=None, crossings_eval=None):
+        size, threshold = log10_int(ctx, m), threshold_at(d)
+        status = left = crossings = None
+        if size.hi < threshold.lo:
+            status = InequalityStatus.NOT_APPLICABLE
+        elif threshold.hi <= size.lo:
+            # ln(m / ((2g-1) * e**6)): its log is taken once it is certified positive
+            gap = ln_int(ctx, m) - ln_int(ctx, 2 * g - 1) - 6
+            if gap.lo > 0:
+                left = 2 * (size + ctx.ln(gap) / ctx.ln10) - log10_int(ctx, 128 * (2 * g - 2))
+                if cr == 0:  # the left side is a square, never below zero crossings
+                    status = InequalityStatus.INCONSISTENT
+                else:
+                    crossings = log10_int(ctx, cr)
+                    if left.hi < crossings.lo:
+                        status = InequalityStatus.HOLDS
+                    elif crossings.hi <= left.lo:
+                        status = InequalityStatus.INCONSISTENT
+        if status is None:
+            if d < MAX_DIGITS:
+                return None
+            status, left, crossings = InequalityStatus.UNDECIDED, None, None
         return CrossingInequalityVerdict(
             status,
-            midpoint(threshold(d), d),
-            midpoint(size(d), d),
-            None if left_eval is None else midpoint(left_eval(d), d),
-            None if crossings_eval is None else midpoint(crossings_eval(d), d),
+            midpoint(threshold, d),
+            midpoint(size, d),
+            None if left is None else midpoint(left, d),
+            None if crossings is None else midpoint(crossings, d),
             d,
         )
 
-    try:
-        # m versus e**6 * (2g-1); never equal (threshold irrational)
-        below, d = certify(size, threshold, strict=True, digits=digits)
-        if below:
-            return verdict(InequalityStatus.NOT_APPLICABLE, d)
-        if cr == 0:
-            # the left side is a square, never below zero crossings; the gap
-            # is certified positive only so that the left side can be reported
-            _, d = certify(
-                lambda d: interval_context(d).point(0),
-                lambda d: gap(interval_context(d)),
-                strict=True,
-                digits=d,
-            )
-            return verdict(InequalityStatus.INCONSISTENT, d, left)
-        holds, d = certify(left, crossings, strict=True, digits=d)
-    except PrecisionError:  # raised at MAX_DIGITS, or at once from above it
-        return verdict(InequalityStatus.UNDECIDED, max(digits, MAX_DIGITS))
-    status = InequalityStatus.HOLDS if holds else InequalityStatus.INCONSISTENT
-    return verdict(status, d, left, crossings)
+    return refine(step, digits=digits, max_digits=MAX_DIGITS)[0]
 
 
 class LinearRegimeBound(NamedTuple):

@@ -29,6 +29,7 @@ from .logspace import (
     MAX_DIGITS,
     PRINT_DIGITS,
     check_digits,
+    cut_text,
     fraction_text,
     int_text,
     nstr,
@@ -258,11 +259,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Argument errors raise DomainError, so they exit 4 with one `error:` line
-    instead of argparse's usage text and exit 2 (which means "not sparse")."""
+    """Argument errors raise DomainError, cut by `cut_text`, so they exit 4 with
+    one short `error:` line, not argparse's usage text and exit 2 ("not sparse")."""
 
     def error(self, message: str):
-        raise DomainError(message)
+        raise DomainError(cut_text(message))
 
 
 _IGNORED = "accepted and ignored, so older scripts still parse"

@@ -413,8 +413,7 @@ def from_dict(data: object) -> SystemDocument:
 
     # the annotations against the system, once every field has its shape
     if report is not None and not system.full:
-        n = system.curve_count
-        if n * (n - 1) // 2 != report.pair_count:
+        if system.pair_count != report.pair_count:
             raise DocumentError("report.pairCount differs from C(curves, 2) of the system")
         if report.mode == "analytic":
             raise DocumentError(

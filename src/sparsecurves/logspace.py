@@ -9,14 +9,15 @@ rounds + - * / toward floor or ceiling as asked, and its `ln`, `exp` and
 `sqrt` are correctly rounded, so each of those is widened by one unit in the
 last place; no float decides anything.  Evaluators at one precision share one
 `IntervalContext`, whose precision and rounding are fixed when it is built
-(see `interval_context`).  Every certified comparison goes through one kernel,
-`certify`: while the two enclosures overlap it doubles the digits, up to a
-hard cap, and raises PrecisionError if they still overlap there.  Precision
-starts at `digits >= 1` (doubling 0 never moves).  All formula inequalities
-we certify are strict with room, so the cap is only ever reached for
-genuinely equal quantities.  `int_text` and `fraction_text` show any number
-past CPython's int<->str limit by its bit length and certified log10, and
-`int_text` cuts any other long text, so an error line stays short.
+(see `interval_context`).  Every certified verdict is settled by one loop,
+`refine`: while its step settles nothing it doubles the digits, up to a hard
+cap, and raises PrecisionError if the step is still unsettled there.
+Precision starts at `digits >= 1` (doubling 0 never moves).  `certify` is
+`refine` with the step a <= b; formula inequalities hold with room, so the
+cap is only ever reached for genuinely equal quantities.  `int_text` and
+`fraction_text` show any number past CPython's int<->str limit by its bit
+length and certified log10, and `int_text` cuts any other long text, so an
+error line stays short.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional, TypeVar
 
 from .errors import DomainError, PrecisionError
 from .exactint import fits_decimal, is_exact_power
@@ -286,7 +287,12 @@ def int_text(value: object) -> str:
         text = str(value) if isinstance(value, BaseException) else repr(value)
     except ValueError:  # such as a list holding an int past the limit
         return type(value).__name__
-    if isinstance(value, int) or len(text) <= SHOWN_CHARACTERS:
+    return text if isinstance(value, int) else cut_text(text)
+
+
+def cut_text(text: str) -> str:
+    """text, or its first SHOWN_CHARACTERS characters and then its length."""
+    if len(text) <= SHOWN_CHARACTERS:
         return text
     return f"{text[:SHOWN_CHARACTERS]}...[{len(text)} characters]"
 
@@ -299,6 +305,7 @@ def fraction_text(value: Fraction, slash: bool = False) -> str:
 
 
 Evaluator = Callable[[int], Interval]
+T = TypeVar("T")
 
 
 def check_digits(digits: int) -> None:
@@ -307,33 +314,46 @@ def check_digits(digits: int) -> None:
         raise DomainError(f"precision must be at least 1 digit, got {int_text(digits)}")
 
 
+def refine(
+    step: Callable[[int], Optional[T]],
+    *,
+    digits: int = DEFAULT_DIGITS,
+    max_digits: int = MAX_DIGITS,
+) -> tuple[T, int]:
+    """(value, settled_digits) at the first d where step(d) is not None: d
+    starts at `digits` and doubles, capped at max_digits, where PrecisionError
+    is raised if step(d) is still None."""
+    check_digits(digits)
+    d = digits
+    while True:
+        value = step(d)
+        if value is not None:
+            return value, d
+        if d >= max_digits:
+            raise PrecisionError(f"still undecided at {d} digits")
+        d = min(2 * d, max_digits)
+
+
 def certify(
     eval_a: Evaluator,
     eval_b: Evaluator,
     *,
-    strict: bool = False,
     digits: int = DEFAULT_DIGITS,
     max_digits: int = MAX_DIGITS,
 ) -> tuple[bool, int]:
-    """Certify a <= b (a < b when strict) between two interval-valued evaluators.
+    """Certify a <= b between two interval-valued evaluators, by `refine`.
 
     Returns (verdict, settled_digits): the verdict is proven either way, and
-    settled_digits is the precision of the evaluations that decided it.  The
-    precision starts at `digits` and doubles while the enclosures overlap;
-    PrecisionError is raised if they still overlap at max_digits.
+    settled_digits is the precision of the evaluations that decided it.
+    PrecisionError is raised if the enclosures still overlap at max_digits.
     """
-    check_digits(digits)
-    d = digits
-    while True:
+
+    def compare(d: int) -> Optional[bool]:
         a, b = eval_a(d), eval_b(d)
-        if a.hi < b.lo or (a.hi == b.lo and not strict):
-            return True, d
-        if b.hi < a.lo or (b.hi == a.lo and strict):
-            return False, d
-        if d >= max_digits:
-            raise PrecisionError(
-                f"comparison undecidable at {d} digits "
-                f"(a in [{nstr(a.lo, 25)}, {nstr(a.hi, 25)}], "
-                f"b in [{nstr(b.lo, 25)}, {nstr(b.hi, 25)}])"
-            )
-        d = min(2 * d, max_digits)
+        if a.hi <= b.lo:
+            return True
+        if b.hi < a.lo:
+            return False
+        return None
+
+    return refine(compare, digits=digits, max_digits=max_digits)

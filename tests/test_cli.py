@@ -1218,17 +1218,25 @@ _LONG = "x" * 10 ** 6
         ("certificate", "method"),
         ("curves",),
         None,
+        # argparse's own messages quote a rejected value whole
+        ["construct", "--g", "x" * 10 ** 5],
+        ["bounds", "--g", "16", "--format", "y" * 10 ** 5],
+        ["verify", "doc.json", "--precision", "9" * 10 ** 5],
+        ["bounds", "--g", "16", "--alpha", "0/1", "--bogus", "z" * 1000],
     ],
     ids=[
         "totalCrossings", "threshold-kind", "schemaVersion", "threshold-value",
         "surface-alpha", "report-mode", "certificate-method", "curves[0]", "argument-f",
+        "argparse-g", "argparse-format", "argparse-precision", "argparse-unknown",
     ],
 )
 def test_an_error_line_cuts_a_long_value(verified_g20000, tmp_path, path):
     # each value is echoed in the error line; a million characters of it
     # once made a line of a megabyte
     data = json.loads(verified_g20000.read_text())
-    if path is None:
+    if isinstance(path, list):
+        argv, exit_code = path, 4
+    elif path is None:
         argv, exit_code = ["verify", str(verified_g20000), "--f", _LONG[: 10 ** 5]], 4
     else:
         *parents, key = path
